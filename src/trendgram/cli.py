@@ -11,20 +11,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._io import read_text
 from .errors import TrendgramError
-from .frequency import (build_table, evaluate, parse_query, write_series_csv,
-                        write_series_json)
+from .frequency import evaluate, parse_query, write_series_csv, write_series_json
 from .ingest import (DEFAULT_YEAR_RANGE, CSV_FIELDS, merge_dedup, parse_bibtex,
                      parse_csv, parse_endnote, read_corpus, write_corpus)
-from .ngrams import (NGRAM_MAX, Stoplist, count_ngrams, read_records, top_ngrams,
-                     write_records)
+from .ngrams import (NGRAM_MAX, Stoplist, build_table, count_ngrams, read_records,
+                     top_ngrams, write_records)
 from .plotting import render_plot
 from .textprep import entry_sentences
 from .trends import (DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
-                     CatalogSpec, build_catalog, rank_trends)
+                     build_catalog, rank_trends)
 
 STOPLIST_ENV = "TRENDGRAM_STOPLIST"
 
@@ -36,24 +35,6 @@ DEMO_QUERIES = (
     "program slicing, clone detection",
     "legacy, open source",
 )
-
-
-@dataclass
-class Config:
-    """Validated knobs shared by the pipeline stages."""
-
-    year_min: int = DEFAULT_YEAR_RANGE[0]
-    year_max: int = DEFAULT_YEAR_RANGE[1]
-    nmax: int = NGRAM_MAX
-    stoplist_path: str | None = None
-    min_support: int = DEFAULT_MIN_SUPPORT
-    catalog_limit: int = DEFAULT_CATALOG_LIMIT
-
-    def validate(self):
-        if self.year_min > self.year_max:
-            raise UsageError("", f"year-min {self.year_min} is greater than year-max {self.year_max}")
-        if not 1 <= self.nmax <= NGRAM_MAX:
-            raise UsageError("", f"nmax must be in 1..{NGRAM_MAX}, got {self.nmax}")
 
 
 class UsageError(Exception):
@@ -164,9 +145,9 @@ def main():
 # subcommands
 
 def cmd_ingest(args):
-    config = Config(year_min=args.year_min, year_max=args.year_max)
-    config.validate()
-    year_range = (config.year_min, config.year_max)
+    if args.year_min > args.year_max:
+        raise UsageError("", f"year-min {args.year_min} is greater than year-max {args.year_max}")
+    year_range = (args.year_min, args.year_max)
     mapping = _parse_csv_map(args.csv_map) if args.csv_map else None
 
     if not (args.bibtex or args.csv or args.endnote):
@@ -180,7 +161,7 @@ def cmd_ingest(args):
         ("endnote", args.endnote, lambda t, o: parse_endnote(t, year_range, o)),
     ):
         for path in paths:
-            text = Path(path).read_text(encoding="utf-8")
+            text = read_text(path)
             entries, diagnostics = parse(text, ordinals[source])
             ordinals[source] += len(entries)
             for diagnostic in diagnostics:
@@ -215,13 +196,13 @@ def _load_stoplist(path_argument):
 
 
 def cmd_extract(args):
-    config = Config(nmax=args.nmax, stoplist_path=args.stoplist)
-    config.validate()
-    stoplist = _load_stoplist(config.stoplist_path)
+    if not 1 <= args.nmax <= NGRAM_MAX:
+        raise UsageError("", f"nmax must be in 1..{NGRAM_MAX}, got {args.nmax}")
+    stoplist = _load_stoplist(args.stoplist)
     entries = read_corpus(args.input)
     sentences = (sentence for entry in entries for sentence in entry_sentences(entry))
-    records = count_ngrams(sentences, stoplist, 1, config.nmax)
-    write_records(records, sys.stdout if args.output == "-" else args.output)
+    table = count_ngrams(sentences, stoplist, 1, args.nmax)
+    write_records(table, sys.stdout if args.output == "-" else args.output)
     return 0
 
 
@@ -260,8 +241,8 @@ def cmd_top(args):
         raise UsageError("", "-k must be at least 1")
     if not 1 <= args.n <= NGRAM_MAX:
         raise UsageError("", f"-n must be in 1..{NGRAM_MAX}")
-    records = read_records(args.input)
-    for rank, (ngram, total) in enumerate(top_ngrams(records, args.n, args.k), 1):
+    table = build_table(read_records(args.input))
+    for rank, (ngram, total) in enumerate(top_ngrams(table, args.n, args.k), 1):
         print(f"{rank}. {ngram} {total}")
     return 0
 
@@ -275,8 +256,7 @@ def cmd_catalog(args):
     year_range = None
     if args.year_from is not None or args.year_to is not None:
         year_range = _year_range_for(args, table)
-    index = build_catalog(table, CatalogSpec(limit=args.limit, year_range=year_range),
-                          args.output)
+    index = build_catalog(table, args.limit, args.output, year_range)
     print(f"wrote {len(index)} plots to {args.output}", file=sys.stderr)
     return 0
 

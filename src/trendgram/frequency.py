@@ -33,24 +33,6 @@ class SeriesPoint(NamedTuple):
 
 
 @dataclass
-class FrequencyTable:
-    """Aggregated records plus the per-(n, year) totals used as
-    frequency denominators."""
-
-    counts: dict[tuple[int, str, int], int]
-    totals: dict[tuple[int, int], int]
-    years: list[int]
-
-    def has_data(self, n, year):
-        return self.totals.get((n, year), 0) > 0
-
-    def year_span(self):
-        if not self.years:
-            return None
-        return self.years[0], self.years[-1]
-
-
-@dataclass
 class QuerySeries:
     label: str
     phrases: list[tuple[str, ...]]
@@ -65,20 +47,6 @@ class Query:
 class FrequencySeries:
     label: str
     points: dict[int, SeriesPoint]
-
-
-def build_table(records):
-    """Index records by (n, ngram, year) and compute per-(n, year) totals."""
-    counts: dict[tuple[int, str, int], int] = {}
-    totals: dict[tuple[int, int], int] = {}
-    years = set()
-    for record in records:
-        key = (record.n, record.ngram, record.year)
-        counts[key] = counts.get(key, 0) + record.count
-        total_key = (record.n, record.year)
-        totals[total_key] = totals.get(total_key, 0) + record.count
-        years.add(record.year)
-    return FrequencyTable(counts, totals, sorted(years))
 
 
 def freq(table, phrase, year):

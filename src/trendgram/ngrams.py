@@ -1,9 +1,10 @@
-"""N-gram extraction, stopword filtering, and the records file format.
+"""N-gram extraction, stopword filtering, the count table, and the
+records file format.
 
 The tabular model is one record per (n, ngram, year) with an occurrence
-count. An n-gram is discarded when at least half of its tokens are
-stopwords; the comparison is exact integer arithmetic, so a bigram with
-exactly one stopword is discarded.
+count, held in memory as a `FrequencyTable`. An n-gram is discarded when
+at least half of its tokens are stopwords; the comparison is exact
+integer arithmetic, so a bigram with exactly one stopword is discarded.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
-from ._io import open_for_read, open_for_write
+from ._io import open_for_read, open_for_write, read_text
 from .errors import RecordsError, TrendgramError
 
 RECORDS_HEADER = ("n", "ngram", "year", "count")
@@ -21,12 +23,49 @@ RECORDS_HEADER = ("n", "ngram", "year", "count")
 NGRAM_MAX = 4
 
 
-@dataclass(frozen=True)
-class NgramRecord:
+class NgramRecord(NamedTuple):
     n: int
     ngram: str
     year: int
     count: int
+
+
+@dataclass
+class FrequencyTable:
+    """N-gram counts keyed (n, ngram, year), plus the per-(n, year)
+    totals used as frequency denominators and the sorted years with data.
+
+    Iterating yields one `NgramRecord` per key in (n, ngram, year)
+    order; `len` is the number of such rows. Build it with `build_table`.
+    """
+
+    counts: dict[tuple[int, str, int], int]
+    totals: dict[tuple[int, int], int]
+    years: list[int]
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __iter__(self):
+        for key in sorted(self.counts):
+            yield NgramRecord(*key, self.counts[key])
+
+    def has_data(self, n, year):
+        return self.totals.get((n, year), 0) > 0
+
+    def year_span(self):
+        if not self.years:
+            return None
+        return self.years[0], self.years[-1]
+
+
+def build_table(counts):
+    """The table over a `(n, ngram, year) -> count` dict, which it keeps
+    as its `counts`; totals and years are derived here once."""
+    totals: dict[tuple[int, int], int] = {}
+    for (n, _, year), count in counts.items():
+        totals[(n, year)] = totals.get((n, year), 0) + count
+    return FrequencyTable(counts, totals, sorted({year for _, year in totals}))
 
 
 class Stoplist:
@@ -55,8 +94,7 @@ class Stoplist:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(read_text(path))
 
     @classmethod
     def default(cls):
@@ -88,31 +126,21 @@ def passes_stopword_rule(ngram, stoplist):
 def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     """Count surviving n-gram occurrences per (n, ngram, year).
 
-    Repeated occurrences within one sentence all count. The result is
-    sorted by (n, ngram, year) so downstream output is deterministic.
+    Repeated occurrences within one sentence all count. Returns a
+    `FrequencyTable`; counts of separately counted shards sum to the
+    counts of the whole corpus.
     """
-    counts: Counter = Counter()
+    counts: dict[tuple[int, str, int], int] = {}
     for sentence in sentences:
         for gram in ngrams_of(sentence.tokens, n_min, n_max):
             if passes_stopword_rule(gram, stoplist):
-                counts[(len(gram), " ".join(gram), sentence.year)] += 1
-    return [NgramRecord(n, ngram, year, count)
-            for (n, ngram, year), count in sorted(counts.items())]
+                key = (len(gram), " ".join(gram), sentence.year)
+                counts[key] = counts.get(key, 0) + 1
+    return build_table(counts)
 
 
-def merge_records(*record_sets):
-    """Sum counts across record sets; shards counted separately merge to
-    the same result as counting the whole corpus."""
-    counts: Counter = Counter()
-    for records in record_sets:
-        for record in records:
-            counts[(record.n, record.ngram, record.year)] += record.count
-    return [NgramRecord(n, ngram, year, count)
-            for (n, ngram, year), count in sorted(counts.items())]
-
-
-def write_records(records, dest):
-    """Write records as `n,ngram,year,count` rows sorted by key.
+def write_records(table, dest):
+    """Write the table's rows as `n,ngram,year,count` in key order.
 
     The n-gram cell is quoted only if it contains a comma or a quote
     (token rules make both impossible, but readers must accept it).
@@ -120,12 +148,12 @@ def write_records(records, dest):
     with open_for_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORDS_HEADER)
-        for record in sorted(records, key=lambda r: (r.n, r.ngram, r.year)):
-            writer.writerow([record.n, record.ngram, record.year, record.count])
+        writer.writerows(table)
 
 
 def read_records(source):
-    """Read a records CSV, enforcing every record invariant.
+    """Read a records CSV into a `(n, ngram, year) -> count` dict,
+    enforcing every record invariant.
 
     This file is machine-produced, so any malformed row is corruption
     and raises `RecordsError` with the offending line number.
@@ -138,8 +166,7 @@ def read_records(source):
             raise RecordsError("records file is empty") from None
         if header != list(RECORDS_HEADER):
             raise RecordsError(f"unexpected records header: {header!r}")
-        records = []
-        seen = set()
+        counts: dict[tuple[int, str, int], int] = {}
         for row in reader:
             line = reader.line_num
             if len(row) != len(RECORDS_HEADER):
@@ -157,14 +184,13 @@ def read_records(source):
             if len(tokens) != n or not all(tokens):
                 raise RecordsError(f"line {line}: ngram {ngram!r} is not {n} tokens")
             key = (n, ngram, year)
-            if key in seen:
+            if key in counts:
                 raise RecordsError(f"line {line}: duplicate record for {ngram!r} in {year}")
-            seen.add(key)
-            records.append(NgramRecord(n, ngram, year, count))
-        return records
+            counts[key] = count
+        return counts
 
 
-def top_ngrams(records, n, k):
+def top_ngrams(table, n, k):
     """The k most frequent length-n n-grams summed across years.
 
     Sorted by total descending, ties broken lexicographically.
@@ -172,8 +198,8 @@ def top_ngrams(records, n, k):
     if k < 1:
         raise ValueError("k must be at least 1")
     totals: Counter = Counter()
-    for record in records:
-        if record.n == n:
-            totals[record.ngram] += record.count
+    for (record_n, ngram, _), count in table.counts.items():
+        if record_n == n:
+            totals[ngram] += count
     ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]

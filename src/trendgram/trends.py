@@ -35,12 +35,6 @@ class TrendEntry:
     years_with_data: int
 
 
-@dataclass
-class CatalogSpec:
-    limit: int = DEFAULT_CATALOG_LIMIT
-    year_range: tuple[int, int] | None = None  # None: the table's own span
-
-
 def trend_slope(series):
     """OLS slope of frequency against year over the has-data points.
 
@@ -97,24 +91,24 @@ def rank_trends(table, n, direction, k, min_support=DEFAULT_MIN_SUPPORT,
     return entries[:k]
 
 
-def build_catalog(table, spec, out_dir):
+def build_catalog(table, limit, out_dir, year_range=None):
     """Write one year-frequency SVG per top n-gram plus an HTML index.
 
-    The `spec.limit` most frequent n-grams across all lengths are
-    selected by total count, ties broken lexicographically; pages are
-    numbered in that order. Returns the index as a list of
-    (ngram, total, filename).
+    The `limit` most frequent n-grams across all lengths are selected by
+    total count, ties broken lexicographically; pages are numbered in
+    that order. Plots span `year_range`, by default the table's own
+    years. Returns the index as a list of (ngram, total, filename).
     """
-    if spec.limit < 1:
+    if limit < 1:
         raise ValueError("catalog limit must be at least 1")
     if not table.counts:
         raise ValueError("cannot build a catalog from an empty table")
-    year_range = spec.year_range or table.year_span()
+    year_range = year_range or table.year_span()
 
     totals: dict[str, int] = defaultdict(int)
     for (_, ngram, _), count in table.counts.items():
         totals[ngram] += count
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:spec.limit]
+    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:limit]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from trendgram.ingest import Entry
-from trendgram.ngrams import NgramRecord
 from trendgram.textprep import Sentence
 
 WORDS = (
@@ -33,16 +32,14 @@ def random_sentences(rng: random.Random, count, years=(2000, 2001, 2002),
     return sentences
 
 
-def random_records(rng: random.Random, max_records=40, years=(2000, 2010)):
-    """A valid random record set: unique (n, ngram, year) keys."""
-    records = []
-    seen = set()
+def random_counts(rng: random.Random, max_records=40, years=(2000, 2010)):
+    """A valid random `(n, ngram, year) -> count` dict."""
+    counts = {}
     for _ in range(rng.randint(0, max_records)):
         n = rng.randint(1, 4)
         ngram = " ".join(rng.choice(WORDS) for _ in range(n))
         year = rng.randint(*years)
-        if (n, ngram, year) in seen:
+        if (n, ngram, year) in counts:
             continue
-        seen.add((n, ngram, year))
-        records.append(NgramRecord(n, ngram, year, rng.randint(1, 500)))
-    return records
+        counts[(n, ngram, year)] = rng.randint(1, 500)
+    return counts

@@ -13,11 +13,11 @@ import time
 
 from oracle import (exact_ols_slope, naive_freq, naive_freq_list,
                     naive_ngram_counts)
-from support import make_entry, random_records, random_sentences
+from support import make_entry, random_counts, random_sentences
 from trendgram.cli import DEMO_QUERIES, run
-from trendgram.frequency import build_table, evaluate, freq, parse_query
+from trendgram.frequency import evaluate, freq, parse_query
 from trendgram.ingest import merge_dedup
-from trendgram.ngrams import (NgramRecord, count_ngrams, ngrams_of,
+from trendgram.ngrams import (build_table, count_ngrams, ngrams_of,
                               passes_stopword_rule, read_records, write_records)
 from trendgram.textprep import entry_sentences
 from trendgram.trends import rank_trends
@@ -67,17 +67,17 @@ def test_criterion_03_record_format(stoplist):
 
     rng = random.Random(1234)
     for _ in range(1000):
-        records = random_records(rng)
+        counts = random_counts(rng)
         buffer = io.StringIO()
-        write_records(records, buffer)
-        assert set(read_records(io.StringIO(buffer.getvalue()))) == set(records)
+        write_records(build_table(counts), buffer)
+        assert read_records(io.StringIO(buffer.getvalue())) == counts
     print("criterion 3 (record format and round-trip): PASS")
 
 
 def test_criterion_04_frequency_normalization(stoplist):
     rng = random.Random(99)
     sentences = random_sentences(rng, 200, years=(2000, 2001, 2002, 2003))
-    table = build_table(count_ngrams(sentences, stoplist))
+    table = count_ngrams(sentences, stoplist)
     checked = 0
     for (n, year), total in table.totals.items():
         if total == 0:
@@ -97,11 +97,10 @@ def test_criterion_05_oracle_equivalence(stoplist):
     for round_number in range(100):
         sentences = random_sentences(rng, rng.randint(0, 50))
         expected = naive_ngram_counts(sentences, stoplist)
-        records = count_ngrams(sentences, stoplist)
-        got = {(r.n, r.ngram, r.year): r.count for r in records}
+        table = count_ngrams(sentences, stoplist)
+        got = {(r.n, r.ngram, r.year): r.count for r in table}
         assert got == expected
 
-        table = build_table(records)
         probes = [("program",), ("of",), ("slice", "trace"),
                   ("program", "comprehension", "tool"), ("absent", "gram")]
         for year in (2000, 2001, 2002, 2005):
@@ -119,11 +118,11 @@ def test_criterion_06_query_algebra():
     assert len(query.series) == 3
     assert len(query.series[2].phrases) == 2
 
-    records = [NgramRecord(1, word, year, count)
-               for year in (2000, 2001, 2002)
-               for word, count in (("p", 3), ("q", 5), ("r", 2))]
-    records.append(NgramRecord(1, "p", 2003, 7))
-    table = build_table(records)
+    counts = {(1, word, year): count
+              for year in (2000, 2001, 2002)
+              for word, count in (("p", 3), ("q", 5), ("r", 2))}
+    counts[(1, "p", 2003)] = 7
+    table = build_table(counts)
     union = evaluate(table, parse_query("p+q"), (2000, 2003))[0]
     left = evaluate(table, parse_query("p"), (2000, 2003))[0]
     right = evaluate(table, parse_query("q"), (2000, 2003))[0]
@@ -145,14 +144,14 @@ def test_criterion_07_ngram_enumeration():
 
 
 def test_criterion_08_trend_ranking():
-    records = []
+    counts = {}
     for i in range(10):
         year = 2000 + i
-        records.append(NgramRecord(2, "growing term", year, 2 ** i))
-        records.append(NgramRecord(2, "fading term", year, 2 ** (9 - i)))
-        records.append(NgramRecord(2, "steady one", year, 50))
-        records.append(NgramRecord(2, "steady two", year, 40))
-    table = build_table(records)
+        counts[(2, "growing term", year)] = 2 ** i
+        counts[(2, "fading term", year)] = 2 ** (9 - i)
+        counts[(2, "steady one", year)] = 50
+        counts[(2, "steady two", year)] = 40
+    table = build_table(counts)
 
     rising = rank_trends(table, 2, "rising", 4)
     falling = rank_trends(table, 2, "falling", 4)

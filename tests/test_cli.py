@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trendgram
+
 from trendgram.cli import DEMO_QUERIES, run
-from trendgram.frequency import build_table, evaluate, parse_query, write_series_csv
+from trendgram.frequency import evaluate, parse_query, write_series_csv
 from trendgram.ingest import (merge_dedup, parse_bibtex, parse_csv,
                               parse_endnote, read_corpus, write_corpus)
-from trendgram.ngrams import Stoplist, count_ngrams, read_records
+from trendgram.ngrams import Stoplist, build_table, count_ngrams, read_records
 from trendgram.textprep import entry_sentences
 
 BIB = (
@@ -104,11 +110,49 @@ def test_ingest_corpus_to_stdout(tmp_path, capsys):
     assert out.startswith("id,source,year,title,abstract,keywords,authors\n")
 
 
+def test_ingest_accepts_byte_order_mark(demo_dir, tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    marked = tmp_path / "marked.csv"
+    assert run(["ingest", "--csv", str(demo_dir / "demo.csv"), "-o", str(plain)]) == 0
+    marked.write_bytes(b"\xef\xbb\xbf" + (demo_dir / "demo.csv").read_bytes())
+    out = tmp_path / "corpus.csv"
+    assert run(["ingest", "--csv", str(marked), "-o", str(out)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+
+
+LATIN_1 = "caf\u00e9\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("export", ["ingest", "--bibtex", "{bad}", "-o", "{tmp}/c.csv"]),
+    ("corpus", ["extract", "-i", "{bad}", "-o", "{tmp}/r.csv"]),
+    ("stoplist", ["extract", "-i", "{corpus}", "-o", "{tmp}/r.csv", "--stoplist", "{bad}"]),
+    ("records", ["top", "-i", "{bad}"]),
+])
+def test_non_utf8_input_is_data_error(kind, argv, tmp_path, capsys):
+    entries, _ = parse_bibtex(BIB)
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(entries, corpus)
+    bad = tmp_path / f"{kind}.txt"
+    bad.write_bytes(LATIN_1)
+    argv = [arg.format(bad=bad, tmp=tmp_path, corpus=corpus) for arg in argv]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: not UTF-8 text (byte 0xe9)"]
+
+
+def test_python_dash_m_runs_the_cli(records_csv):
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "trendgram", "top", "-i", str(records_csv), "-n", "1", "-k", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert (result.returncode, result.stdout) == (0, "1. code 4\n")
+
+
 def test_extract_matches_library_pipeline(tmp_path, records_csv):
     entries, _ = parse_bibtex(BIB)
     sentences = [s for e in entries for s in entry_sentences(e)]
     expected = count_ngrams(sentences, Stoplist.default())
-    assert read_records(records_csv) == expected
+    assert build_table(read_records(records_csv)) == expected
 
 
 def test_extract_nmax_validated(tmp_path, capsys):
@@ -121,7 +165,7 @@ def test_extract_nmax_limits_length(tmp_path):
     write_corpus(entries, corpus)
     out = tmp_path / "records.csv"
     assert run(["extract", "-i", str(corpus), "-o", str(out), "--nmax", "1"]) == 0
-    assert all(record.n == 1 for record in read_records(out))
+    assert all(record.n == 1 for record in build_table(read_records(out)))
 
 
 def test_extract_custom_stoplist_flag(tmp_path):
@@ -132,7 +176,7 @@ def test_extract_custom_stoplist_flag(tmp_path):
     stop.write_text("code\n")
     out = tmp_path / "records.csv"
     assert run(["extract", "-i", str(corpus), "-o", str(out), "--stoplist", str(stop)]) == 0
-    assert not any(record.ngram == "code" for record in read_records(out))
+    assert not any(record.ngram == "code" for record in build_table(read_records(out)))
 
 
 def test_extract_stoplist_env_fallback(tmp_path, monkeypatch):
@@ -144,7 +188,7 @@ def test_extract_stoplist_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("TRENDGRAM_STOPLIST", str(stop))
     out = tmp_path / "records.csv"
     assert run(["extract", "-i", str(corpus), "-o", str(out)]) == 0
-    assert not any(record.ngram == "tracing" for record in read_records(out))
+    assert not any(record.ngram == "tracing" for record in build_table(read_records(out)))
 
 
 def test_query_csv_to_stdout(records_csv, capsys):

@@ -9,14 +9,13 @@ import pytest
 from oracle import naive_freq, naive_freq_list, naive_ngram_counts
 from support import random_sentences
 from trendgram.errors import QueryError
-from trendgram.frequency import (build_table, evaluate, freq, freq_list,
-                                 parse_query, write_series_csv,
-                                 write_series_json)
-from trendgram.ngrams import NgramRecord, count_ngrams
+from trendgram.frequency import (evaluate, freq, freq_list, parse_query,
+                                 write_series_csv, write_series_json)
+from trendgram.ngrams import build_table, count_ngrams
 
 
 def table_of(*records):
-    return build_table([NgramRecord(*r) for r in records])
+    return build_table({(n, ngram, year): count for n, ngram, year, count in records})
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +29,7 @@ def test_build_table_totals_per_length_and_year():
 
 
 def test_build_table_empty():
-    table = build_table([])
+    table = build_table({})
     assert table.counts == {} and table.totals == {} and table.years == []
     assert table.year_span() is None
 
@@ -94,7 +93,7 @@ def test_freq_agrees_with_naive_oracle(stoplist):
     rng = random.Random(23)
     sentences = random_sentences(rng, 40)
     counts = naive_ngram_counts(sentences, stoplist)
-    table = build_table(count_ngrams(sentences, stoplist))
+    table = count_ngrams(sentences, stoplist)
     probes = [("program",), ("of",), ("program", "comprehension"), ("no", "such", "gram")]
     for year in (2000, 2001, 2002, 2009):
         for phrase in probes:
@@ -104,7 +103,7 @@ def test_freq_agrees_with_naive_oracle(stoplist):
 
 def test_normalization_sums_to_one(stoplist):
     rng = random.Random(31)
-    table = build_table(count_ngrams(random_sentences(rng, 120), stoplist))
+    table = count_ngrams(random_sentences(rng, 120), stoplist)
     checked = 0
     for (n, year), total in table.totals.items():
         if total == 0:
@@ -118,11 +117,10 @@ def test_normalization_sums_to_one(stoplist):
 
 
 def test_monotone_scaling_leaves_frequencies_unchanged():
-    records = [NgramRecord(1, "x", 2000, 3), NgramRecord(1, "y", 2000, 11),
-               NgramRecord(2, "x y", 2000, 2)]
+    counts = {(1, "x", 2000): 3, (1, "y", 2000): 11, (2, "x y", 2000): 2}
     for factor in (2, 7, 1000):
-        scaled = [NgramRecord(r.n, r.ngram, r.year, r.count * factor) for r in records]
-        base, big = build_table(records), build_table(scaled)
+        scaled = {key: count * factor for key, count in counts.items()}
+        base, big = build_table(counts), build_table(scaled)
         for phrase in (("x",), ("y",), ("x", "y"), ("z",)):
             assert freq(base, phrase, 2000) == freq(big, phrase, 2000)
 
@@ -190,7 +188,7 @@ def test_parse_query_roundtrip():
 
 
 def test_evaluate_empty_table_yields_no_data_points():
-    series = evaluate(build_table([]), parse_query("x"), (2000, 2002))
+    series = evaluate(build_table({}), parse_query("x"), (2000, 2002))
     assert len(series) == 1
     assert sorted(series[0].points) == [2000, 2001, 2002]
     for point in series[0].points.values():
@@ -207,7 +205,7 @@ def test_evaluate_single_year_range():
 
 def test_evaluate_rejects_empty_range():
     with pytest.raises(ValueError):
-        evaluate(build_table([]), parse_query("x"), (2005, 2004))
+        evaluate(build_table({}), parse_query("x"), (2005, 2004))
 
 
 def test_evaluate_order_matches_query():
@@ -222,7 +220,7 @@ def test_evaluate_two_series_fixture_against_oracle(stoplist):
     rng = random.Random(47)
     sentences = random_sentences(rng, 50)
     counts = naive_ngram_counts(sentences, stoplist)
-    table = build_table(count_ngrams(sentences, stoplist))
+    table = count_ngrams(sentences, stoplist)
     series = evaluate(table, parse_query("program code, slice+trace"), (2000, 2002))
     for year in (2000, 2001, 2002):
         assert series[0].points[year].frequency == naive_freq(counts, ("program", "code"), year)

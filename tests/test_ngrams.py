@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import io
 import random
+from collections import Counter
 
 import pytest
 
 from oracle import naive_ngram_counts
-from support import random_records, random_sentences
+from support import random_counts, random_sentences
 from trendgram.errors import RecordsError, TrendgramError
-from trendgram.ngrams import (NgramRecord, Stoplist, count_ngrams, merge_records,
+from trendgram.ngrams import (NgramRecord, Stoplist, build_table, count_ngrams,
                               ngrams_of, passes_stopword_rule, read_records,
                               top_ngrams, write_records)
 from trendgram.textprep import Sentence
@@ -99,7 +100,7 @@ def test_default_stoplist_contents(stoplist):
 
 def test_count_ngrams_single_sentence(stoplist):
     records = count_ngrams([sentence(["program", "comprehension"], 2010)], stoplist)
-    assert records == [
+    assert list(records) == [
         NgramRecord(1, "comprehension", 2010, 1),
         NgramRecord(1, "program", 2010, 1),
         NgramRecord(2, "program comprehension", 2010, 1),
@@ -107,7 +108,7 @@ def test_count_ngrams_single_sentence(stoplist):
 
 
 def test_count_ngrams_empty_stream(stoplist):
-    assert count_ngrams([], stoplist) == []
+    assert list(count_ngrams([], stoplist)) == []
 
 
 def test_count_ngrams_repeats_within_sentence_count_each(stoplist):
@@ -121,7 +122,7 @@ def test_count_ngrams_respects_year_keys(stoplist):
     records = count_ngrams(
         [sentence(["code"], 2001), sentence(["code"], 2002), sentence(["code"], 2001)],
         stoplist)
-    assert records == [
+    assert list(records) == [
         NgramRecord(1, "code", 2001, 2),
         NgramRecord(1, "code", 2002, 1),
     ]
@@ -132,8 +133,24 @@ def test_count_ngrams_agrees_with_naive_oracle(stoplist):
     for _ in range(20):
         sentences = random_sentences(rng, rng.randint(0, 30))
         expected = naive_ngram_counts(sentences, stoplist)
-        got = {(r.n, r.ngram, r.year): r.count for r in count_ngrams(sentences, stoplist)}
+        table = count_ngrams(sentences, stoplist)
+        got = {(r.n, r.ngram, r.year): r.count for r in table}
         assert got == expected
+        assert table.counts == expected
+
+        totals = {}
+        for (n, _, year), count in expected.items():
+            totals[(n, year)] = totals.get((n, year), 0) + count
+        assert table.totals == totals
+        assert table.years == sorted({year for _, _, year in expected})
+
+        rows = list(table)
+        assert len(table) == len(rows) == len(expected)
+        assert [(r.n, r.ngram, r.year) for r in rows] == sorted(expected)
+
+        buffer = io.StringIO()
+        write_records(table, buffer)
+        assert build_table(read_records(io.StringIO(buffer.getvalue()))) == table
 
 
 def test_count_ngrams_stored_ngrams_pass_their_own_rule(stoplist):
@@ -174,13 +191,15 @@ def test_sentence_boundaries_block_ngrams_property(stoplist):
                 assert (a, b) != ("zzzleft", "qqqright")
 
 
-def test_merge_records_matches_whole_corpus_count(stoplist):
+def test_count_ngrams_shard_counts_sum_to_whole_corpus(stoplist):
     rng = random.Random(5)
     sentences = random_sentences(rng, 60)
     whole = count_ngrams(sentences, stoplist)
     shards = [sentences[0:17], sentences[17:40], sentences[40:]]
-    merged = merge_records(*(count_ngrams(shard, stoplist) for shard in shards))
-    assert merged == whole
+    merged = Counter()
+    for shard in shards:
+        merged.update(count_ngrams(shard, stoplist).counts)
+    assert build_table(dict(merged)) == whole
 
 
 # ---------------------------------------------------------------------------
@@ -189,33 +208,33 @@ def test_merge_records_matches_whole_corpus_count(stoplist):
 
 def test_write_records_exact_line():
     buffer = io.StringIO()
-    write_records([NgramRecord(2, "dynamic analysis", 2008, 33)], buffer)
+    write_records(build_table({(2, "dynamic analysis", 2008): 33}), buffer)
     assert buffer.getvalue() == "n,ngram,year,count\n2,dynamic analysis,2008,33\n"
 
 
 def test_write_records_empty_set_is_header_only():
     buffer = io.StringIO()
-    write_records([], buffer)
+    write_records(build_table({}), buffer)
     assert buffer.getvalue() == "n,ngram,year,count\n"
 
 
 def test_write_records_sorted_and_roundtrips():
-    records = [
-        NgramRecord(2, "b b", 2001, 4),
-        NgramRecord(1, "z", 2000, 1),
-        NgramRecord(1, "a", 2005, 2),
-        NgramRecord(1, "a", 2003, 9),
-    ]
+    counts = {
+        (2, "b b", 2001): 4,
+        (1, "z", 2000): 1,
+        (1, "a", 2005): 2,
+        (1, "a", 2003): 9,
+    }
     buffer = io.StringIO()
-    write_records(records, buffer)
+    write_records(build_table(counts), buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[1:] == ["1,a,2003,9", "1,a,2005,2", "1,z,2000,1", "2,b b,2001,4"]
-    assert set(read_records(io.StringIO(buffer.getvalue()))) == set(records)
+    assert read_records(io.StringIO(buffer.getvalue())) == counts
 
 
 def test_read_records_accepts_quoted_ngrams():
     text = 'n,ngram,year,count\n2,"dynamic analysis",2008,33\n'
-    assert read_records(io.StringIO(text)) == [NgramRecord(2, "dynamic analysis", 2008, 33)]
+    assert read_records(io.StringIO(text)) == {(2, "dynamic analysis", 2008): 33}
 
 
 @pytest.mark.parametrize("row, complaint", [
@@ -247,10 +266,10 @@ def test_read_records_rejects_bad_header():
 def test_records_roundtrip_random_sets():
     rng = random.Random(42)
     for _ in range(100):
-        records = random_records(rng)
+        counts = random_counts(rng)
         buffer = io.StringIO()
-        write_records(records, buffer)
-        assert set(read_records(io.StringIO(buffer.getvalue()))) == set(records)
+        write_records(build_table(counts), buffer)
+        assert read_records(io.StringIO(buffer.getvalue())) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +277,27 @@ def test_records_roundtrip_random_sets():
 
 
 def test_top_ngrams_sums_across_years():
-    records = [
-        NgramRecord(2, "source code", 2000, 3),
-        NgramRecord(2, "source code", 2001, 4),
-        NgramRecord(1, "code", 2000, 99),
-    ]
-    assert top_ngrams(records, 2, 5) == [("source code", 7)]
+    table = build_table({
+        (2, "source code", 2000): 3,
+        (2, "source code", 2001): 4,
+        (1, "code", 2000): 99,
+    })
+    assert top_ngrams(table, 2, 5) == [("source code", 7)]
 
 
 def test_top_ngrams_tie_breaks_lexicographically():
-    records = [
-        NgramRecord(1, "bb", 2000, 3),
-        NgramRecord(1, "aa", 2001, 3),
-        NgramRecord(1, "cc", 2000, 1),
-    ]
-    assert top_ngrams(records, 1, 2) == [("aa", 3), ("bb", 3)]
+    table = build_table({
+        (1, "bb", 2000): 3,
+        (1, "aa", 2001): 3,
+        (1, "cc", 2000): 1,
+    })
+    assert top_ngrams(table, 1, 2) == [("aa", 3), ("bb", 3)]
 
 
 def test_top_ngrams_single_record():
-    assert top_ngrams([NgramRecord(1, "x", 2000, 5)], 1, 3) == [("x", 5)]
+    assert top_ngrams(build_table({(1, "x", 2000): 5}), 1, 3) == [("x", 5)]
 
 
 def test_top_ngrams_rejects_bad_k():
     with pytest.raises(ValueError):
-        top_ngrams([], 1, 0)
+        top_ngrams(build_table({}), 1, 0)

@@ -6,9 +6,9 @@ import pytest
 
 from oracle import exact_ols_slope
 from trendgram.errors import SlopeError
-from trendgram.frequency import FrequencySeries, SeriesPoint, build_table
-from trendgram.ngrams import NgramRecord
-from trendgram.trends import CatalogSpec, build_catalog, rank_trends, trend_slope
+from trendgram.frequency import FrequencySeries, SeriesPoint
+from trendgram.ngrams import build_table
+from trendgram.trends import build_catalog, rank_trends, trend_slope
 
 
 def series_of(points, label="s"):
@@ -74,14 +74,14 @@ def test_slope_invariance_under_shift_and_scale():
 
 def planted_table():
     """Ten years; one growing bigram, one fading, two steady ones."""
-    records = []
+    counts = {}
     for i in range(10):
         year = 2000 + i
-        records.append(NgramRecord(2, "feature location", year, 2 ** i))
-        records.append(NgramRecord(2, "program slicing", year, 2 ** (9 - i)))
-        records.append(NgramRecord(2, "source code", year, 50))
-        records.append(NgramRecord(2, "case study", year, 40))
-    return build_table(records)
+        counts[(2, "feature location", year)] = 2 ** i
+        counts[(2, "program slicing", year)] = 2 ** (9 - i)
+        counts[(2, "source code", year)] = 50
+        counts[(2, "case study", year)] = 40
+    return build_table(counts)
 
 
 def test_rank_trends_finds_planted_trends():
@@ -96,12 +96,12 @@ def test_rank_trends_finds_planted_trends():
 
 
 def test_rank_trends_short_growth_with_loose_thresholds():
-    records = []
+    counts = {}
     for i, count in enumerate((1, 2, 4, 8)):
         year = 2004 + i
-        records.append(NgramRecord(2, "feature location", year, count))
-        records.append(NgramRecord(2, "source code", year, 30))
-    table = build_table(records)
+        counts[(2, "feature location", year)] = count
+        counts[(2, "source code", year)] = 30
+    table = build_table(counts)
     top = rank_trends(table, 2, "rising", 1, min_support=1, min_years=2)
     assert top[0].ngram == "feature location"
 
@@ -115,12 +115,12 @@ def test_rank_trends_slopes_match_oracle():
 
 
 def test_rank_trends_tie_breaks_on_count_then_name():
-    records = []
+    counts = {}
     for year in (2000, 2001):
-        records.append(NgramRecord(1, "aa", year, 10))
-        records.append(NgramRecord(1, "bb", year, 10))
-        records.append(NgramRecord(1, "cc", year, 20))
-    table = build_table(records)
+        counts[(1, "aa", year)] = 10
+        counts[(1, "bb", year)] = 10
+        counts[(1, "cc", year)] = 20
+    table = build_table(counts)
     ranked = rank_trends(table, 1, "rising", 3, min_support=1, min_years=2)
     assert [entry.ngram for entry in ranked] == ["cc", "aa", "bb"]
     assert all(entry.slope == 0.0 for entry in ranked)
@@ -147,7 +147,7 @@ def test_rank_trends_min_support_filters():
 
 
 def test_rank_trends_too_few_years_is_empty():
-    table = build_table([NgramRecord(1, "x", 2000, 100), NgramRecord(1, "x", 2001, 100)])
+    table = build_table({(1, "x", 2000): 100, (1, "x", 2001): 100})
     assert rank_trends(table, 1, "rising", 5) == []
 
 
@@ -172,34 +172,34 @@ def test_rank_trends_rejects_bad_arguments():
 
 
 def catalog_table():
-    records = []
+    counts = {}
     for year in (2000, 2001, 2002):
         for index in range(10):
-            records.append(NgramRecord(1, f"word{index:02d}", year, index + 1))
-    return build_table(records)
+            counts[(1, f"word{index:02d}", year)] = index + 1
+    return build_table(counts)
 
 
 def test_build_catalog_single_ngram(tmp_path):
-    table = build_table([NgramRecord(1, "only", 2000, 3), NgramRecord(1, "only", 2001, 4)])
-    index = build_catalog(table, CatalogSpec(limit=1), tmp_path)
+    table = build_table({(1, "only", 2000): 3, (1, "only", 2001): 4})
+    index = build_catalog(table, 1, tmp_path)
     assert index == [("only", 7, "0001.svg")]
     assert (tmp_path / "0001.svg").exists()
     assert (tmp_path / "index.html").exists()
 
 
 def test_build_catalog_limit_clamps(tmp_path):
-    index = build_catalog(catalog_table(), CatalogSpec(limit=999), tmp_path)
+    index = build_catalog(catalog_table(), 999, tmp_path)
     assert len(index) == 10
 
 
 def test_build_catalog_picks_highest_totals(tmp_path):
-    index = build_catalog(catalog_table(), CatalogSpec(limit=3), tmp_path)
+    index = build_catalog(catalog_table(), 3, tmp_path)
     assert [item[0] for item in index] == ["word09", "word08", "word07"]
     assert [item[1] for item in index] == [30, 27, 24]
 
 
 def test_build_catalog_index_html_lists_all(tmp_path):
-    index = build_catalog(catalog_table(), CatalogSpec(limit=4), tmp_path)
+    index = build_catalog(catalog_table(), 4, tmp_path)
     html_text = (tmp_path / "index.html").read_text()
     for ngram, total, filename in index:
         assert ngram in html_text
@@ -209,12 +209,12 @@ def test_build_catalog_index_html_lists_all(tmp_path):
 
 def test_build_catalog_deterministic(tmp_path):
     table = catalog_table()
-    build_catalog(table, CatalogSpec(limit=2), tmp_path / "one")
-    build_catalog(table, CatalogSpec(limit=2), tmp_path / "two")
+    build_catalog(table, 2, tmp_path / "one")
+    build_catalog(table, 2, tmp_path / "two")
     for name in ("0001.svg", "0002.svg", "index.html"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 def test_build_catalog_rejects_empty_table(tmp_path):
     with pytest.raises(ValueError):
-        build_catalog(build_table([]), CatalogSpec(limit=1), tmp_path)
+        build_catalog(build_table({}), 1, tmp_path)
