@@ -27,6 +27,15 @@ def open_for_read(source, newline=""):
             raise TrendgramError(f"{source}: not UTF-8 text (byte 0x{bad:02x})") from None
 
 
+def location(source, line=None):
+    """The prefix of an error about `source`, a path or a stream:
+    `FILE:LINE: ` or `FILE: ` for a path, `line LINE: ` or nothing for
+    a stream, which has no name to give."""
+    if hasattr(source, "read"):
+        return "" if line is None else f"line {line}: "
+    return f"{source}: " if line is None else f"{source}:{line}: "
+
+
 def read_text(path):
     """The whole file at `path`, decoded as by `open_for_read`, with
     universal newlines."""

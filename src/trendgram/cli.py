@@ -288,3 +288,7 @@ def cmd_demo(args):
         path.write_text(render_plot(series, text), encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
     return 0
+
+
+if __name__ == "__main__":
+    main()

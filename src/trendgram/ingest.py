@@ -20,7 +20,7 @@ import io
 import re
 from dataclasses import dataclass
 
-from ._io import open_for_read, open_for_write
+from ._io import location, open_for_read, open_for_write
 from .errors import IngestError
 
 SOURCES = ("bibtex", "csv", "endnote")
@@ -118,6 +118,8 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
     else is ignored. Records with unbalanced braces, a missing or
     non-numeric year, an out-of-range year, or no title produce a
     `Diagnostic` and are skipped; parsing resumes at the next record.
+    An `@` right after a letter, digit, `.`, `_`, `-` or `+` belongs to
+    an e-mail address in free text and starts no record.
 
     Returns `(entries, diagnostics)`.
     """
@@ -125,11 +127,16 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
     diagnostics: list[Diagnostic] = []
     ordinal = start_ordinal
     pos = 0
+    line, line_start = 1, 0  # the line number of text[line_start]
     while True:
         at = text.find("@", pos)
         if at == -1:
             break
-        line = text.count("\n", 0, at) + 1
+        if at > 0 and (text[at - 1].isalnum() or text[at - 1] in "._-+"):
+            pos = at + 1  # an e-mail address in free text, not a record
+            continue
+        line += text.count("\n", line_start, at)
+        line_start = at
         record_type, body, end = _scan_record(text, at)
         if body is None:
             diagnostics.append(Diagnostic(line, "unbalanced braces in record"))
@@ -459,35 +466,39 @@ def write_corpus(entries, dest):
 def read_corpus(source):
     """Read a canonical corpus CSV back into entries.
 
-    The corpus file is machine-produced, so any malformation is fatal.
+    The corpus file is machine-produced, so any malformation is fatal;
+    the `IngestError` names the file (when `source` is a path) and the
+    offending line.
     """
     with open_for_read(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise IngestError("corpus file is empty") from None
+            raise IngestError(f"{location(source)}corpus file is empty") from None
         if header != list(CORPUS_HEADER):
-            raise IngestError(f"unexpected corpus header: {header!r}")
+            raise IngestError(f"{location(source)}unexpected corpus header: {header!r}")
         entries = []
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(CORPUS_HEADER):
-                raise IngestError(f"line {line}: expected {len(CORPUS_HEADER)} columns, got {len(row)}")
-            entry_id, source_name, year_text, title, abstract, keywords, authors = row
-            if source_name not in SOURCES:
-                raise IngestError(f"line {line}: unknown source {source_name!r}")
-            try:
-                year = int(year_text)
-            except ValueError:
-                raise IngestError(f"line {line}: non-numeric year {year_text!r}") from None
-            entries.append(Entry(
-                id=entry_id,
-                title=title,
-                abstract=abstract,
-                keywords=_split_semicolons(keywords),
-                year=year,
-                authors=_split_semicolons(authors),
-                source=source_name,
-            ))
+        try:
+            for row in reader:
+                if len(row) != len(CORPUS_HEADER):
+                    raise IngestError(f"expected {len(CORPUS_HEADER)} columns, got {len(row)}")
+                entry_id, source_name, year_text, title, abstract, keywords, authors = row
+                if source_name not in SOURCES:
+                    raise IngestError(f"unknown source {source_name!r}")
+                try:
+                    year = int(year_text)
+                except ValueError:
+                    raise IngestError(f"non-numeric year {year_text!r}") from None
+                entries.append(Entry(
+                    id=entry_id,
+                    title=title,
+                    abstract=abstract,
+                    keywords=_split_semicolons(keywords),
+                    year=year,
+                    authors=_split_semicolons(authors),
+                    source=source_name,
+                ))
+        except IngestError as exc:
+            raise IngestError(f"{location(source, reader.line_num)}{exc}") from None
         return entries

@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from itertools import accumulate
 from typing import NamedTuple
 
-from ._io import open_for_read, open_for_write, read_text
+from ._io import location, open_for_read, open_for_write, read_text
 from .errors import RecordsError, TrendgramError
 
 RECORDS_HEADER = ("n", "ngram", "year", "count")
@@ -34,14 +36,24 @@ class NgramRecord(NamedTuple):
 class FrequencyTable:
     """N-gram counts keyed (n, ngram, year), plus the per-(n, year)
     totals used as frequency denominators and the sorted years with data.
+    Both are derived from `counts` the first time they are read.
 
     Iterating yields one `NgramRecord` per key in (n, ngram, year)
     order; `len` is the number of such rows. Build it with `build_table`.
     """
 
     counts: dict[tuple[int, str, int], int]
-    totals: dict[tuple[int, int], int]
-    years: list[int]
+
+    @cached_property
+    def totals(self):
+        totals: dict[tuple[int, int], int] = {}
+        for (n, _, year), count in self.counts.items():
+            totals[(n, year)] = totals.get((n, year), 0) + count
+        return totals
+
+    @cached_property
+    def years(self):
+        return sorted({year for _, year in self.totals})
 
     def __len__(self):
         return len(self.counts)
@@ -61,11 +73,8 @@ class FrequencyTable:
 
 def build_table(counts):
     """The table over a `(n, ngram, year) -> count` dict, which it keeps
-    as its `counts`; totals and years are derived here once."""
-    totals: dict[tuple[int, int], int] = {}
-    for (n, _, year), count in counts.items():
-        totals[(n, year)] = totals.get((n, year), 0) + count
-    return FrequencyTable(counts, totals, sorted({year for _, year in totals}))
+    as its `counts`."""
+    return FrequencyTable(counts)
 
 
 class Stoplist:
@@ -108,13 +117,17 @@ def ngrams_of(tokens, n_min=1, n_max=NGRAM_MAX):
 
     A sentence of t tokens yields max(t - n + 1, 0) windows of length n.
     """
-    if not 1 <= n_min <= n_max:
-        raise ValueError(f"bad n-gram bounds {n_min}..{n_max}")
+    _check_bounds(n_min, n_max)
     grams = []
     for n in range(n_min, n_max + 1):
         for start in range(len(tokens) - n + 1):
             grams.append(tuple(tokens[start:start + n]))
     return grams
+
+
+def _check_bounds(n_min, n_max):
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"bad n-gram bounds {n_min}..{n_max}")
 
 
 def passes_stopword_rule(ngram, stoplist):
@@ -129,14 +142,25 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     Repeated occurrences within one sentence all count. Returns a
     `FrequencyTable`; counts of separately counted shards sum to the
     counts of the whole corpus.
+
+    The windows and the rule are those of `ngrams_of` and
+    `passes_stopword_rule`, applied through a prefix sum of stop flags
+    per sentence: `stops[i]` is the number of stopwords among the first
+    i tokens, so a window's stopword count is one subtraction, and the
+    n-gram text is built only for windows that are kept.
     """
+    _check_bounds(n_min, n_max)
     counts: dict[tuple[int, str, int], int] = {}
     for sentence in sentences:
-        for gram in ngrams_of(sentence.tokens, n_min, n_max):
-            if passes_stopword_rule(gram, stoplist):
-                key = (len(gram), " ".join(gram), sentence.year)
-                counts[key] = counts.get(key, 0) + 1
-    return build_table(counts)
+        tokens = sentence.tokens
+        year = sentence.year
+        stops = list(accumulate((token in stoplist for token in tokens), initial=0))
+        for n in range(n_min, n_max + 1):
+            for start in range(len(tokens) - n + 1):
+                if 2 * (stops[start + n] - stops[start]) < n:
+                    key = (n, " ".join(tokens[start:start + n]), year)
+                    counts[key] = counts.get(key, 0) + 1
+    return FrequencyTable(counts)
 
 
 def write_records(table, dest):
@@ -145,10 +169,11 @@ def write_records(table, dest):
     The n-gram cell is quoted only if it contains a comma or a quote
     (token rules make both impossible, but readers must accept it).
     """
+    counts = table.counts
     with open_for_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORDS_HEADER)
-        writer.writerows(table)
+        writer.writerows((*key, counts[key]) for key in sorted(counts))
 
 
 def read_records(source):
@@ -156,37 +181,40 @@ def read_records(source):
     enforcing every record invariant.
 
     This file is machine-produced, so any malformed row is corruption
-    and raises `RecordsError` with the offending line number.
+    and raises `RecordsError` naming the file (when `source` is a path)
+    and the offending line.
     """
     with open_for_read(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise RecordsError("records file is empty") from None
+            raise RecordsError(f"{location(source)}records file is empty") from None
         if header != list(RECORDS_HEADER):
-            raise RecordsError(f"unexpected records header: {header!r}")
+            raise RecordsError(f"{location(source)}unexpected records header: {header!r}")
         counts: dict[tuple[int, str, int], int] = {}
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(RECORDS_HEADER):
-                raise RecordsError(f"line {line}: expected {len(RECORDS_HEADER)} columns, got {len(row)}")
-            n_text, ngram, year_text, count_text = row
-            try:
-                n, year, count = int(n_text), int(year_text), int(count_text)
-            except ValueError:
-                raise RecordsError(f"line {line}: non-numeric n, year, or count") from None
-            if not 1 <= n <= NGRAM_MAX:
-                raise RecordsError(f"line {line}: n={n} outside 1..{NGRAM_MAX}")
-            if count < 1:
-                raise RecordsError(f"line {line}: count must be positive, got {count}")
-            tokens = ngram.split(" ")
-            if len(tokens) != n or not all(tokens):
-                raise RecordsError(f"line {line}: ngram {ngram!r} is not {n} tokens")
-            key = (n, ngram, year)
-            if key in counts:
-                raise RecordsError(f"line {line}: duplicate record for {ngram!r} in {year}")
-            counts[key] = count
+        try:
+            for row in reader:
+                if len(row) != len(RECORDS_HEADER):
+                    raise RecordsError(f"expected {len(RECORDS_HEADER)} columns, got {len(row)}")
+                n_text, ngram, year_text, count_text = row
+                try:
+                    n, year, count = int(n_text), int(year_text), int(count_text)
+                except ValueError:
+                    raise RecordsError("non-numeric n, year, or count") from None
+                if not 1 <= n <= NGRAM_MAX:
+                    raise RecordsError(f"n={n} outside 1..{NGRAM_MAX}")
+                if count < 1:
+                    raise RecordsError(f"count must be positive, got {count}")
+                tokens = ngram.split(" ")
+                if len(tokens) != n or not all(tokens):
+                    raise RecordsError(f"ngram {ngram!r} is not {n} tokens")
+                key = (n, ngram, year)
+                if key in counts:
+                    raise RecordsError(f"duplicate record for {ngram!r} in {year}")
+                counts[key] = count
+        except RecordsError as exc:
+            raise RecordsError(f"{location(source, reader.line_num)}{exc}") from None
         return counts
 
 

@@ -140,10 +140,11 @@ def test_non_utf8_input_is_data_error(kind, argv, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {bad}: not UTF-8 text (byte 0xe9)"]
 
 
-def test_python_dash_m_runs_the_cli(records_csv):
+@pytest.mark.parametrize("module", ["trendgram", "trendgram.cli"])
+def test_python_dash_m_runs_the_cli(records_csv, module):
     src = str(Path(trendgram.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-m", "trendgram", "top", "-i", str(records_csv), "-n", "1", "-k", "1"],
+        [sys.executable, "-m", module, "top", "-i", str(records_csv), "-n", "1", "-k", "1"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False)
     assert (result.returncode, result.stdout) == (0, "1. code 4\n")
 
@@ -234,7 +235,15 @@ def test_query_corrupt_records_is_data_error(tmp_path, capsys):
     bad = tmp_path / "records.csv"
     bad.write_text("n,ngram,year,count\n1,two words,2000,3\n")
     assert run(["query", "-i", str(bad), "x"]) == 2
-    assert "line 2" in capsys.readouterr().err
+    assert f"{bad}:2: " in capsys.readouterr().err
+
+
+def test_extract_corrupt_corpus_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "corpus.csv"
+    bad.write_text("id,source,year,title,abstract,keywords,authors\n"
+                   "x,csv,2000,T,A,,\nx,web,2000,T,A,,\n")
+    assert run(["extract", "-i", str(bad), "-o", str(tmp_path / "r.csv")]) == 2
+    assert f"{bad}:3: unknown source 'web'" in capsys.readouterr().err
 
 
 def test_query_reversed_range_is_usage_error(records_csv):

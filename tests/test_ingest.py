@@ -42,11 +42,13 @@ def test_parse_bibtex_unbalanced_brace_fixture():
         "@article{bad, title={Broken, abstract={B.}, author={Y}, year={2006}\n"
         "@article{ok2, title={Third}, abstract={C.}, author={Z}, year={2007}}\n"
     )
-    entries, diagnostics = parse_bibtex(text)
-    assert [e.title for e in entries] == ["First", "Third"]
-    assert len(diagnostics) == 1
-    assert diagnostics[0].line == 2
-    assert "unbalanced" in diagnostics[0].message
+    # an e-mail address in free text starts no record
+    for trailer in ("", "Contact: some.one@example.org\n"):
+        entries, diagnostics = parse_bibtex(text + trailer)
+        assert [e.title for e in entries] == ["First", "Third"]
+        assert len(diagnostics) == 1
+        assert diagnostics[0].line == 2
+        assert "unbalanced" in diagnostics[0].message
 
 
 def test_parse_bibtex_missing_and_bad_year():
@@ -61,6 +63,14 @@ def test_parse_bibtex_missing_and_bad_year():
     assert "missing year" in diagnostics[0].message
     assert "'a'" in diagnostics[0].message
     assert "non-numeric year" in diagnostics[1].message
+
+
+def test_parse_bibtex_diagnostic_line_after_several_records():
+    good = "@article{g, title={T}, abstract={A.}, author={X}, year={2005}}\n"
+    text = good + "\n" + good + "Contact: a.b@example.org\n@article{bad, title={T}}\n" + good
+    entries, diagnostics = parse_bibtex(text)
+    assert len(entries) == 3
+    assert [(d.line, d.message) for d in diagnostics] == [(5, "record 'bad': missing year")]
 
 
 def test_parse_bibtex_missing_title():

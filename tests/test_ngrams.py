@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from oracle import naive_ngram_counts
-from support import random_counts, random_sentences
+from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
 from trendgram.errors import RecordsError, TrendgramError
 from trendgram.ngrams import (NgramRecord, Stoplist, build_table, count_ngrams,
                               ngrams_of, passes_stopword_rule, read_records,
@@ -130,10 +130,14 @@ def test_count_ngrams_respects_year_keys(stoplist):
 
 def test_count_ngrams_agrees_with_naive_oracle(stoplist):
     rng = random.Random(11)
-    for _ in range(20):
-        sentences = random_sentences(rng, rng.randint(0, 30))
-        expected = naive_ngram_counts(sentences, stoplist)
-        table = count_ngrams(sentences, stoplist)
+    for round_ in range(40):
+        # the second half is stopword-dense, so most windows are dropped
+        vocab = WORDS + STOPPY_WORDS if round_ < 20 else STOPPY_WORDS + WORDS[:2]
+        sentences = random_sentences(rng, rng.randint(0, 30), vocab=vocab)
+        n_min = rng.randint(1, 4)
+        n_max = rng.randint(n_min, 4)
+        expected = naive_ngram_counts(sentences, stoplist, n_min, n_max)
+        table = count_ngrams(sentences, stoplist, n_min, n_max)
         got = {(r.n, r.ngram, r.year): r.count for r in table}
         assert got == expected
         assert table.counts == expected
@@ -151,6 +155,13 @@ def test_count_ngrams_agrees_with_naive_oracle(stoplist):
         buffer = io.StringIO()
         write_records(table, buffer)
         assert build_table(read_records(io.StringIO(buffer.getvalue()))) == table
+
+
+def test_count_ngrams_rejects_bad_bounds_without_sentences(stoplist):
+    with pytest.raises(ValueError, match="bad n-gram bounds 0..2"):
+        count_ngrams([], stoplist, 0, 2)
+    with pytest.raises(ValueError, match="bad n-gram bounds 3..2"):
+        count_ngrams([], stoplist, 3, 2)
 
 
 def test_count_ngrams_stored_ngrams_pass_their_own_rule(stoplist):
