@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._io import open_for_write
@@ -32,19 +31,16 @@ class SeriesPoint(NamedTuple):
     has_data: bool
 
 
-@dataclass
-class QuerySeries:
+class QuerySeries(NamedTuple):
     label: str
     phrases: list[tuple[str, ...]]
 
 
-@dataclass
-class Query:
+class Query(NamedTuple):
     series: list[QuerySeries]
 
 
-@dataclass
-class FrequencySeries:
+class FrequencySeries(NamedTuple):
     label: str
     points: dict[int, SeriesPoint]
 

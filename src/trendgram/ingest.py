@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._io import location, open_for_read, open_for_write
 from .errors import IngestError
@@ -43,8 +43,7 @@ CSV_FIELDS = ("title", "abstract", "keywords", "year", "authors")
 _CSV_REQUIRED = ("title", "year")
 
 
-@dataclass
-class Entry:
+class Entry(NamedTuple):
     """One bibliographic record, uniform across source formats."""
 
     id: str
@@ -56,8 +55,7 @@ class Entry:
     source: str
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A non-fatal per-record parse problem."""
 
     line: int
@@ -67,8 +65,7 @@ class Diagnostic:
         return f"line {self.line}: {self.message}"
 
 
-@dataclass
-class MergeReport:
+class MergeReport(NamedTuple):
     total_in: int
     incomplete_removed: int
     duplicates_removed: int
@@ -271,8 +268,9 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
             raise IngestError(f"CSV mapping must include '{field}'")
 
     reader = csv.reader(io.StringIO(text))
+    rows = _checked_rows(reader)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         return [], []
     positions = {}
@@ -290,7 +288,7 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
     entries: list[Entry] = []
     diagnostics: list[Diagnostic] = []
     ordinal = start_ordinal
-    for row in reader:
+    for row in rows:
         if not any(c.strip() for c in row):
             continue
         entry, problem = _make_entry(
@@ -309,6 +307,16 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
         entries.append(entry)
         ordinal += 1
     return entries, diagnostics
+
+
+def _checked_rows(reader):
+    """The rows of a csv reader; text it cannot split into fields (such
+    as a field over the csv module's size limit) raises `IngestError`
+    with the line number."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +484,8 @@ def read_corpus(source):
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{location(source)}corpus file is empty") from None
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise IngestError(f"{location(source, reader.line_num)}{exc}") from None
         if header != list(CORPUS_HEADER):
             raise IngestError(f"{location(source)}unexpected corpus header: {header!r}")
         entries = []
@@ -499,6 +509,6 @@ def read_corpus(source):
                     authors=_split_semicolons(authors),
                     source=source_name,
                 ))
-        except IngestError as exc:
+        except (IngestError, csv.Error) as exc:
             raise IngestError(f"{location(source, reader.line_num)}{exc}") from None
         return entries

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import accumulate
@@ -32,17 +31,28 @@ class NgramRecord(NamedTuple):
     count: int
 
 
-@dataclass
 class FrequencyTable:
     """N-gram counts keyed (n, ngram, year), plus the per-(n, year)
     totals used as frequency denominators and the sorted years with data.
     Both are derived from `counts` the first time they are read.
 
     Iterating yields one `NgramRecord` per key in (n, ngram, year)
-    order; `len` is the number of such rows. Build it with `build_table`.
+    order; `len` is the number of such rows. Tables are equal when their
+    counts are, and unhashable. Build it with `build_table`.
     """
 
-    counts: dict[tuple[int, str, int], int]
+    __hash__ = None
+
+    def __init__(self, counts: dict[tuple[int, str, int], int]):
+        self.counts = counts
+
+    def __eq__(self, other):
+        if not isinstance(other, FrequencyTable):
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __repr__(self):
+        return f"FrequencyTable(counts={self.counts!r})"
 
     @cached_property
     def totals(self):
@@ -190,6 +200,8 @@ def read_records(source):
             header = next(reader)
         except StopIteration:
             raise RecordsError(f"{location(source)}records file is empty") from None
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise RecordsError(f"{location(source, reader.line_num)}{exc}") from None
         if header != list(RECORDS_HEADER):
             raise RecordsError(f"{location(source)}unexpected records header: {header!r}")
         counts: dict[tuple[int, str, int], int] = {}
@@ -213,7 +225,7 @@ def read_records(source):
                 if key in counts:
                     raise RecordsError(f"duplicate record for {ngram!r} in {year}")
                 counts[key] = count
-        except RecordsError as exc:
+        except (RecordsError, csv.Error) as exc:
             raise RecordsError(f"{location(source, reader.line_num)}{exc}") from None
         return counts
 

@@ -12,8 +12,8 @@ drawn as a small circle so it stays visible.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_LEFT, MARGIN_RIGHT = 58, 14
@@ -80,7 +80,7 @@ def render_plot(series_list, title):
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:g}" y="20" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle">{escape(title)}</text>',
+        f'text-anchor="middle">{html.escape(title, quote=False)}</text>',
     ]
 
     # horizontal gridlines and y tick labels
@@ -153,7 +153,7 @@ def render_plot(series_list, title):
             f'stroke="black" stroke-width="1.5"{dash}/>')
         parts.append(
             f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{escape(series.label)}</text>')
+            f'font-size="11">{html.escape(series.label, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

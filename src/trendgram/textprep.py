@@ -10,7 +10,7 @@ sentence boundary, which is the failure mode that matters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _TERMINATOR_RE = re.compile(r"[.!?;:]\s+")
 _TOKEN_RE = re.compile(r"[\w'-]+")
@@ -18,8 +18,7 @@ _TOKEN_RE = re.compile(r"[\w'-]+")
 ARTICLES = frozenset({"a", "an", "the"})
 
 
-@dataclass
-class Sentence:
+class Sentence(NamedTuple):
     """A tokenized fragment tied back to its entry and year."""
 
     tokens: list[str]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import html
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import SlopeError
 from .frequency import FrequencySeries, Query, QuerySeries, SeriesPoint, evaluate
@@ -23,8 +23,7 @@ DEFAULT_MIN_YEARS = 5
 DEFAULT_CATALOG_LIMIT = 800
 
 
-@dataclass
-class TrendEntry:
+class TrendEntry(NamedTuple):
     """One ranked n-gram with its fitted slope and support counts."""
 
     ngram: str

@@ -149,6 +149,44 @@ def test_python_dash_m_runs_the_cli(records_csv, module):
     assert (result.returncode, result.stdout) == (0, "1. code 4\n")
 
 
+# A quoted field longer than the csv module's default limit of 131072 characters.
+BIG_FIELD = '"' + "x" * 140_000 + '"'
+
+
+@pytest.mark.parametrize("line", [1, 2])
+@pytest.mark.parametrize("argv, header, row, where", [
+    (["ingest", "--csv", "{bad}", "-o", "{tmp}/c.csv"],
+     "Document Title,Abstract,Author Keywords,Publication Year,Authors",
+     f"T,{BIG_FIELD},,2005,A", "line {line}: "),
+    (["extract", "-i", "{bad}", "-o", "{tmp}/r.csv"],
+     "id,source,year,title,abstract,keywords,authors",
+     f"x,csv,2000,T,{BIG_FIELD},,", "{bad}:{line}: "),
+    (["top", "-i", "{bad}"], "n,ngram,year,count", f"1,{BIG_FIELD},2000,3", "{bad}:{line}: "),
+], ids=["export", "corpus", "records"])
+def test_csv_field_over_size_limit_is_data_error(argv, header, row, where, line,
+                                                 tmp_path, capsys):
+    bad = tmp_path / "big.csv"
+    bad.write_text(f"{BIG_FIELD}\n" if line == 1 else f"{header}\n{row}\n")
+    assert run([arg.format(bad=bad, tmp=tmp_path) for arg in argv]) == 2
+    message = where.format(bad=bad, line=line) + "field larger than field limit (131072)"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_cli_import_skips_unused_stdlib_chains():
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    listing = "import sys; print(' '.join(sys.modules))"
+    bare, with_cli = (
+        set(subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                           text=True, check=True).stdout.split())
+        for code in (listing, f"import sys; sys.path.insert(0, {src!r}); "
+                              f"import trendgram.cli; {listing}"))
+    assert "trendgram.cli" in with_cli
+    unused = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses")
+    loaded = sorted(name for name in with_cli - bare
+                    if any(name == root or name.startswith(root + ".") for root in unused))
+    assert loaded == []
+
+
 def test_extract_matches_library_pipeline(tmp_path, records_csv):
     entries, _ = parse_bibtex(BIB)
     sentences = [s for e in entries for s in entry_sentences(e)]

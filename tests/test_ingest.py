@@ -7,14 +7,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trendgram
 from support import make_entry
 from trendgram.errors import IngestError
-from trendgram.ingest import (filter_incomplete, merge_dedup, normalized_title,
-                              parse_bibtex, parse_csv, parse_endnote,
-                              read_corpus, write_corpus)
+from trendgram.ingest import (Diagnostic, filter_incomplete, merge_dedup,
+                              normalized_title, parse_bibtex, parse_csv,
+                              parse_endnote, read_corpus, write_corpus)
 
 # ---------------------------------------------------------------------------
 # BibTeX
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("Entry", dict(id="csv:1", title="T", abstract="A", keywords=["k"], year=2005,
+                   authors=["X"], source="csv")),
+    ("Diagnostic", dict(line=3, message="x")),
+    ("MergeReport", dict(total_in=4, incomplete_removed=1, duplicates_removed=1,
+                         total_out=2)),
+    ("Sentence", dict(tokens=["code"], origin="title", entry_id="csv:1", year=2005)),
+    ("QuerySeries", dict(label="code", phrases=[("code",)])),
+    ("Query", dict(series=[])),
+    ("FrequencySeries", dict(label="code", points={})),
+    ("TrendEntry", dict(ngram="code", n=1, slope=0.5, mean_freq=0.1, total_count=30,
+                        years_with_data=5)),
+])
+def test_record_types_are_immutable_named_tuples(name, fields):
+    record = getattr(trendgram, name)(**fields)
+    assert record == tuple(fields.values())
+    assert record._asdict() == fields
+    with pytest.raises(AttributeError):
+        setattr(record, next(iter(fields)), None)
+
+
+def test_diagnostic_str_names_the_line():
+    assert str(Diagnostic(3, "x")) == "line 3: x"
 
 
 def test_parse_bibtex_minimal_record():

@@ -217,6 +217,20 @@ def test_count_ngrams_shard_counts_sum_to_whole_corpus(stoplist):
 # Records file
 
 
+def test_frequency_table_equality_compares_counts():
+    counts = {(1, "code", 2005): 2, (2, "code review", 2006): 1}
+    table = build_table(dict(counts))
+    assert table.totals == {(1, 2005): 2, (2, 2006): 1}  # derived state is not compared
+    assert table == build_table(dict(counts))
+    assert table != build_table({**counts, (1, "code", 2005): 3})
+    assert table != counts
+
+
+def test_frequency_table_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(build_table({}))
+
+
 def test_write_records_exact_line():
     buffer = io.StringIO()
     write_records(build_table({(2, "dynamic analysis", 2008): 33}), buffer)

@@ -74,10 +74,12 @@ def test_series_get_distinct_stroke_patterns():
 
 
 def test_canvas_and_title_and_legend():
-    svg = render_plot(two_series_fixture(), "A & B <title>")
+    quoted = series_of({2000: 0.1, 2001: 0.2}, label="say \"hi\" & it's")
+    svg = render_plot(two_series_fixture() + [quoted], "A & B <title> \"q\" 'r'")
     assert 'width="640" height="400"' in svg
-    assert "A &amp; B &lt;title&gt;" in svg
+    assert ">A &amp; B &lt;title&gt; \"q\" 'r'</text>" in svg
     assert "rising" in svg
+    assert ">say \"hi\" &amp; it's</text>" in svg
     assert "bumpy &amp; odd" in svg
 
 
