@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+import os
+import stat
+from contextlib import contextmanager, nullcontext, suppress
 
 from .errors import TrendgramError
 
@@ -44,7 +46,51 @@ def read_text(path):
 
 
 def open_for_write(dest):
-    """Writing counterpart of `open_for_read`."""
+    """Writing counterpart of `open_for_read`: a stream is written as
+    is and not closed; a path is written as UTF-8 through `replacing`,
+    unless it names something other than a regular file (such as
+    `/dev/null` or a pipe), which is written in place."""
     if hasattr(dest, "write"):
         return nullcontext(dest)
-    return open(dest, "w", encoding="utf-8", newline="")
+    try:
+        special = not stat.S_ISREG(os.stat(dest).st_mode)
+    except OSError:  # no such file yet; `replacing` reports any other problem
+        special = False
+    if special:
+        return open(dest, "w", encoding="utf-8", newline="")
+    return replacing(dest, encoding="utf-8", newline="")
+
+
+@contextmanager
+def replacing(path, binary=False, **open_args):
+    """Context manager yielding a new file (text, or bytes if `binary`)
+    that replaces the file at `path`, through any symlink, when the block
+    completes. It is written under a unique temporary name in the same
+    directory, so an interrupted writer leaves the old file, or none,
+    and never a partial one; on an exception the temporary file is
+    removed. An existing file's permission bits are kept."""
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    try:
+        mode_bits = stat.S_IMODE(os.stat(target).st_mode)
+    except OSError:
+        mode_bits = None
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fh = open(temp, "xb" if binary else "x", **open_args)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # name the destination, not the temporary file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            if mode_bits is not None:
+                os.chmod(temp, mode_bits)
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise

@@ -13,8 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from ._io import read_text
-from .errors import TrendgramError
+from ._io import location, read_text
+from .errors import IngestError, TrendgramError
 from .frequency import evaluate, parse_query, write_series_csv, write_series_json
 from .ingest import (DEFAULT_YEAR_RANGE, CSV_FIELDS, merge_dedup, parse_bibtex,
                      parse_csv, parse_endnote, read_corpus, write_corpus)
@@ -162,7 +162,10 @@ def cmd_ingest(args):
     ):
         for path in paths:
             text = read_text(path)
-            entries, diagnostics = parse(text, ordinals[source])
+            try:
+                entries, diagnostics = parse(text, ordinals[source])
+            except IngestError as exc:
+                raise IngestError(f"{location(path, exc.line)}{exc.message}") from None
             ordinals[source] += len(entries)
             for diagnostic in diagnostics:
                 print(f"{path}:{diagnostic.line}: {diagnostic.message}", file=sys.stderr)

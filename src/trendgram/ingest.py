@@ -316,7 +316,7 @@ def _checked_rows(reader):
     try:
         yield from reader
     except csv.Error as exc:
-        raise IngestError(f"line {reader.line_num}: {exc}") from None
+        raise IngestError(str(exc), reader.line_num) from None
 
 
 # ---------------------------------------------------------------------------

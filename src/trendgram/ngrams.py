@@ -5,18 +5,31 @@ The tabular model is one record per (n, ngram, year) with an occurrence
 count, held in memory as a `FrequencyTable`. An n-gram is discarded when
 at least half of its tokens are stopwords; the comparison is exact
 integer arithmetic, so a bigram with exactly one stopword is discarded.
+
+`read_records` keeps a sidecar index beside a records file it reads by
+path, `RECORDS.idx`, holding the counts it returned the last time it
+fully validated that exact file, and returns them again while the
+file's size and crc32 still match (see `_read_index`). A missing, stale
+or damaged index only means the CSV is parsed and checked again, after
+which the index is rewritten; failing to write it is not an error.
+Streams never use an index, and `write_records` does not write one.
 """
 
 from __future__ import annotations
 
 import csv
+import marshal
+import os
+import stat
+import struct
+import zlib
 from collections import Counter
 from functools import cached_property
-from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, islice
+from pathlib import Path
 from typing import NamedTuple
 
-from ._io import location, open_for_read, open_for_write, read_text
+from ._io import location, open_for_read, open_for_write, read_text, replacing
 from .errors import RecordsError, TrendgramError
 
 RECORDS_HEADER = ("n", "ngram", "year", "count")
@@ -118,8 +131,7 @@ class Stoplist:
     @classmethod
     def default(cls):
         """The bundled English stopword list."""
-        text = resources.files("trendgram").joinpath("data/stopwords.txt").read_text("utf-8")
-        return cls.from_text(text)
+        return cls.from_file(Path(__file__).with_name("data") / "stopwords.txt")
 
 
 def ngrams_of(tokens, n_min=1, n_max=NGRAM_MAX):
@@ -193,7 +205,26 @@ def read_records(source):
     This file is machine-produced, so any malformed row is corruption
     and raises `RecordsError` naming the file (when `source` is a path)
     and the offending line.
+
+    For a path to a regular file, the dict comes from the sidecar index
+    `f"{source}.idx"` when that index was written for a file of the
+    same size and crc32; otherwise the CSV is parsed, and if the file
+    did not change while it was parsed, the index is (re)written.
     """
+    fingerprint = None if hasattr(source, "read") else _fingerprint(source)
+    if fingerprint is None:
+        return _parse_records(source)
+    index = f"{source}.idx"
+    counts = _read_index(index, fingerprint)
+    if counts is None:
+        counts = _parse_records(source)
+        if _fingerprint(source) == fingerprint:
+            _write_index(index, fingerprint, counts)
+    return counts
+
+
+def _parse_records(source):
+    """`read_records` without the index: parse and check every row."""
     with open_for_read(source) as fh:
         reader = csv.reader(fh)
         try:
@@ -228,6 +259,79 @@ def read_records(source):
         except (RecordsError, csv.Error) as exc:
             raise RecordsError(f"{location(source, reader.line_num)}{exc}") from None
         return counts
+
+
+# The sidecar index: a header, then chunks of at most _INDEX_CHUNK entries
+# in the dict's order, each a length, its crc32 and a `marshal` (version
+# 2, which writes no back-references, so the bytes do not depend on
+# reference counts) of a dict.
+_INDEX_MAGIC = b"trendgram records index 1\n"
+_INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQ")  # magic, crc32, size, entries
+_INDEX_CHUNK_HEADER = struct.Struct("<II")  # length, crc32
+_INDEX_CHUNK = 4096
+_BLOCK = 1 << 16
+
+
+def _fingerprint(path):
+    """(crc32, size) of the file at `path`, read in 64 KB blocks, or None
+    when it is not a regular file (a pipe cannot be read twice)."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    crc = size = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK):
+            crc = zlib.crc32(block, crc)
+            size += len(block)
+    return crc, size
+
+
+def _read_index(path, fingerprint):
+    """The counts stored in the index at `path` for a records file with
+    this fingerprint, or None if the index is missing, was written for
+    other content, or is damaged: a wrong magic, a short or overlong
+    file, a chunk whose crc32 does not match, or one `marshal` rejects."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(_INDEX_HEADER.size)
+            if len(header) != _INDEX_HEADER.size:
+                return None
+            magic, crc, size, entries = _INDEX_HEADER.unpack(header)
+            if magic != _INDEX_MAGIC or (crc, size) != fingerprint:
+                return None
+            end = os.fstat(fh.fileno()).st_size
+            counts = {}
+            while len(counts) < entries:
+                chunk_header = fh.read(_INDEX_CHUNK_HEADER.size)
+                if len(chunk_header) != _INDEX_CHUNK_HEADER.size:
+                    return None
+                length, crc = _INDEX_CHUNK_HEADER.unpack(chunk_header)
+                if length > end - fh.tell():  # a damaged length; do not allocate it
+                    return None
+                chunk = fh.read(length)
+                if len(chunk) != length or zlib.crc32(chunk) != crc:
+                    return None
+                counts.update(marshal.loads(chunk))
+            if len(counts) != entries or fh.read(1):
+                return None
+            return counts
+    except (OSError, ValueError, EOFError, TypeError):
+        return None
+
+
+def _write_index(path, fingerprint, counts):
+    """Store `counts` as the index at `path` for a records file with this
+    fingerprint, replacing it atomically; an `OSError` (such as a
+    read-only directory) leaves things as they were."""
+    items = iter(counts.items())
+    try:
+        with replacing(path, binary=True) as fh:
+            fh.write(_INDEX_HEADER.pack(_INDEX_MAGIC, *fingerprint, len(counts)))
+            while part := dict(islice(items, _INDEX_CHUNK)):
+                chunk = marshal.dumps(part, 2)
+                fh.write(_INDEX_CHUNK_HEADER.pack(len(chunk), zlib.crc32(chunk)))
+                fh.write(chunk)
+    except OSError:
+        pass
 
 
 def top_ngrams(table, n, k):

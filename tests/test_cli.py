@@ -157,7 +157,7 @@ BIG_FIELD = '"' + "x" * 140_000 + '"'
 @pytest.mark.parametrize("argv, header, row, where", [
     (["ingest", "--csv", "{bad}", "-o", "{tmp}/c.csv"],
      "Document Title,Abstract,Author Keywords,Publication Year,Authors",
-     f"T,{BIG_FIELD},,2005,A", "line {line}: "),
+     f"T,{BIG_FIELD},,2005,A", "{bad}:{line}: "),
     (["extract", "-i", "{bad}", "-o", "{tmp}/r.csv"],
      "id,source,year,title,abstract,keywords,authors",
      f"x,csv,2000,T,{BIG_FIELD},,", "{bad}:{line}: "),
@@ -172,6 +172,15 @@ def test_csv_field_over_size_limit_is_data_error(argv, header, row, where, line,
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def test_ingest_csv_header_error_names_the_file(demo_dir, tmp_path, capsys):
+    bad = tmp_path / "second.csv"
+    bad.write_text("Document Title,Abstract,Publication Year,Authors\nT,X,2005,A\n")
+    assert run(["ingest", "--csv", str(demo_dir / "demo.csv"), "--csv", str(bad),
+                "-o", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: column 'Author Keywords' (mapped from 'keywords') not in CSV header"]
+
+
 def test_cli_import_skips_unused_stdlib_chains():
     src = str(Path(trendgram.__file__).resolve().parent.parent)
     listing = "import sys; print(' '.join(sys.modules))"
@@ -181,7 +190,8 @@ def test_cli_import_skips_unused_stdlib_chains():
         for code in (listing, f"import sys; sys.path.insert(0, {src!r}); "
                               f"import trendgram.cli; {listing}"))
     assert "trendgram.cli" in with_cli
-    unused = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses")
+    unused = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses",
+              "importlib.resources", "hashlib")
     loaded = sorted(name for name in with_cli - bare
                     if any(name == root or name.startswith(root + ".") for root in unused))
     assert loaded == []

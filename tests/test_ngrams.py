@@ -1,13 +1,25 @@
 from __future__ import annotations
 
 import io
+import marshal
+import os
 import random
+import subprocess
+import sys
+import threading
+import zlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trendgram
 from oracle import naive_ngram_counts
 from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
+from trendgram import ngrams
+from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
 from trendgram.ngrams import (NgramRecord, Stoplist, build_table, count_ngrams,
                               ngrams_of, passes_stopword_rule, read_records,
@@ -295,6 +307,191 @@ def test_records_roundtrip_random_sets():
         buffer = io.StringIO()
         write_records(build_table(counts), buffer)
         assert read_records(io.StringIO(buffer.getvalue())) == counts
+
+
+# ---------------------------------------------------------------------------
+# The records index (RECORDS.idx)
+
+
+def index_of(path):
+    return Path(f"{path}.idx")
+
+
+def read_stream(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return read_records(fh)
+
+
+def read_from_index(path):
+    """`read_records(path)` with CSV parsing made to fail, so that the
+    counts must come from the index."""
+    def refuse(source):
+        raise AssertionError(f"{source} was parsed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngrams, "_parse_records", refuse)
+        return read_records(path)
+
+
+def write_indexed(path, counts):
+    """Write `counts` as a records file and read it once, which indexes it."""
+    write_records(build_table(counts), path)
+    assert read_records(path) == counts
+    assert index_of(path).exists()
+
+
+TOKENS = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs"),
+                               include_characters="\n\t"), min_size=1, max_size=5)
+KEYS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(TOKENS, min_size=n, max_size=n).map(" ".join),
+    st.integers(-10**6, 10**6)))
+TABLES = st.dictionaries(KEYS, st.integers(1, 10**30), max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=TABLES)
+def test_records_index_round_trip(tmp_path_factory, counts):
+    path = tmp_path_factory.mktemp("index") / "records.csv"
+    write_records(build_table(counts), path)
+    first = read_records(path)
+    second = read_from_index(path)
+    stream = read_stream(path)
+    assert first == second == stream == counts
+    assert list(first) == list(second) == list(stream)
+
+
+# More entries than fit in one chunk of the index.
+MANY = {(1, f"w{index}", 2000 + index % 7): index + 1 for index in range(10_000)}
+
+
+def test_records_index_spans_several_chunks(tmp_path):
+    counts = MANY
+    path = tmp_path / "records.csv"
+    write_indexed(path, counts)
+    indexed = read_from_index(path)
+    assert indexed == counts
+    assert list(indexed) == list(read_stream(path)) == sorted(counts)
+
+
+@pytest.mark.parametrize("count", ["5", "30"], ids=["same-size", "other-size"])
+def test_rewritten_records_are_read_anew(tmp_path, count):
+    path = tmp_path / "records.csv"
+    write_indexed(path, {(1, "code", 2000): 3, (2, "code tools", 2001): 4})
+    path.write_text(f"n,ngram,year,count\n1,code,2000,{count}\n2,code tools,2001,4\n")
+    assert read_records(path) == {(1, "code", 2000): int(count), (2, "code tools", 2001): 4}
+
+
+HEADER_SIZE = ngrams._INDEX_HEADER.size
+CRC_AT = len(ngrams._INDEX_MAGIC)  # the records file's crc32, then its size and the entry count
+
+
+def flip(at):
+    return lambda data: data[:at] + bytes([data[at] ^ 0x40]) + data[at + 1:]
+
+
+def crc_valid_chunk(payload):
+    """An index whose one chunk holds `payload` under a matching crc32."""
+    return lambda data: (data[:HEADER_SIZE] + ngrams._INDEX_CHUNK_HEADER.pack(
+        len(payload), zlib.crc32(payload)) + payload)
+
+
+DAMAGE = {
+    "empty": lambda data: b"",
+    "truncated-header": lambda data: data[:HEADER_SIZE - 1],
+    "truncated-payload": lambda data: data[:-1],
+    "half": lambda data: data[:len(data) // 2],
+    "appended": lambda data: data + b"\0",
+    "garbage": lambda data: os.urandom(len(data)),
+    "flipped-magic": flip(0),
+    "flipped-crc": flip(CRC_AT),
+    "flipped-size": flip(CRC_AT + 4),
+    "flipped-entries": flip(CRC_AT + 12),
+    "flipped-chunk-length": flip(HEADER_SIZE),
+    "huge-chunk-length": lambda data: (data[:HEADER_SIZE] + b"\xff\xff\xff\xff"
+                                       + data[HEADER_SIZE + 4:]),
+    "flipped-chunk-crc": flip(HEADER_SIZE + 4),
+    "flipped-payload": flip(-3),
+    "bad-marshal": crc_valid_chunk(b"\xff" * 16),
+    "not-a-dict": crc_valid_chunk(marshal.dumps(5, 2)),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+def test_damaged_index_is_ignored_and_rewritten(tmp_path, damage):
+    counts = {(1, f"w{index}", 2000): index + 1 for index in range(50)}
+    path = tmp_path / "records.csv"
+    write_indexed(path, counts)
+    good = index_of(path).read_bytes()
+    index_of(path).write_bytes(damage(good))
+    assert read_records(path) == counts
+    assert index_of(path).read_bytes() == good
+
+
+def test_corrupt_records_error_is_unchanged_by_a_stale_index(tmp_path, capsys):
+    bad = tmp_path / "records.csv"
+    write_indexed(bad, {(1, "code", 2000): 3})
+    bad.write_text("n,ngram,year,count\n1,two words,2000,3\n")
+    assert run(["top", "-i", str(bad), "-n", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:2: ngram 'two words' is not 1 tokens"]
+    assert run(["top", "-i", str(bad), "-n", "1"]) == 2
+
+
+def test_index_that_cannot_be_written_is_no_error(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(build_table({(1, "code", 2000): 3}), path)
+    index_of(path).mkdir()  # os.replace cannot put a file there, even for root
+    assert read_records(path) == {(1, "code", 2000): 3}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.csv", "records.csv.idx"]
+
+
+def test_read_only_directory_is_no_error(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(build_table({(1, "code", 2000): 3}), path)
+    tmp_path.chmod(0o555)
+    try:
+        assert read_records(path) == {(1, "code", 2000): 3}
+        assert read_records(path) == {(1, "code", 2000): 3}
+    finally:
+        tmp_path.chmod(0o755)
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_stream_and_pipe_reads_write_no_index(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = "n,ngram,year,count\n1,code,2000,3\n"
+    assert read_records(io.StringIO(text)) == {(1, "code", 2000): 3}
+    pipe = tmp_path / "records.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    assert read_records(pipe) == {(1, "code", 2000): 3}
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
+
+
+def test_extract_writes_no_index(tmp_path, demo_dir):
+    corpus, records = tmp_path / "corpus.csv", tmp_path / "records.csv"
+    assert run(["ingest", "--bibtex", str(demo_dir / "demo.bib"), "-o", str(corpus)]) == 0
+    assert run(["extract", "-i", str(corpus), "-o", str(records)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "records.csv"]
+
+
+def test_index_bytes_do_not_depend_on_hash_seed(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(build_table(MANY), path)
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    written = []
+    for seed in ("1", "2"):
+        index_of(path).unlink(missing_ok=True)
+        subprocess.run([sys.executable, "-c", f"from trendgram.ngrams import read_records; "
+                        f"read_records({str(path)!r})"], check=True,
+                       env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        written.append(index_of(path).read_bytes())
+    assert written[0] == written[1]
+    index_of(path).unlink()
+    read_records(path)
+    assert index_of(path).read_bytes() == written[0]
 
 
 # ---------------------------------------------------------------------------
