@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import stat
 from contextlib import contextmanager, nullcontext, suppress
@@ -27,6 +28,30 @@ def open_for_read(source, newline=""):
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start]
             raise TrendgramError(f"{source}: not UTF-8 text (byte 0x{bad:02x})") from None
+
+
+@contextmanager
+def checked_csv(source, header, error, what):
+    """Context manager yielding a csv reader over `source`, opened by
+    `open_for_read`, past its header row, for a machine-written `what`
+    file in which any fault is fatal. An empty file or a header other
+    than `header` raises `error` naming the file; an `error` or
+    `csv.Error` raised in the header or the block is raised again as
+    `error` at `FILE:LINE`, the line the reader had reached."""
+    with open_for_read(source) as fh:
+        reader = csv.reader(fh)
+        try:
+            found = next(reader)
+        except StopIteration:
+            raise error(f"{location(source)}{what} file is empty") from None
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise error(f"{location(source, reader.line_num)}{exc}") from None
+        if found != list(header):
+            raise error(f"{location(source)}unexpected {what} header: {found!r}")
+        try:
+            yield reader
+        except (error, csv.Error) as exc:
+            raise error(f"{location(source, reader.line_num)}{exc}") from None
 
 
 def location(source, line=None):

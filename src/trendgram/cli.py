@@ -73,7 +73,7 @@ def build_parser():
                    help="records CSV destination ('-' for stdout)")
     p.add_argument("--stoplist", metavar="FILE",
                    help=f"stopword list (default: ${STOPLIST_ENV} or the bundled list)")
-    p.add_argument("--nmax", type=int, default=NGRAM_MAX)
+    p.add_argument("--nmax", type=int, choices=range(1, NGRAM_MAX + 1), default=NGRAM_MAX)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("query", help="evaluate a trend query over records")
@@ -88,7 +88,7 @@ def build_parser():
 
     p = sub.add_parser("top", help="most frequent n-grams of one length")
     p.add_argument("-i", "--input", required=True, metavar="RECORDS")
-    p.add_argument("-n", type=int, default=2)
+    p.add_argument("-n", type=int, choices=range(1, NGRAM_MAX + 1), default=2)
     p.add_argument("-k", type=int, default=15)
     p.set_defaults(func=cmd_top)
 
@@ -102,7 +102,7 @@ def build_parser():
 
     p = sub.add_parser("trends", help="rank rising or falling n-grams by fitted slope")
     p.add_argument("-i", "--input", required=True, metavar="RECORDS")
-    p.add_argument("-n", type=int, default=2)
+    p.add_argument("-n", type=int, choices=range(1, NGRAM_MAX + 1), default=2)
     p.add_argument("--direction", choices=("rising", "falling"), default="rising")
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--min-support", type=int, default=DEFAULT_MIN_SUPPORT)
@@ -199,8 +199,6 @@ def _load_stoplist(path_argument):
 
 
 def cmd_extract(args):
-    if not 1 <= args.nmax <= NGRAM_MAX:
-        raise UsageError("", f"nmax must be in 1..{NGRAM_MAX}, got {args.nmax}")
     stoplist = _load_stoplist(args.stoplist)
     entries = read_corpus(args.input)
     sentences = (sentence for entry in entries for sentence in entry_sentences(entry))
@@ -242,8 +240,6 @@ def cmd_query(args):
 def cmd_top(args):
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
-    if not 1 <= args.n <= NGRAM_MAX:
-        raise UsageError("", f"-n must be in 1..{NGRAM_MAX}")
     table = build_table(read_records(args.input))
     for rank, (ngram, total) in enumerate(top_ngrams(table, args.n, args.k), 1):
         print(f"{rank}. {ngram} {total}")
@@ -267,8 +263,6 @@ def cmd_catalog(args):
 def cmd_trends(args):
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
-    if not 1 <= args.n <= NGRAM_MAX:
-        raise UsageError("", f"-n must be in 1..{NGRAM_MAX}")
     table = build_table(read_records(args.input))
     ranked = rank_trends(table, args.n, args.direction, args.k,
                          min_support=args.min_support, min_years=args.min_years)

@@ -20,7 +20,7 @@ import io
 import re
 from typing import NamedTuple
 
-from ._io import location, open_for_read, open_for_write
+from ._io import checked_csv, open_for_write
 from .errors import IngestError
 
 SOURCES = ("bibtex", "csv", "endnote")
@@ -106,6 +106,7 @@ _TEX_COMMAND_RE = re.compile(r"\\[A-Za-z]+\s*")
 _TEX_ESCAPE_RE = re.compile(r"\\(.)")
 _AUTHOR_AND_RE = re.compile(r"\s+and\s+", re.IGNORECASE)
 _KEYWORD_SEP_RE = re.compile(r"[;,]")
+_SEMICOLON_RE = re.compile(";")
 
 
 def parse_bibtex(text, year_range=None, start_ordinal=1):
@@ -243,10 +244,6 @@ def _split_on(value, pattern):
     return [item for item in (part.strip() for part in pattern.split(value)) if item]
 
 
-def _split_semicolons(value):
-    return [item.strip() for item in value.split(";") if item.strip()]
-
-
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -296,8 +293,8 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
             ordinal,
             title=cell(row, "title"),
             abstract=cell(row, "abstract"),
-            keywords=_split_semicolons(cell(row, "keywords")),
-            authors=_split_semicolons(cell(row, "authors")),
+            keywords=_split_on(cell(row, "keywords"), _SEMICOLON_RE),
+            authors=_split_on(cell(row, "authors"), _SEMICOLON_RE),
             year_text=cell(row, "year"),
             year_range=year_range,
         )
@@ -322,6 +319,11 @@ def _checked_rows(reader):
 # ---------------------------------------------------------------------------
 # EndNote (refer format)
 
+# The tags read, each with the separator that joins an untagged line to its value.
+_ENDNOTE_JOINERS = {"%T": " ", "%A": " ", "%D": " ", "%K": "\n", "%X": " "}
+_ENDNOTE_KEYWORD_SEP_RE = re.compile(r"[;\n]")
+
+
 def parse_endnote(text, year_range=None, start_ordinal=1):
     """Parse refer-style tagged records separated by blank lines.
 
@@ -333,46 +335,26 @@ def parse_endnote(text, year_range=None, start_ordinal=1):
     diagnostics: list[Diagnostic] = []
     ordinal = start_ordinal
     for start_line, lines in _endnote_records(text):
-        single = {"%T": "", "%D": "", "%X": ""}
-        authors: list[str] = []
-        keyword_lines: list[str] = []
-        last = None
+        # One list per tag, starting with the value of a tag that never
+        # appears; `current` is the list an untagged line continues.
+        values = {tag: [""] for tag in _ENDNOTE_JOINERS}
+        current = None
         for line in lines:
             if line.startswith("%") and len(line) >= 2:
-                tag, value = line[:2], line[2:].strip()
-                if tag == "%A":
-                    authors.append(value)
-                    last = ("author", len(authors) - 1)
-                elif tag == "%K":
-                    keyword_lines.append(value)
-                    last = ("keyword", len(keyword_lines) - 1)
-                elif tag in single:
-                    single[tag] = value
-                    last = ("single", tag)
-                else:
-                    last = None
-                continue
-            extra = line.strip()
-            if not extra or last is None:
-                continue
-            kind, where = last
-            if kind == "author":
-                authors[where] += " " + extra
-            elif kind == "keyword":
-                keyword_lines[where] += "\n" + extra
-            else:
-                single[where] += " " + extra
-        keywords = []
-        for raw in keyword_lines:
-            keywords.extend(k.strip() for k in re.split(r"[;\n]", raw) if k.strip())
+                tag = line[:2]
+                current = values.get(tag)
+                if current is not None:
+                    current.append(line[2:].strip())
+            elif current is not None and (extra := line.strip()):
+                current[-1] += _ENDNOTE_JOINERS[tag] + extra
         entry, problem = _make_entry(
             "endnote",
             ordinal,
-            title=single["%T"],
-            abstract=single["%X"],
-            keywords=keywords,
-            authors=[a for a in (name.strip() for name in authors) if a],
-            year_text=single["%D"],
+            title=values["%T"][-1],
+            abstract=values["%X"][-1],
+            keywords=_split_on("\n".join(values["%K"]), _ENDNOTE_KEYWORD_SEP_RE),
+            authors=[name for name in (a.strip() for a in values["%A"]) if name],
+            year_text=values["%D"][-1],
             year_range=year_range,
         )
         if problem:
@@ -478,37 +460,25 @@ def read_corpus(source):
     the `IngestError` names the file (when `source` is a path) and the
     offending line.
     """
-    with open_for_read(source) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{location(source)}corpus file is empty") from None
-        except csv.Error as exc:  # such as a field over the csv module's size limit
-            raise IngestError(f"{location(source, reader.line_num)}{exc}") from None
-        if header != list(CORPUS_HEADER):
-            raise IngestError(f"{location(source)}unexpected corpus header: {header!r}")
-        entries = []
-        try:
-            for row in reader:
-                if len(row) != len(CORPUS_HEADER):
-                    raise IngestError(f"expected {len(CORPUS_HEADER)} columns, got {len(row)}")
-                entry_id, source_name, year_text, title, abstract, keywords, authors = row
-                if source_name not in SOURCES:
-                    raise IngestError(f"unknown source {source_name!r}")
-                try:
-                    year = int(year_text)
-                except ValueError:
-                    raise IngestError(f"non-numeric year {year_text!r}") from None
-                entries.append(Entry(
-                    id=entry_id,
-                    title=title,
-                    abstract=abstract,
-                    keywords=_split_semicolons(keywords),
-                    year=year,
-                    authors=_split_semicolons(authors),
-                    source=source_name,
-                ))
-        except (IngestError, csv.Error) as exc:
-            raise IngestError(f"{location(source, reader.line_num)}{exc}") from None
-        return entries
+    entries = []
+    with checked_csv(source, CORPUS_HEADER, IngestError, "corpus") as reader:
+        for row in reader:
+            if len(row) != len(CORPUS_HEADER):
+                raise IngestError(f"expected {len(CORPUS_HEADER)} columns, got {len(row)}")
+            entry_id, source_name, year_text, title, abstract, keywords, authors = row
+            if source_name not in SOURCES:
+                raise IngestError(f"unknown source {source_name!r}")
+            try:
+                year = int(year_text)
+            except ValueError:
+                raise IngestError(f"non-numeric year {year_text!r}") from None
+            entries.append(Entry(
+                id=entry_id,
+                title=title,
+                abstract=abstract,
+                keywords=_split_on(keywords, _SEMICOLON_RE),
+                year=year,
+                authors=_split_on(authors, _SEMICOLON_RE),
+                source=source_name,
+            ))
+    return entries

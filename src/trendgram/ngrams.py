@@ -17,9 +17,9 @@ Streams never use an index, and `write_records` does not write one.
 
 from __future__ import annotations
 
-import csv
 import marshal
 import os
+import re
 import stat
 import struct
 import zlib
@@ -29,12 +29,14 @@ from itertools import accumulate, islice
 from pathlib import Path
 from typing import NamedTuple
 
-from ._io import location, open_for_read, open_for_write, read_text, replacing
+from ._io import checked_csv, open_for_write, read_text, replacing
 from .errors import RecordsError, TrendgramError
 
 RECORDS_HEADER = ("n", "ngram", "year", "count")
 
 NGRAM_MAX = 4
+
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
 
 
 class NgramRecord(NamedTuple):
@@ -148,7 +150,7 @@ def ngrams_of(tokens, n_min=1, n_max=NGRAM_MAX):
 
 
 def _check_bounds(n_min, n_max):
-    if not 1 <= n_min <= n_max:
+    if not 1 <= n_min <= n_max <= NGRAM_MAX:
         raise ValueError(f"bad n-gram bounds {n_min}..{n_max}")
 
 
@@ -188,14 +190,18 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
 def write_records(table, dest):
     """Write the table's rows as `n,ngram,year,count` in key order.
 
-    The n-gram cell is quoted only if it contains a comma or a quote
-    (token rules make both impossible, but readers must accept it).
+    The n-gram cell is quoted, with its quotes doubled, only if it
+    contains a comma, a quote, `\n` or `\r` (token rules make all four
+    impossible, but readers must accept it).
     """
     counts = table.counts
     with open_for_write(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORDS_HEADER)
-        writer.writerows((*key, counts[key]) for key in sorted(counts))
+        fh.write(",".join(RECORDS_HEADER) + "\n")
+        for key in sorted(counts):
+            n, ngram, year = key
+            if _NEEDS_QUOTES.search(ngram):
+                ngram = '"' + ngram.replace('"', '""') + '"'
+            fh.write(f"{n},{ngram},{year},{counts[key]}\n")
 
 
 def read_records(source):
@@ -225,40 +231,28 @@ def read_records(source):
 
 def _parse_records(source):
     """`read_records` without the index: parse and check every row."""
-    with open_for_read(source) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RecordsError(f"{location(source)}records file is empty") from None
-        except csv.Error as exc:  # such as a field over the csv module's size limit
-            raise RecordsError(f"{location(source, reader.line_num)}{exc}") from None
-        if header != list(RECORDS_HEADER):
-            raise RecordsError(f"{location(source)}unexpected records header: {header!r}")
-        counts: dict[tuple[int, str, int], int] = {}
-        try:
-            for row in reader:
-                if len(row) != len(RECORDS_HEADER):
-                    raise RecordsError(f"expected {len(RECORDS_HEADER)} columns, got {len(row)}")
-                n_text, ngram, year_text, count_text = row
-                try:
-                    n, year, count = int(n_text), int(year_text), int(count_text)
-                except ValueError:
-                    raise RecordsError("non-numeric n, year, or count") from None
-                if not 1 <= n <= NGRAM_MAX:
-                    raise RecordsError(f"n={n} outside 1..{NGRAM_MAX}")
-                if count < 1:
-                    raise RecordsError(f"count must be positive, got {count}")
-                tokens = ngram.split(" ")
-                if len(tokens) != n or not all(tokens):
-                    raise RecordsError(f"ngram {ngram!r} is not {n} tokens")
-                key = (n, ngram, year)
-                if key in counts:
-                    raise RecordsError(f"duplicate record for {ngram!r} in {year}")
-                counts[key] = count
-        except (RecordsError, csv.Error) as exc:
-            raise RecordsError(f"{location(source, reader.line_num)}{exc}") from None
-        return counts
+    counts: dict[tuple[int, str, int], int] = {}
+    with checked_csv(source, RECORDS_HEADER, RecordsError, "records") as reader:
+        for row in reader:
+            if len(row) != len(RECORDS_HEADER):
+                raise RecordsError(f"expected {len(RECORDS_HEADER)} columns, got {len(row)}")
+            n_text, ngram, year_text, count_text = row
+            try:
+                n, year, count = int(n_text), int(year_text), int(count_text)
+            except ValueError:
+                raise RecordsError("non-numeric n, year, or count") from None
+            if not 1 <= n <= NGRAM_MAX:
+                raise RecordsError(f"n={n} outside 1..{NGRAM_MAX}")
+            if count < 1:
+                raise RecordsError(f"count must be positive, got {count}")
+            tokens = ngram.split(" ")
+            if len(tokens) != n or not all(tokens):
+                raise RecordsError(f"ngram {ngram!r} is not {n} tokens")
+            key = (n, ngram, year)
+            if key in counts:
+                raise RecordsError(f"duplicate record for {ngram!r} in {year}")
+            counts[key] = count
+    return counts
 
 
 # The sidecar index: a header, then chunks of at most _INDEX_CHUNK entries

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import SlopeError
-from .frequency import FrequencySeries, Query, QuerySeries, SeriesPoint, evaluate
+from .frequency import Query, QuerySeries, evaluate
 from .plotting import render_plot
 
 DEFAULT_MIN_SUPPORT = 30
@@ -24,30 +24,32 @@ DEFAULT_CATALOG_LIMIT = 800
 
 
 class TrendEntry(NamedTuple):
-    """One ranked n-gram with its fitted slope and support counts."""
+    """One ranked n-gram with its fitted slope and total count."""
 
     ngram: str
     n: int
     slope: float
-    mean_freq: float
     total_count: int
-    years_with_data: int
 
 
 def trend_slope(series):
     """OLS slope of frequency against year over the has-data points.
 
-    Years are centered at their mean before fitting, which keeps the
-    sums small. Fewer than two data points raise `SlopeError`.
+    Fewer than two data points raise `SlopeError`.
     """
-    points = [(year, point.frequency)
-              for year, point in sorted(series.points.items())
-              if point.has_data]
-    if len(points) < 2:
-        raise SlopeError(f"series {series.label!r} has {len(points)} data points; need at least 2")
-    mean_year = sum(year for year, _ in points) / len(points)
-    numerator = sum((year - mean_year) * value for year, value in points)
-    denominator = sum((year - mean_year) ** 2 for year, _ in points)
+    years = [year for year, point in sorted(series.points.items()) if point.has_data]
+    if len(years) < 2:
+        raise SlopeError(f"series {series.label!r} has {len(years)} data points; need at least 2")
+    return _slope(years, [series.points[year].frequency for year in years])
+
+
+def _slope(years, values):
+    """OLS slope of `values` against `years`, two or more distinct years
+    in ascending order. Years are centered at their mean before fitting,
+    which keeps the sums small."""
+    mean_year = sum(years) / len(years)
+    numerator = sum((year - mean_year) * value for year, value in zip(years, values))
+    denominator = sum((year - mean_year) ** 2 for year in years)
     return numerator / denominator
 
 
@@ -78,12 +80,8 @@ def rank_trends(table, n, direction, k, min_support=DEFAULT_MIN_SUPPORT,
         total = sum(year_counts.values())
         if total < min_support:
             continue
-        points = {year: SeriesPoint(year_counts.get(year, 0) / table.totals[(n, year)], True)
-                  for year in data_years}
-        series = FrequencySeries(ngram, points)
-        slope = trend_slope(series)
-        mean = sum(point.frequency for point in points.values()) / len(points)
-        entries.append(TrendEntry(ngram, n, slope, mean, total, len(data_years)))
+        values = [year_counts.get(year, 0) / table.totals[(n, year)] for year in data_years]
+        entries.append(TrendEntry(ngram, n, _slope(data_years, values), total))
 
     reverse = direction == "rising"
     entries.sort(key=lambda e: (-e.slope if reverse else e.slope, -e.total_count, e.ngram))

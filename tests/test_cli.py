@@ -208,6 +208,18 @@ def test_extract_nmax_validated(tmp_path, capsys):
     assert run(["extract", "-i", "x", "-o", "y", "--nmax", "9"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["top", "-i", "x", "-n", "9"],
+    ["trends", "-i", "x", "-n", "0"],
+    ["extract", "-i", "x", "-o", "y", "--nmax", "5"],
+])
+def test_ngram_length_out_of_range_is_usage_error(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: trendgram {argv[0]} ")
+    assert f"invalid choice: {argv[-1]} (choose from 1, 2, 3, 4)" in err
+
+
 def test_extract_nmax_limits_length(tmp_path):
     entries, _ = parse_bibtex(BIB)
     corpus = tmp_path / "corpus.csv"

@@ -28,8 +28,7 @@ from trendgram.ingest import (Diagnostic, filter_incomplete, merge_dedup,
     ("QuerySeries", dict(label="code", phrases=[("code",)])),
     ("Query", dict(series=[])),
     ("FrequencySeries", dict(label="code", points={})),
-    ("TrendEntry", dict(ngram="code", n=1, slope=0.5, mean_freq=0.1, total_count=30,
-                        years_with_data=5)),
+    ("TrendEntry", dict(ngram="code", n=1, slope=0.5, total_count=30)),
 ])
 def test_record_types_are_immutable_named_tuples(name, fields):
     record = getattr(trendgram, name)(**fields)
@@ -264,6 +263,21 @@ def test_parse_endnote_repeated_and_split_tags():
     assert entry.authors == ["First Author", "Second Author"]
     assert entry.keywords == ["alpha", "beta", "gamma"]
     assert entry.abstract == "An abstract that wraps."
+
+
+@pytest.mark.parametrize("lines, field, expected", [
+    (["%T T", "%K alpha; beta", "gamma delta; epsilon"], "keywords",
+     ["alpha", "beta", "gamma delta", "epsilon"]),
+    (["%T T", "%A First", "Last", "%A Second"], "authors", ["First Last", "Second"]),
+    (["%T Title", "%Z unknown", "dropped"], "title", "Title"),
+    (["dropped", "%T Title"], "title", "Title"),
+    (["%T One", "wrapped", "%T Two"], "title", "Two"),
+    (["%T Title", "%"], "title", "Title %"),
+], ids=["keywords-newline", "authors-space", "unknown-tag", "before-any-tag",
+        "last-title-wins", "bare-percent"])
+def test_parse_endnote_continuation_lines(lines, field, expected):
+    (entry,), _ = parse_endnote("\n".join(lines + ["%D 2010", "%X Abs."]) + "\n")
+    assert getattr(entry, field) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trendgram
@@ -176,6 +176,13 @@ def test_count_ngrams_rejects_bad_bounds_without_sentences(stoplist):
         count_ngrams([], stoplist, 3, 2)
 
 
+def test_ngram_lengths_stop_at_ngram_max(stoplist):
+    with pytest.raises(ValueError, match="bad n-gram bounds 1..5"):
+        count_ngrams([sentence(["a", "b", "c", "d", "e"])], stoplist, 1, 5)
+    with pytest.raises(ValueError, match="bad n-gram bounds 5..5"):
+        ngrams_of(["a", "b", "c", "d", "e"], 5, 5)
+
+
 def test_count_ngrams_stored_ngrams_pass_their_own_rule(stoplist):
     rng = random.Random(3)
     records = count_ngrams(random_sentences(rng, 40), stoplist)
@@ -307,6 +314,24 @@ def test_records_roundtrip_random_sets():
         buffer = io.StringIO()
         write_records(build_table(counts), buffer)
         assert read_records(io.StringIO(buffer.getvalue())) == counts
+
+
+# Any text but the token separator, surrogates (which UTF-8 cannot encode)
+# and NUL (which the csv module of Python 3.10 refuses to read).
+ANY_TOKEN = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=" \x00"),
+                    min_size=1, max_size=6)
+ANY_NGRAM = st.lists(ANY_TOKEN, min_size=1, max_size=4).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ngrams=st.lists(ANY_NGRAM, max_size=8))
+@example(ngrams=["a\rb", 'say "x, y"', "\r\n line\n"])
+def test_records_round_trip_any_ngram_text(tmp_path_factory, ngrams):
+    counts = {(len(ngram.split(" ")), ngram, 2000 + i): i + 1 for i, ngram in enumerate(ngrams)}
+    path = tmp_path_factory.mktemp("any") / "records.csv"
+    write_records(build_table(counts), path)
+    assert read_records(path) == counts
+    assert read_stream(path) == counts
 
 
 # ---------------------------------------------------------------------------

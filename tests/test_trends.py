@@ -92,7 +92,6 @@ def test_rank_trends_finds_planted_trends():
     assert falling[0].ngram == "program slicing"
     assert rising[0].slope > 0 > falling[0].slope
     assert rising[0].total_count == 1023
-    assert rising[0].years_with_data == 10
 
 
 def test_rank_trends_short_growth_with_loose_thresholds():
@@ -149,14 +148,6 @@ def test_rank_trends_min_support_filters():
 def test_rank_trends_too_few_years_is_empty():
     table = build_table({(1, "x", 2000): 100, (1, "x", 2001): 100})
     assert rank_trends(table, 1, "rising", 5) == []
-
-
-def test_rank_trends_mean_freq():
-    table = planted_table()
-    entry = next(e for e in rank_trends(table, 2, "rising", 10, min_support=1)
-                 if e.ngram == "source code")
-    expected = sum(50 / table.totals[(2, year)] for year in table.years) / 10
-    assert entry.mean_freq == pytest.approx(expected, rel=1e-12)
 
 
 def test_rank_trends_rejects_bad_arguments():
