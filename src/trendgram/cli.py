@@ -13,13 +13,16 @@ import os
 import sys
 from pathlib import Path
 
-from ._io import location, read_text
+from ._io import location, open_for_write, read_text
 from .errors import IngestError, TrendgramError
-from .frequency import evaluate, parse_query, write_series_csv, write_series_json
+from .frequency import (evaluate, parse_query, query_lengths, write_series_csv,
+                        write_series_json)
 from .ingest import (DEFAULT_YEAR_RANGE, CSV_FIELDS, merge_dedup, parse_bibtex,
                      parse_csv, parse_endnote, read_corpus, write_corpus)
+# `build_table` and `read_records` are unused here but stay importable from this
+# module: bench/tracing.py wraps them under these names.
 from .ngrams import (NGRAM_MAX, Stoplist, build_table, count_ngrams, read_records,
-                     top_ngrams, write_records)
+                     read_table, top_ngrams, write_records)
 from .plotting import render_plot
 from .textprep import entry_sentences
 from .trends import (DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
@@ -222,9 +225,14 @@ def _year_range_for(args, table):
     return lo, hi
 
 
+def _write_svg(path, series, title):
+    with open_for_write(path) as fh:
+        fh.write(render_plot(series, title))
+
+
 def cmd_query(args):
-    table = build_table(read_records(args.input))
     query = parse_query(args.query)
+    table = read_table(args.input, query_lengths(query))
     series = evaluate(table, query, _year_range_for(args, table))
     if args.output is None or args.output == "-":
         write_series_csv(series, sys.stdout)
@@ -233,14 +241,14 @@ def cmd_query(args):
     else:
         write_series_csv(series, args.output)
     if args.svg:
-        Path(args.svg).write_text(render_plot(series, args.query), encoding="utf-8")
+        _write_svg(args.svg, series, args.query)
     return 0
 
 
 def cmd_top(args):
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
-    table = build_table(read_records(args.input))
+    table = read_table(args.input, (args.n,))
     for rank, (ngram, total) in enumerate(top_ngrams(table, args.n, args.k), 1):
         print(f"{rank}. {ngram} {total}")
     return 0
@@ -249,7 +257,7 @@ def cmd_top(args):
 def cmd_catalog(args):
     if args.limit < 1:
         raise UsageError("", "--limit must be at least 1")
-    table = build_table(read_records(args.input))
+    table = read_table(args.input)
     if not table.counts:
         raise TrendgramError("records file has no records to catalog")
     year_range = None
@@ -263,7 +271,7 @@ def cmd_catalog(args):
 def cmd_trends(args):
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
-    table = build_table(read_records(args.input))
+    table = read_table(args.input, (args.n,))
     ranked = rank_trends(table, args.n, args.direction, args.k,
                          min_support=args.min_support, min_years=args.min_years)
     print("rank,ngram,slope,total_count")
@@ -273,16 +281,16 @@ def cmd_trends(args):
 
 
 def cmd_demo(args):
-    table = build_table(read_records(args.input))
+    queries = [parse_query(text) for text in DEMO_QUERIES]
+    table = read_table(args.input, set().union(*map(query_lengths, queries)))
     year_range = _year_range_for(args, table)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for number, text in enumerate(DEMO_QUERIES, 1):
-        query = parse_query(text)
+    for number, (text, query) in enumerate(zip(DEMO_QUERIES, queries), 1):
         series = evaluate(table, query, year_range)
         slug = "-".join(query.series[0].phrases[0])
         path = out_dir / f"demo-{number}-{slug}.svg"
-        path.write_text(render_plot(series, text), encoding="utf-8")
+        _write_svg(path, series, text)
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -91,12 +91,19 @@ def parse_query(text):
     return Query(series)
 
 
+def query_lengths(query):
+    """The set of n-gram lengths of the query's phrases."""
+    return {len(phrase) for qs in query.series for phrase in qs.phrases}
+
+
 def evaluate(table, query, year_range):
     """One FrequencySeries per query series over every year in the
-    inclusive range, in query order."""
+    inclusive range, in query order. A table that did not load the
+    length of one of the phrases raises `ValueError`."""
     lo, hi = year_range
     if lo > hi:
         raise ValueError(f"empty year range {lo}..{hi}")
+    table.require(query_lengths(query))
     result = []
     for qs in query.series:
         points = {}

@@ -6,13 +6,14 @@ count, held in memory as a `FrequencyTable`. An n-gram is discarded when
 at least half of its tokens are stopwords; the comparison is exact
 integer arithmetic, so a bigram with exactly one stopword is discarded.
 
-`read_records` keeps a sidecar index beside a records file it reads by
-path, `RECORDS.idx`, holding the counts it returned the last time it
-fully validated that exact file, and returns them again while the
-file's size and crc32 still match (see `_read_index`). A missing, stale
-or damaged index only means the CSV is parsed and checked again, after
-which the index is rewritten; failing to write it is not an error.
-Streams never use an index, and `write_records` does not write one.
+`read_table` keeps a sidecar index beside a records file it reads by
+path, `RECORDS.idx`, holding the table it built the last time it fully
+validated that exact file, one section per n-gram length, and loads the
+sections it is asked for again while the file's size and crc32 still
+match (see `_read_index`). A missing, stale or damaged index only means
+the CSV is parsed and checked again, after which the index is
+rewritten; failing to write it is not an error. Streams never use an
+index, and `write_records` does not write one.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import zlib
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,6 +37,8 @@ from .errors import RecordsError, TrendgramError
 RECORDS_HEADER = ("n", "ngram", "year", "count")
 
 NGRAM_MAX = 4
+
+_ALL_LENGTHS = frozenset(range(1, NGRAM_MAX + 1))
 
 _NEEDS_QUOTES = re.compile('[,"\n\r]')
 
@@ -49,7 +53,14 @@ class NgramRecord(NamedTuple):
 class FrequencyTable:
     """N-gram counts keyed (n, ngram, year), plus the per-(n, year)
     totals used as frequency denominators and the sorted years with data.
-    Both are derived from `counts` the first time they are read.
+    Unless `totals` is given, both are derived from `counts` the first
+    time they are read.
+
+    `lengths` are the n-gram lengths the table answers for: every length
+    unless it was loaded for some only (see `read_table`). Such a table's
+    `counts` hold only those lengths' keys, while its `totals` and
+    `years` still cover every length; `evaluate`, `top_ngrams` and
+    `rank_trends` refuse it any other length (see `require`).
 
     Iterating yields one `NgramRecord` per key in (n, ngram, year)
     order; `len` is the number of such rows. Tables are equal when their
@@ -58,8 +69,12 @@ class FrequencyTable:
 
     __hash__ = None
 
-    def __init__(self, counts: dict[tuple[int, str, int], int]):
+    def __init__(self, counts: dict[tuple[int, str, int], int], totals=None,
+                 lengths=_ALL_LENGTHS):
         self.counts = counts
+        self.lengths = frozenset(lengths)
+        if totals is not None:
+            self.totals = totals
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyTable):
@@ -86,6 +101,15 @@ class FrequencyTable:
     def __iter__(self):
         for key in sorted(self.counts):
             yield NgramRecord(*key, self.counts[key])
+
+    def require(self, lengths):
+        """Raise `ValueError` unless the table holds every n-gram length
+        in `lengths`: counts of a length it did not load would read as
+        zeros over a non-zero total."""
+        missing = set(lengths) - self.lengths
+        if missing:
+            raise ValueError(f"n-gram length {min(missing)} was not loaded; the table holds "
+                             f"{', '.join(map(str, sorted(self.lengths)))}")
 
     def has_data(self, n, year):
         return self.totals.get((n, year), 0) > 0
@@ -204,33 +228,54 @@ def write_records(table, dest):
             fh.write(f"{n},{ngram},{year},{counts[key]}\n")
 
 
-def read_records(source):
-    """Read a records CSV into a `(n, ngram, year) -> count` dict,
-    enforcing every record invariant.
+def read_table(source, lengths=None):
+    """Read a records CSV into a `FrequencyTable` holding the keys of
+    the n-gram `lengths` only (default: all), enforcing every record
+    invariant on the whole file. Its `totals` and `years` are those of
+    the whole file, whatever `lengths` it holds.
 
     This file is machine-produced, so any malformed row is corruption
     and raises `RecordsError` naming the file (when `source` is a path)
     and the offending line.
 
-    For a path to a regular file, the dict comes from the sidecar index
+    For a path to a regular file, the table comes from the sidecar index
     `f"{source}.idx"` when that index was written for a file of the
-    same size and crc32; otherwise the CSV is parsed, and if the file
-    did not change while it was parsed, the index is (re)written.
+    same size and crc32; only the sections of `lengths` are loaded.
+    Otherwise the CSV is parsed, and if the file did not change while it
+    was parsed, the index is (re)written.
     """
+    wanted = _ALL_LENGTHS if lengths is None else frozenset(lengths)
+    if not wanted or not wanted <= _ALL_LENGTHS:
+        raise ValueError(f"lengths must be a non-empty subset of 1..{NGRAM_MAX}, "
+                         f"got {sorted(wanted)}")
     fingerprint = None if hasattr(source, "read") else _fingerprint(source)
-    if fingerprint is None:
-        return _parse_records(source)
-    index = f"{source}.idx"
-    counts = _read_index(index, fingerprint)
-    if counts is None:
-        counts = _parse_records(source)
-        if _fingerprint(source) == fingerprint:
-            _write_index(index, fingerprint, counts)
-    return counts
+    if fingerprint is not None:
+        table = _read_index(f"{source}.idx", fingerprint, wanted)
+        if table is not None:
+            return table
+    table = FrequencyTable(_parse_records(source))
+    if fingerprint is not None and _fingerprint(source) == fingerprint:
+        _write_index(f"{source}.idx", fingerprint, table)
+    if wanted == _ALL_LENGTHS:
+        return table
+    # Deleting the other lengths' keys in place, one length at a time,
+    # adds only a list of one length's keys to the peak memory; a new
+    # dict of the wanted keys would add more.
+    totals, counts = table.totals, table.counts
+    for n in _ALL_LENGTHS - wanted:
+        for key in [key for key in counts if key[0] == n]:
+            del counts[key]
+    return FrequencyTable(counts, totals, wanted)
+
+
+def read_records(source):
+    """`read_table(source).counts`: every record of a records CSV as a
+    `(n, ngram, year) -> count` dict."""
+    return read_table(source).counts
 
 
 def _parse_records(source):
-    """`read_records` without the index: parse and check every row."""
+    """`read_table` without the index: parse and check every row."""
     counts: dict[tuple[int, str, int], int] = {}
     with checked_csv(source, RECORDS_HEADER, RecordsError, "records") as reader:
         for row in reader:
@@ -255,11 +300,13 @@ def _parse_records(source):
     return counts
 
 
-# The sidecar index: a header, then chunks of at most _INDEX_CHUNK entries
-# in the dict's order, each a length, its crc32 and a `marshal` (version
-# 2, which writes no back-references, so the bytes do not depend on
-# reference counts) of a dict.
-_INDEX_MAGIC = b"trendgram records index 1\n"
+# The sidecar index: a header; a chunk holding the per-(n, year) totals
+# and the number of entries of each length; then one section per length
+# n, in order, of at most _INDEX_CHUNK entries per chunk in the dict's
+# order. A chunk is a length, its crc32 and a `marshal` (version 2, which
+# writes no back-references, so the bytes do not depend on reference
+# counts): a `(totals, entries per length)` tuple, then a dict per chunk.
+_INDEX_MAGIC = b"trendgram records index 2\n"
 _INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQ")  # magic, crc32, size, entries
 _INDEX_CHUNK_HEADER = struct.Struct("<II")  # length, crc32
 _INDEX_CHUNK = 4096
@@ -279,11 +326,16 @@ def _fingerprint(path):
     return crc, size
 
 
-def _read_index(path, fingerprint):
-    """The counts stored in the index at `path` for a records file with
-    this fingerprint, or None if the index is missing, was written for
-    other content, or is damaged: a wrong magic, a short or overlong
-    file, a chunk whose crc32 does not match, or one `marshal` rejects."""
+def _read_index(path, fingerprint, lengths):
+    """The table stored in the index at `path` for a records file with
+    this fingerprint, holding `lengths` only, or None if the index is
+    missing, was written for other content, or is damaged where it was
+    read: a wrong magic, a damaged chunk (see `_read_chunk`), one
+    `marshal` rejects, or section sizes that disagree with the header or
+    with what the sections hold. Sections after the last of `lengths`
+    are not read, and other unloaded ones are passed over by their chunk
+    lengths alone; only a read of the last section checks that nothing
+    follows it."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(_INDEX_HEADER.size)
@@ -293,39 +345,73 @@ def _read_index(path, fingerprint):
             if magic != _INDEX_MAGIC or (crc, size) != fingerprint:
                 return None
             end = os.fstat(fh.fileno()).st_size
-            counts = {}
-            while len(counts) < entries:
-                chunk_header = fh.read(_INDEX_CHUNK_HEADER.size)
-                if len(chunk_header) != _INDEX_CHUNK_HEADER.size:
-                    return None
-                length, crc = _INDEX_CHUNK_HEADER.unpack(chunk_header)
-                if length > end - fh.tell():  # a damaged length; do not allocate it
-                    return None
-                chunk = fh.read(length)
-                if len(chunk) != length or zlib.crc32(chunk) != crc:
-                    return None
-                counts.update(marshal.loads(chunk))
-            if len(counts) != entries or fh.read(1):
+            totals, sizes = marshal.loads(_read_chunk(fh, end))
+            if type(totals) is not dict or len(sizes) != NGRAM_MAX or sum(sizes) != entries:
                 return None
-            return counts
+            counts = {}
+            last = max(lengths)
+            for n, size in enumerate(sizes[:last], 1):
+                chunks = -(-size // _INDEX_CHUNK)
+                if n not in lengths:
+                    for _ in range(chunks):
+                        _read_chunk(fh, end, skip=True)
+                    continue
+                expected = len(counts) + size
+                for _ in range(chunks):
+                    counts.update(marshal.loads(_read_chunk(fh, end)))
+                if len(counts) != expected:
+                    return None
+            if last == NGRAM_MAX and fh.read(1):
+                return None
+            return FrequencyTable(counts, totals, lengths)
     except (OSError, ValueError, EOFError, TypeError):
         return None
 
 
-def _write_index(path, fingerprint, counts):
-    """Store `counts` as the index at `path` for a records file with this
-    fingerprint, replacing it atomically; an `OSError` (such as a
-    read-only directory) leaves things as they were."""
-    items = iter(counts.items())
+def _read_chunk(fh, end, skip=False):
+    """The payload of the next chunk in `fh`, checked against its crc32,
+    or with `skip` None, passing over the payload unread. A chunk cut
+    short, a crc32 mismatch, or a length that runs past `end`, the size
+    of the file (checked before anything is allocated), raise
+    `ValueError`."""
+    header = fh.read(_INDEX_CHUNK_HEADER.size)
+    if len(header) != _INDEX_CHUNK_HEADER.size:
+        raise ValueError("index chunk header cut short")
+    length, crc = _INDEX_CHUNK_HEADER.unpack(header)
+    if length > end - fh.tell():
+        raise ValueError("index chunk runs past the end of the file")
+    if skip:
+        fh.seek(length, os.SEEK_CUR)
+        return None
+    chunk = fh.read(length)
+    if len(chunk) != length or zlib.crc32(chunk) != crc:
+        raise ValueError("index chunk damaged")
+    return chunk
+
+
+def _write_index(path, fingerprint, table):
+    """Store the full `table` as the index at `path` for a records file
+    with this fingerprint, replacing it atomically; an `OSError` (such
+    as a read-only directory) leaves things as they were. Each section
+    is one filtering pass over the counts, so they are never copied."""
+    counts = table.counts
+    sizes = Counter(map(itemgetter(0), counts))
     try:
         with replacing(path, binary=True) as fh:
             fh.write(_INDEX_HEADER.pack(_INDEX_MAGIC, *fingerprint, len(counts)))
-            while part := dict(islice(items, _INDEX_CHUNK)):
-                chunk = marshal.dumps(part, 2)
-                fh.write(_INDEX_CHUNK_HEADER.pack(len(chunk), zlib.crc32(chunk)))
-                fh.write(chunk)
+            _write_chunk(fh, (table.totals, tuple(sizes[n] for n in range(1, NGRAM_MAX + 1))))
+            for n in range(1, NGRAM_MAX + 1):
+                items = (item for item in counts.items() if item[0][0] == n)
+                while part := dict(islice(items, _INDEX_CHUNK)):
+                    _write_chunk(fh, part)
     except OSError:
         pass
+
+
+def _write_chunk(fh, value):
+    chunk = marshal.dumps(value, 2)
+    fh.write(_INDEX_CHUNK_HEADER.pack(len(chunk), zlib.crc32(chunk)))
+    fh.write(chunk)
 
 
 def top_ngrams(table, n, k):
@@ -335,6 +421,7 @@ def top_ngrams(table, n, k):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    table.require((n,))
     totals: Counter = Counter()
     for (record_n, ngram, _), count in table.counts.items():
         if record_n == n:

@@ -66,6 +66,7 @@ def rank_trends(table, n, direction, k, min_support=DEFAULT_MIN_SUPPORT,
         raise ValueError(f"direction must be 'rising' or 'falling', got {direction!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
+    table.require((n,))
     data_years = [year for year in table.years if table.has_data(n, year)]
     if len(data_years) < max(min_years, 2):
         return []

@@ -286,6 +286,33 @@ def test_query_svg_output(records_csv, tmp_path):
     assert "code, tracing" in text
 
 
+def unwritable_render(series, title):
+    """A plot that fails to encode as UTF-8 once its file is open."""
+    return "<svg>\udcff</svg>\n"
+
+
+@pytest.mark.parametrize("command", ["query", "demo"])
+def test_svg_write_failure_leaves_the_old_plot(records_csv, tmp_path, monkeypatch, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    svg = out / ("q.svg" if command == "query" else "demo-1-case-study.svg")
+    svg.write_bytes(b"<svg>old</svg>\n")
+    argv = (["query", "-i", str(records_csv), "code", "--svg", str(svg)] if command == "query"
+            else ["demo", "-i", str(records_csv), "-o", str(out)])
+    monkeypatch.setattr(trendgram.cli, "render_plot", unwritable_render)
+    with pytest.raises(UnicodeEncodeError):
+        run(argv)
+    assert sorted(p.name for p in out.iterdir()) == [svg.name]
+    assert svg.read_bytes() == b"<svg>old</svg>\n"
+
+
+def test_svg_in_a_missing_directory_is_data_error(records_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["query", "-i", str(records_csv), "code", "--svg", "nodir/q.svg"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: [Errno 2] No such file or directory: 'nodir/q.svg'")
+
+
 def test_query_bad_query_is_data_error(records_csv, capsys):
     assert run(["query", "-i", str(records_csv), "x++y"]) == 2
     assert "empty phrase" in capsys.readouterr().err

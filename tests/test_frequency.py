@@ -11,7 +11,7 @@ from support import random_sentences
 from trendgram.errors import QueryError
 from trendgram.frequency import (evaluate, freq, freq_list, parse_query,
                                  write_series_csv, write_series_json)
-from trendgram.ngrams import build_table, count_ngrams
+from trendgram.ngrams import build_table, count_ngrams, read_table, write_records
 
 
 def table_of(*records):
@@ -206,6 +206,15 @@ def test_evaluate_single_year_range():
 def test_evaluate_rejects_empty_range():
     with pytest.raises(ValueError):
         evaluate(build_table({}), parse_query("x"), (2005, 2004))
+
+
+def test_evaluate_refuses_a_length_the_table_did_not_load(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(table_of((1, "x", 2000, 1), (2, "x y", 2000, 3)), path)
+    table = read_table(path, [1])
+    assert evaluate(table, parse_query("x"), (2000, 2000))[0].points[2000].frequency == 1.0
+    with pytest.raises(ValueError, match="length 2 was not loaded; the table holds 1"):
+        evaluate(table, parse_query("x, x y"), (2000, 2000))
 
 
 def test_evaluate_order_matches_query():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import io
+import itertools
 import marshal
 import os
 import random
+import struct
 import subprocess
 import sys
 import threading
@@ -21,9 +23,9 @@ from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
 from trendgram import ngrams
 from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
-from trendgram.ngrams import (NgramRecord, Stoplist, build_table, count_ngrams,
-                              ngrams_of, passes_stopword_rule, read_records,
-                              top_ngrams, write_records)
+from trendgram.ngrams import (NgramRecord, Stoplist, build_table,
+                              count_ngrams, ngrams_of, passes_stopword_rule,
+                              read_records, read_table, top_ngrams, write_records)
 from trendgram.textprep import Sentence
 
 
@@ -517,6 +519,212 @@ def test_index_bytes_do_not_depend_on_hash_seed(tmp_path):
     index_of(path).unlink()
     read_records(path)
     assert index_of(path).read_bytes() == written[0]
+
+
+# ---------------------------------------------------------------------------
+# Partial loads: read_table(path, lengths) and index sections
+
+
+def table_from_index(path, lengths):
+    """`read_table(path, lengths)` with CSV parsing made to fail, so that
+    the table must come from the index."""
+    def refuse(source):
+        raise AssertionError(f"{source} was parsed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngrams, "_parse_records", refuse)
+        return read_table(path, lengths)
+
+
+def read_counting_parses(path, lengths=None):
+    """`read_table(path, lengths)` and the number of times it parsed the CSV."""
+    parses = []
+    parse = ngrams._parse_records
+
+    def counting(source):
+        parses.append(source)
+        return parse(source)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngrams, "_parse_records", counting)
+        return read_table(path, lengths), len(parses)
+
+
+def restrict(counts, lengths):
+    return {key: count for key, count in counts.items() if key[0] in lengths}
+
+
+SUBSETS = [frozenset(subset) for size in range(1, 5)
+           for subset in itertools.combinations(range(1, 5), size)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=TABLES)
+def test_partial_loads_from_the_index(tmp_path_factory, counts):
+    path = tmp_path_factory.mktemp("partial") / "records.csv"
+    write_indexed(path, counts)
+    full = build_table(counts)
+    for lengths in SUBSETS:
+        table = table_from_index(path, lengths)
+        assert table == build_table(restrict(counts, lengths))
+        assert table.lengths == lengths
+        assert table.totals == full.totals
+        assert table.years == full.years
+
+
+def test_partial_load_from_the_csv_path_equals_one_from_the_index(tmp_path):
+    counts = {(1, "code", 2000): 3, (2, "code tools", 2001): 4, (3, "a b c", 2002): 1}
+    path = tmp_path / "records.csv"
+    write_records(build_table(counts), path)
+    parsed, parses = read_counting_parses(path, [2])
+    assert parses == 1 and index_of(path).exists()
+    indexed = table_from_index(path, [2])
+    assert parsed == indexed == build_table({(2, "code tools", 2001): 4})
+    assert parsed.totals == indexed.totals == build_table(counts).totals
+    assert parsed.lengths == indexed.lengths == {2}
+    with io.StringIO(path.read_text()) as stream:
+        streamed = read_table(stream, [2])
+    assert streamed == parsed and streamed.totals == parsed.totals
+
+
+def test_partial_table_keeps_the_years_of_every_length(tmp_path, capsys):
+    counts = {(1, "code", 1999): 2, (1, "code", 2001): 1,
+              (2, "source code", 2001): 3, (2, "source code", 2003): 1}
+    path = tmp_path / "records.csv"
+    write_indexed(path, counts)
+    table = table_from_index(path, {2})
+    assert table.years == [1999, 2001, 2003]
+    assert table.year_span() == (1999, 2003)
+    assert run(["query", "-i", str(path), "source code"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "label,year,frequency,has_data",
+        "source code,1999,0,false",
+        "source code,2000,0,false",
+        "source code,2001,1,true",
+        "source code,2002,0,false",
+        "source code,2003,1,true",
+    ]
+
+
+@pytest.mark.parametrize("lengths", [[], [0], [5], [1, 5]])
+def test_read_table_rejects_lengths_outside_one_to_four(tmp_path, lengths):
+    path = tmp_path / "records.csv"
+    write_records(build_table({(1, "code", 2000): 3}), path)
+    with pytest.raises(ValueError, match="lengths must be"):
+        read_table(path, lengths)
+
+
+def test_top_ngrams_refuses_a_length_the_table_did_not_load(tmp_path):
+    path = tmp_path / "records.csv"
+    write_indexed(path, {(1, "code", 2000): 5, (2, "source code", 2000): 3})
+    table = table_from_index(path, {2})
+    assert top_ngrams(table, 2, 5) == [("source code", 3)]
+    with pytest.raises(ValueError, match="length 1 was not loaded; the table holds 2"):
+        top_ngrams(table, 1, 5)
+
+
+# One chunk per section: chunk 0 holds the totals and chunk n section n.
+SECTIONED = {(n, " ".join(f"w{i}" for i in range(n)), 2000 + year): n + year
+             for n in range(1, 5) for year in range(3)}
+
+
+def chunk_starts(data):
+    """The offset of each chunk's header in the index `data`."""
+    starts, at = [], HEADER_SIZE
+    while at < len(data):
+        starts.append(at)
+        at += ngrams._INDEX_CHUNK_HEADER.size + ngrams._INDEX_CHUNK_HEADER.unpack_from(data, at)[0]
+    return starts
+
+
+def in_chunk(chunk, damage):
+    """`damage(data, offset of chunk's header)`."""
+    return lambda data: damage(data, chunk_starts(data)[chunk])
+
+
+def flip_payload(data, start):
+    return flip(start + ngrams._INDEX_CHUNK_HEADER.size + 1)(data)
+
+
+def flip_length(data, start):
+    return flip(start)(data)
+
+
+def cut_before_end(data, start):
+    return data[:start + ngrams._INDEX_CHUNK_HEADER.size + 1]
+
+
+# Damage that a load of length 2 alone must notice: it falls back to the CSV.
+SEEN_BY_A_BIGRAM_LOAD = {
+    "flipped-entries": flip(CRC_AT + 12),
+    "totals-chunk-payload": in_chunk(0, flip_payload),
+    "totals-chunk-length": in_chunk(0, flip_length),
+    "loaded-section-payload": in_chunk(2, flip_payload),
+    "loaded-section-cut-short": in_chunk(2, cut_before_end),
+    "skipped-section-length": in_chunk(1, flip_length),
+}
+
+# Damage only in sections a load of length 2 does not read.
+UNSEEN_BY_A_BIGRAM_LOAD = {
+    "skipped-section-payload": in_chunk(1, flip_payload),
+    "later-section-payload": in_chunk(3, flip_payload),
+    "later-section-length": in_chunk(4, flip_length),
+    "truncated-payload": lambda data: data[:-1],
+    "appended": lambda data: data + b"\0",
+}
+
+
+def test_sectioned_table_has_one_chunk_per_section(tmp_path):
+    path = tmp_path / "records.csv"
+    write_indexed(path, SECTIONED)
+    assert len(chunk_starts(index_of(path).read_bytes())) == 5
+
+
+@pytest.mark.parametrize("damage", SEEN_BY_A_BIGRAM_LOAD.values(),
+                         ids=SEEN_BY_A_BIGRAM_LOAD.keys())
+def test_damage_a_partial_load_reads_falls_back_to_the_csv(tmp_path, damage):
+    path = tmp_path / "records.csv"
+    write_indexed(path, SECTIONED)
+    good = index_of(path).read_bytes()
+    index_of(path).write_bytes(damage(good))
+    table, parses = read_counting_parses(path, {2})
+    assert parses == 1
+    assert table == build_table(restrict(SECTIONED, {2}))
+    assert table.totals == build_table(SECTIONED).totals
+    assert index_of(path).read_bytes() == good
+
+
+@pytest.mark.parametrize("damage", UNSEEN_BY_A_BIGRAM_LOAD.values(),
+                         ids=UNSEEN_BY_A_BIGRAM_LOAD.keys())
+def test_damage_outside_the_loaded_sections_waits_for_a_full_read(tmp_path, damage):
+    path = tmp_path / "records.csv"
+    write_indexed(path, SECTIONED)
+    good = index_of(path).read_bytes()
+    index_of(path).write_bytes(damage(good))
+    table = table_from_index(path, {2})
+    assert table == build_table(restrict(SECTIONED, {2}))
+    assert table.totals == build_table(SECTIONED).totals
+    assert index_of(path).read_bytes() == damage(good)
+    table, parses = read_counting_parses(path)
+    assert parses == 1
+    assert table == build_table(SECTIONED)
+    assert index_of(path).read_bytes() == good
+
+
+def test_version_1_index_is_replaced_on_first_read(tmp_path):
+    counts = {(1, "code", 2000): 3, (2, "code tools", 2001): 4}
+    path = tmp_path / "records.csv"
+    write_records(build_table(counts), path)
+    data = path.read_bytes()
+    magic = b"trendgram records index 1\n"
+    chunk = marshal.dumps(counts, 2)
+    index_of(path).write_bytes(
+        struct.pack(f"<{len(magic)}sIQQ", magic, zlib.crc32(data), len(data), len(counts))
+        + struct.pack("<II", len(chunk), zlib.crc32(chunk)) + chunk)
+    table, parses = read_counting_parses(path, {2})
+    assert parses == 1
+    assert table == build_table({(2, "code tools", 2001): 4})
+    assert index_of(path).read_bytes().startswith(ngrams._INDEX_MAGIC)
+    assert ngrams._INDEX_MAGIC != magic
+    assert read_from_index(path) == counts
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from oracle import exact_ols_slope
 from trendgram.errors import SlopeError
 from trendgram.frequency import FrequencySeries, SeriesPoint
-from trendgram.ngrams import build_table
+from trendgram.ngrams import build_table, read_table, write_records
 from trendgram.trends import build_catalog, rank_trends, trend_slope
 
 
@@ -123,6 +123,15 @@ def test_rank_trends_tie_breaks_on_count_then_name():
     ranked = rank_trends(table, 1, "rising", 3, min_support=1, min_years=2)
     assert [entry.ngram for entry in ranked] == ["cc", "aa", "bb"]
     assert all(entry.slope == 0.0 for entry in ranked)
+
+
+def test_rank_trends_refuses_a_length_the_table_did_not_load(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(build_table({(1, "aa", 2000): 5, (2, "aa bb", 2000): 5}), path)
+    table = read_table(path, [1])
+    assert rank_trends(table, 1, "rising", 3, min_support=1, min_years=2) == []
+    with pytest.raises(ValueError, match="length 2 was not loaded; the table holds 1"):
+        rank_trends(table, 2, "rising", 3, min_support=1, min_years=2)
 
 
 def test_rank_trends_prefix_containment():
