@@ -99,18 +99,29 @@ def query_lengths(query):
 def evaluate(table, query, year_range):
     """One FrequencySeries per query series over every year in the
     inclusive range, in query order. A table that did not load the
-    length of one of the phrases raises `ValueError`."""
+    length of one of the phrases raises `ValueError`.
+
+    A year's point is `freq_list` of the series' phrases, flagged as
+    data when any phrase's length has data that year (`has_data`). Both
+    are inlined so that each (phrase, year) looks up its total once; the
+    terms still go through `sum`, which rounds as `freq_list` does on
+    every Python (3.12's `sum` compensates float rounding)."""
     lo, hi = year_range
     if lo > hi:
         raise ValueError(f"empty year range {lo}..{hi}")
     table.require(query_lengths(query))
+    counts, totals = table.counts, table.totals
     result = []
     for qs in query.series:
+        keys = [(len(phrase), " ".join(phrase)) for phrase in qs.phrases]
         points = {}
         for year in range(lo, hi + 1):
-            value = freq_list(table, qs.phrases, year)
-            data = any(table.has_data(len(phrase), year) for phrase in qs.phrases)
-            points[year] = SeriesPoint(value, data)
+            terms, data = [], False
+            for n, ngram in keys:
+                total = totals.get((n, year), 0)
+                terms.append(counts.get((n, ngram, year), 0) / total if total else 0.0)
+                data = data or total > 0
+            points[year] = SeriesPoint(sum(terms), data)
         result.append(FrequencySeries(qs.label, points))
     return result
 

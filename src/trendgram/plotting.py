@@ -12,8 +12,9 @@ drawn as a small circle so it stays visible.
 
 from __future__ import annotations
 
-import html
 import math
+from functools import lru_cache
+from types import MappingProxyType
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_LEFT, MARGIN_RIGHT = 58, 14
@@ -46,6 +47,50 @@ def _nice_step(span, divisions=5):
     return 10 * magnitude
 
 
+def escape(text, quote=True):
+    """`html.escape` without importing `html`, whose `html.entities`
+    table costs every command its load: `&`, `<` and `>` become
+    entities, and so do `"` and `'` when `quote` is true."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if quote:
+        text = text.replace('"', "&quot;").replace("'", "&#x27;")
+    return text
+
+
+@lru_cache(maxsize=32)
+def _x_axis(years):
+    """For a sorted tuple of distinct years: a read-only map from each
+    year to its formatted x, and the SVG lines of the x ticks and both
+    axes. Every plot over the same years shares them. Ticks label at
+    most eight years, which need not be years of the tuple."""
+    def x_at(year):
+        if len(years) < 2:
+            return (_PLOT_LEFT + _PLOT_RIGHT) / 2
+        frac = (year - years[0]) / (years[-1] - years[0])
+        return _PLOT_LEFT + frac * (_PLOT_RIGHT - _PLOT_LEFT)
+
+    parts = []
+    if years:
+        year_step = max(1, math.ceil((years[-1] - years[0]) / 7))
+        year = years[0]
+        while year <= years[-1]:
+            x = _num(x_at(year))
+            parts.append(
+                f'<line x1="{x}" y1="{_PLOT_BOTTOM}" x2="{x}" '
+                f'y2="{_PLOT_BOTTOM + 5}" stroke="black" stroke-width="1"/>')
+            parts.append(
+                f'<text x="{x}" y="{_PLOT_BOTTOM + 19}" font-family="sans-serif" '
+                f'font-size="11" text-anchor="middle">{year}</text>')
+            year += year_step
+    parts.append(
+        f'<line x1="{_PLOT_LEFT}" y1="{_PLOT_TOP}" x2="{_PLOT_LEFT}" '
+        f'y2="{_PLOT_BOTTOM}" stroke="black" stroke-width="1"/>')
+    parts.append(
+        f'<line x1="{_PLOT_LEFT}" y1="{_PLOT_BOTTOM}" x2="{_PLOT_RIGHT}" '
+        f'y2="{_PLOT_BOTTOM}" stroke="black" stroke-width="1"/>')
+    return MappingProxyType({year: _num(x_at(year)) for year in years}), "\n".join(parts)
+
+
 def render_plot(series_list, title):
     """Render FrequencySeries as a standalone 640x400 SVG string.
 
@@ -58,18 +103,13 @@ def render_plot(series_list, title):
     if not series_list:
         raise ValueError("render_plot needs at least one series")
 
-    years = sorted({year for series in series_list for year in series.points})
+    years = tuple(sorted({year for series in series_list for year in series.points}))
+    x_of, x_axis = _x_axis(years)
     values = [point.frequency
               for series in series_list
               for point in series.points.values()
               if point.has_data]
     top = max(values) * _HEADROOM if values and max(values) > 0 else 1.0
-
-    def x_at(year):
-        if len(years) < 2 or years[-1] == years[0]:
-            return (_PLOT_LEFT + _PLOT_RIGHT) / 2
-        frac = (year - years[0]) / (years[-1] - years[0])
-        return _PLOT_LEFT + frac * (_PLOT_RIGHT - _PLOT_LEFT)
 
     def y_at(value):
         return _PLOT_BOTTOM - (value / top) * (_PLOT_BOTTOM - _PLOT_TOP)
@@ -80,7 +120,7 @@ def render_plot(series_list, title):
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:g}" y="20" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle">{html.escape(title, quote=False)}</text>',
+        f'text-anchor="middle">{escape(title, quote=False)}</text>',
     ]
 
     # horizontal gridlines and y tick labels
@@ -89,35 +129,16 @@ def render_plot(series_list, title):
     while tick * step <= top + 1e-12:
         value = tick * step
         y = y_at(value)
+        y_text = _num(y)
         parts.append(
-            f'<line x1="{_PLOT_LEFT}" y1="{_num(y)}" x2="{_PLOT_RIGHT}" y2="{_num(y)}" '
+            f'<line x1="{_PLOT_LEFT}" y1="{y_text}" x2="{_PLOT_RIGHT}" y2="{y_text}" '
             f'stroke="#cccccc" stroke-width="0.5"/>')
         parts.append(
             f'<text x="{_PLOT_LEFT - 6}" y="{_num(y + 3.5)}" font-family="sans-serif" '
             f'font-size="11" text-anchor="end">{value:g}</text>')
         tick += 1
 
-    # x ticks: at most eight labeled years
-    if years:
-        year_step = max(1, math.ceil((years[-1] - years[0]) / 7)) if len(years) > 1 else 1
-        year = years[0]
-        while year <= years[-1]:
-            x = x_at(year)
-            parts.append(
-                f'<line x1="{_num(x)}" y1="{_PLOT_BOTTOM}" x2="{_num(x)}" '
-                f'y2="{_PLOT_BOTTOM + 5}" stroke="black" stroke-width="1"/>')
-            parts.append(
-                f'<text x="{_num(x)}" y="{_PLOT_BOTTOM + 19}" font-family="sans-serif" '
-                f'font-size="11" text-anchor="middle">{year}</text>')
-            year += year_step
-
-    # axes
-    parts.append(
-        f'<line x1="{_PLOT_LEFT}" y1="{_PLOT_TOP}" x2="{_PLOT_LEFT}" '
-        f'y2="{_PLOT_BOTTOM}" stroke="black" stroke-width="1"/>')
-    parts.append(
-        f'<line x1="{_PLOT_LEFT}" y1="{_PLOT_BOTTOM}" x2="{_PLOT_RIGHT}" '
-        f'y2="{_PLOT_BOTTOM}" stroke="black" stroke-width="1"/>')
+    parts.append(x_axis)
 
     if values:
         for index, series in enumerate(series_list):
@@ -127,11 +148,11 @@ def render_plot(series_list, title):
                 if len(run) == 1:
                     year, value = run[0]
                     parts.append(
-                        f'<circle cx="{_num(x_at(year))}" cy="{_num(y_at(value))}" '
+                        f'<circle cx="{x_of[year]}" cy="{_num(y_at(value))}" '
                         f'r="2.5" fill="black"/>')
                 else:
                     coords = " ".join(
-                        f"{'M' if i == 0 else 'L'} {_num(x_at(year))} {_num(y_at(value))}"
+                        f"{'M' if i == 0 else 'L'} {x_of[year]} {_num(y_at(value))}"
                         for i, (year, value) in enumerate(run))
                     parts.append(
                         f'<path d="{coords}" fill="none" stroke="black" '
@@ -153,7 +174,7 @@ def render_plot(series_list, title):
             f'stroke="black" stroke-width="1.5"{dash}/>')
         parts.append(
             f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{html.escape(series.label, quote=False)}</text>')
+            f'font-size="11">{escape(series.label, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -9,14 +9,13 @@ articles in a single year can otherwise look like a steep trend.
 
 from __future__ import annotations
 
-import html
 from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import SlopeError
 from .frequency import Query, QuerySeries, evaluate
-from .plotting import render_plot
+from .plotting import escape, render_plot
 
 DEFAULT_MIN_SUPPORT = 30
 DEFAULT_MIN_YEARS = 5
@@ -124,7 +123,7 @@ def build_catalog(table, limit, out_dir, year_range=None):
 
 def _index_html(index):
     rows = "\n".join(
-        f'<tr><td>{html.escape(ngram)}</td><td>{total}</td>'
+        f'<tr><td>{escape(ngram)}</td><td>{total}</td>'
         f'<td><a href="{filename}">{filename}</a></td></tr>'
         for ngram, total, filename in index)
     return (

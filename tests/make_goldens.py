@@ -53,10 +53,12 @@ def main():
     assert run(["query", "-i", str(records), DEMO_QUERIES[0], "-o", str(series)]) == 0
     assert run(["demo", "-i", str(records), "-o", str(out)]) == 0
 
-    # unit golden for the renderer
-    from test_plotting import two_series_fixture  # noqa: E402
+    # unit goldens for the renderer
+    from test_plotting import gapped_fixture, two_series_fixture  # noqa: E402
     (ROOT / "tests" / "golden" / "two_series.svg").write_text(
         render_plot(two_series_fixture(), "two series fixture"), encoding="utf-8")
+    (ROOT / "tests" / "golden" / "gapped_years.svg").write_text(
+        render_plot(gapped_fixture(), "gapped years"), encoding="utf-8")
 
     print(f"golden outputs written to {out}")
 

@@ -191,7 +191,7 @@ def test_cli_import_skips_unused_stdlib_chains():
                               f"import trendgram.cli; {listing}"))
     assert "trendgram.cli" in with_cli
     unused = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses",
-              "importlib.resources", "hashlib")
+              "importlib.resources", "hashlib", "html")
     loaded = sorted(name for name in with_cli - bare
                     if any(name == root or name.startswith(root + ".") for root in unused))
     assert loaded == []

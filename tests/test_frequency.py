@@ -5,12 +5,15 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle import naive_freq, naive_freq_list, naive_ngram_counts
 from support import random_sentences
 from trendgram.errors import QueryError
-from trendgram.frequency import (evaluate, freq, freq_list, parse_query,
-                                 write_series_csv, write_series_json)
+from trendgram.frequency import (Query, QuerySeries, SeriesPoint, evaluate, freq, freq_list,
+                                 parse_query, query_lengths, write_series_csv,
+                                 write_series_json)
 from trendgram.ngrams import build_table, count_ngrams, read_table, write_records
 
 
@@ -252,6 +255,40 @@ def test_mixed_length_union_normalizes_per_length():
                      (2, "program slicing", 2000, 1), (2, "source code", 2000, 3))
     series = evaluate(table, parse_query("slicing+program slicing"), (2000, 2000))[0]
     assert series.points[2000].frequency == 2 / 4 + 1 / 4
+
+
+PHRASES = st.lists(st.sampled_from(("code", "model", "test")), min_size=1, max_size=4).map(tuple)
+COUNTS = st.dictionaries(
+    st.tuples(PHRASES, st.integers(2000, 2004)).map(
+        lambda key: (len(key[0]), " ".join(key[0]), key[1])),
+    st.integers(1, 10**6), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=COUNTS, series=st.lists(st.lists(PHRASES, min_size=1, max_size=4),
+                                      min_size=1, max_size=3),
+       lo=st.integers(1998, 2006), width=st.integers(0, 8))
+@example(counts={(1, "code", 2000): 3, (1, "test", 2000): 1, (2, "code test", 2001): 5,
+                 (2, "model test", 2001): 2, (3, "code test model", 2002): 7},
+         series=[[("code",), ("code", "test"), ("code",)], [("test",), ("model", "test")]],
+         lo=1999, width=4)
+def test_evaluate_is_freq_list_and_has_data_per_year(tmp_path_factory, counts, series, lo,
+                                                     width):
+    # Mixed lengths, repeated phrases, years where one length has no
+    # data, ranges past the table's years, full and partial tables.
+    query = Query([QuerySeries(f"s{i}", phrases) for i, phrases in enumerate(series)])
+    full = build_table(counts)
+    path = tmp_path_factory.mktemp("evaluate") / "records.csv"
+    write_records(full, path)
+    for table in (full, read_table(path, query_lengths(query))):
+        got = evaluate(table, query, (lo, lo + width))
+        assert [s.label for s in got] == [qs.label for qs in query.series]
+        for result, qs in zip(got, query.series):
+            assert result.points == {
+                year: SeriesPoint(freq_list(table, qs.phrases, year),
+                                  any(table.has_data(len(p), year) for p in qs.phrases))
+                for year in range(lo, lo + width + 1)}
+            assert all(type(point.frequency) is float for point in result.points.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import html
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trendgram.frequency import FrequencySeries, SeriesPoint
-from trendgram.plotting import render_plot
+from trendgram.plotting import escape, render_plot
 
 
 def series_of(points, label="s", gaps=()):
@@ -22,6 +25,15 @@ def two_series_fixture():
     return [rising, bumpy]
 
 
+def gapped_fixture():
+    """Two series over 2000-2014 whose years skip most tick years
+    (2002, 2004, 2006, 2008, 2012), one of them with a no-data year."""
+    early = series_of({2000: 0.03, 2001: 0.04, 2005: 0.02, 2009: 0.05, 2014: 0.01},
+                      label="early", gaps=(2005,))
+    late = series_of({2001: 0.01, 2003: 0.06, 2010: 0.02, 2011: 0.03}, label="late")
+    return [early, late]
+
+
 def test_render_requires_a_series():
     with pytest.raises(ValueError):
         render_plot([], "empty")
@@ -36,6 +48,19 @@ def test_render_is_deterministic():
 def test_render_matches_golden(golden_dir):
     got = render_plot(two_series_fixture(), "two series fixture")
     assert got == (golden_dir / "two_series.svg").read_text()
+
+
+def test_gapped_years_match_golden(golden_dir):
+    got = render_plot(gapped_fixture(), "gapped years")
+    assert got == (golden_dir / "gapped_years.svg").read_text()
+
+
+def test_plots_over_other_years_leave_a_plot_unchanged(golden_dir):
+    golden = (golden_dir / "gapped_years.svg").read_text()
+    assert render_plot(gapped_fixture(), "gapped years") == golden
+    other = render_plot([series_of({1990 + i: 0.1 * i for i in range(4)})], "other")
+    assert ">1990</text>" in other and ">1993</text>" in other and ">2000</text>" not in other
+    assert render_plot(gapped_fixture(), "gapped years") == golden
 
 
 def test_constant_series_draws_horizontal_line():
@@ -93,3 +118,9 @@ def test_headroom_scales_axis():
     svg = render_plot([series_of({2000: 1.0, 2001: 0.5})], "head")
     # top gridline label reflects the nice step above max*1.1
     assert re.search(r">1</text>", svg)
+
+
+@given(st.text())
+def test_escape_matches_html_escape(text):
+    assert escape(text, quote=False) == html.escape(text, quote=False)
+    assert escape(text) == html.escape(text)
