@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import re
 import stat
 import struct
 import zlib
@@ -39,8 +38,6 @@ RECORDS_HEADER = ("n", "ngram", "year", "count")
 NGRAM_MAX = 4
 
 _ALL_LENGTHS = frozenset(range(1, NGRAM_MAX + 1))
-
-_NEEDS_QUOTES = re.compile('[,"\n\r]')
 
 
 class NgramRecord(NamedTuple):
@@ -99,8 +96,9 @@ class FrequencyTable:
         return len(self.counts)
 
     def __iter__(self):
-        for key in sorted(self.counts):
-            yield NgramRecord(*key, self.counts[key])
+        counts = self.counts
+        for key in _sorted_keys(counts):
+            yield NgramRecord(*key, counts[key])
 
     def require(self, lengths):
         """Raise `ValueError` unless the table holds every n-gram length
@@ -211,6 +209,19 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     return FrequencyTable(counts)
 
 
+def _sorted_keys(counts):
+    """The keys of `counts` in (n, ngram, year) order, one length at a
+    time. Within a length, a stable sort by year and then one by n-gram
+    give exactly `sorted` order, but each pass compares only ints or
+    only strings, which is much cheaper than comparing 3-tuples that
+    mostly tie on n; only one length's key list is alive at a time."""
+    for n in sorted({key[0] for key in counts}):
+        keys = [key for key in counts if key[0] == n]
+        keys.sort(key=itemgetter(2))
+        keys.sort(key=itemgetter(1))
+        yield from keys
+
+
 def write_records(table, dest):
     """Write the table's rows as `n,ngram,year,count` in key order.
 
@@ -220,12 +231,13 @@ def write_records(table, dest):
     """
     counts = table.counts
     with open_for_write(dest) as fh:
-        fh.write(",".join(RECORDS_HEADER) + "\n")
-        for key in sorted(counts):
+        write = fh.write
+        write(",".join(RECORDS_HEADER) + "\n")
+        for key in _sorted_keys(counts):
             n, ngram, year = key
-            if _NEEDS_QUOTES.search(ngram):
+            if "," in ngram or '"' in ngram or "\n" in ngram or "\r" in ngram:
                 ngram = '"' + ngram.replace('"', '""') + '"'
-            fh.write(f"{n},{ngram},{year},{counts[key]}\n")
+            write(f"{n},{ngram},{year},{counts[key]}\n")
 
 
 def read_table(source, lengths=None):

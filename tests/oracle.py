@@ -7,7 +7,10 @@ real implementations against these.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
 
 
 def naive_ngram_counts(sentences, stopwords, n_min=1, n_max=4):
@@ -31,6 +34,20 @@ def naive_ngram_counts(sentences, stopwords, n_min=1, n_max=4):
                 key = (n, " ".join(window), sentence.year)
                 counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def naive_records_text(counts):
+    """The records CSV text of a `(n, ngram, year) -> count` dict: the
+    header, then one row per key in `sorted` order. An n-gram cell in
+    which a regex finds a comma, a quote, `\n` or `\r` is quoted, with
+    its quotes doubled."""
+    lines = ["n,ngram,year,count\n"]
+    for key in sorted(counts):
+        n, ngram, year = key
+        if _NEEDS_QUOTES.search(ngram):
+            ngram = '"' + ngram.replace('"', '""') + '"'
+        lines.append(f"{n},{ngram},{year},{counts[key]}\n")
+    return "".join(lines)
 
 
 def naive_freq(counts, phrase, year):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trendgram
-from oracle import naive_ngram_counts
+from oracle import naive_ngram_counts, naive_records_text
 from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
 from trendgram import ngrams
 from trendgram.cli import run
@@ -276,6 +276,50 @@ def test_write_records_sorted_and_roundtrips():
     lines = buffer.getvalue().splitlines()
     assert lines[1:] == ["1,a,2003,9", "1,a,2005,2", "1,z,2000,1", "2,b b,2001,4"]
     assert read_records(io.StringIO(buffer.getvalue())) == counts
+
+
+# N-gram texts for the writer, which checks neither lengths nor tokens:
+# prefixes of one another, separators and non-ASCII text.
+WRITER_CHARACTERS = st.sampled_from(list('ab -,"\n\ré漢')) | st.characters(exclude_categories=("Cs",))
+WRITER_KEYS = st.tuples(st.integers(-2, 12), st.text(WRITER_CHARACTERS, min_size=1, max_size=6),
+                        st.integers(-10**5, 10**5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.dictionaries(WRITER_KEYS, st.integers(1, 10**12), max_size=40))
+@example(counts={(1, "ab", 2000): 1, (1, "a-b", 2000): 2, (1, "a b", 2000): 3, (1, "a", 2000): 4,
+                 (1, "a", 10000): 5, (1, "a", 999): 6, (1, "a", -1): 7, (1, "a", -20): 8,
+                 (2, "a b", 2000): 9, (7, "x,y", 0): 10, (3, 'say "x"', 7): 11,
+                 (2, "line\nfeed", 7): 12, (2, "carriage\rreturn", 7): 13, (2, "naïve café", 7): 14,
+                 (12, "漢字", 7): 15})
+def test_write_records_matches_oracle_writer(tmp_path_factory, counts):
+    expected = naive_records_text(counts)
+    buffer = io.StringIO()
+    write_records(build_table(counts), buffer)
+    assert buffer.getvalue() == expected
+    path = tmp_path_factory.mktemp("oracle") / "records.csv"
+    write_records(build_table(counts), path)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def assert_iterates_in_key_order(table):
+    counts = table.counts
+    assert list(table) == [NgramRecord(*key, counts[key]) for key in sorted(counts)]
+
+
+def test_tables_iterate_in_key_order(stoplist, tmp_path):
+    table = count_ngrams(random_sentences(random.Random(5), 60), stoplist)
+    assert list(table.counts) != sorted(table.counts)
+    assert_iterates_in_key_order(table)
+    path = tmp_path / "records.csv"
+    write_records(table, path)
+    parsed = read_table(path, (2, 4))
+    assert index_of(path).exists()
+    indexed = read_table(path, (2, 4))
+    assert parsed.lengths == indexed.lengths == {2, 4}
+    assert parsed == indexed
+    assert_iterates_in_key_order(parsed)
+    assert_iterates_in_key_order(indexed)
 
 
 def test_read_records_accepts_quoted_ngrams():
