@@ -157,19 +157,19 @@ def cmd_ingest(args):
         raise UsageError("", "at least one input file is required (--bibtex/--csv/--endnote)")
 
     lists = []
-    ordinals = {"bibtex": 1, "csv": 1, "endnote": 1}
-    for source, paths, parse in (
-        ("bibtex", args.bibtex, lambda t, o: parse_bibtex(t, year_range, o)),
-        ("csv", args.csv, lambda t, o: parse_csv(t, mapping, year_range, o)),
-        ("endnote", args.endnote, lambda t, o: parse_endnote(t, year_range, o)),
+    for paths, parse in (
+        (args.bibtex, lambda t, o: parse_bibtex(t, year_range, o)),
+        (args.csv, lambda t, o: parse_csv(t, mapping, year_range, o)),
+        (args.endnote, lambda t, o: parse_endnote(t, year_range, o)),
     ):
+        ordinal = 1
         for path in paths:
             text = read_text(path)
             try:
-                entries, diagnostics = parse(text, ordinals[source])
+                entries, diagnostics = parse(text, ordinal)
             except IngestError as exc:
                 raise IngestError(f"{location(path, exc.line)}{exc.message}") from None
-            ordinals[source] += len(entries)
+            ordinal += len(entries)
             for diagnostic in diagnostics:
                 print(f"{path}:{diagnostic.line}: {diagnostic.message}", file=sys.stderr)
             lists.append(entries)

@@ -102,9 +102,14 @@ def _make_entry(source, ordinal, title, abstract, keywords, authors, year_text,
 # BibTeX
 
 _SKIPPED_RECORD_TYPES = {"string", "preamble", "comment"}
+# A record starts at an `@` that does not follow a letter, digit, `.`,
+# `_`, `-` or `+` (an e-mail address); group 2 is its opening brace.
+_RECORD_START_RE = re.compile(r"(?<![\w.+-])@([\w-]*)\s*(\{)?")
+_BRACE_RE = re.compile("[{}]")
+_SPLIT_MARK_RE = re.compile('[{}",]')
 _TEX_COMMAND_RE = re.compile(r"\\[A-Za-z]+\s*")
 _TEX_ESCAPE_RE = re.compile(r"\\(.)")
-_AUTHOR_AND_RE = re.compile(r"\s+and\s+", re.IGNORECASE)
+_AUTHOR_SEP_RE = re.compile(r"\s+and\s+|;", re.IGNORECASE)
 _KEYWORD_SEP_RE = re.compile(r"[;,]")
 _SEMICOLON_RE = re.compile(";")
 
@@ -112,10 +117,11 @@ _SEMICOLON_RE = re.compile(";")
 def parse_bibtex(text, year_range=None, start_ordinal=1):
     """Parse `@type{key, field = {value}, ...}` records into entries.
 
-    Recognized fields: title, abstract, keywords, year, author; anything
-    else is ignored. Records with unbalanced braces, a missing or
-    non-numeric year, an out-of-range year, or no title produce a
-    `Diagnostic` and are skipped; parsing resumes at the next record.
+    Recognized fields: title, abstract, keywords (split on `;` or `,`),
+    year, author (names split on ` and ` or `;`); anything else is
+    ignored. Records with unbalanced braces, a missing or non-numeric
+    year, an out-of-range year, or no title produce a `Diagnostic` and
+    are skipped; parsing resumes at the next record.
     An `@` right after a letter, digit, `.`, `_`, `-` or `+` belongs to
     an e-mail address in free text and starts no record.
 
@@ -126,23 +132,19 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
     ordinal = start_ordinal
     pos = 0
     line, line_start = 1, 0  # the line number of text[line_start]
-    while True:
-        at = text.find("@", pos)
-        if at == -1:
-            break
-        if at > 0 and (text[at - 1].isalnum() or text[at - 1] in "._-+"):
-            pos = at + 1  # an e-mail address in free text, not a record
-            continue
+    while match := _RECORD_START_RE.search(text, pos):
+        at = match.start()
         line += text.count("\n", line_start, at)
         line_start = at
-        record_type, body, end = _scan_record(text, at)
-        if body is None:
+        end = _record_body(text, match.end()) if match[2] else None
+        if end is None:
             diagnostics.append(Diagnostic(line, "unbalanced braces in record"))
             pos = _resync(text, at)
             continue
-        pos = end
-        if record_type in _SKIPPED_RECORD_TYPES:
+        pos = end + 1
+        if match[1].lower() in _SKIPPED_RECORD_TYPES:
             continue
+        body = text[match.end():end]
         fields = _record_fields(body)
         entry, problem = _make_entry(
             "bibtex",
@@ -150,7 +152,7 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
             title=fields.get("title", ""),
             abstract=fields.get("abstract", ""),
             keywords=_split_on(fields.get("keywords", ""), _KEYWORD_SEP_RE),
-            authors=_split_on(fields.get("author", ""), _AUTHOR_AND_RE),
+            authors=_split_on(fields.get("author", ""), _AUTHOR_SEP_RE),
             year_text=fields.get("year", ""),
             year_range=year_range,
         )
@@ -163,34 +165,16 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
     return entries, diagnostics
 
 
-def _scan_record(text, at):
-    """Find the extent of the record starting at `text[at] == '@'`.
-
-    Returns `(type, body, end)`; `body` is None when the record has no
-    opening brace or its braces never balance before end of input.
-    """
-    idx = at + 1
-    type_start = idx
-    while idx < len(text) and (text[idx].isalnum() or text[idx] in "_-"):
-        idx += 1
-    record_type = text[type_start:idx].lower()
-    while idx < len(text) and text[idx].isspace():
-        idx += 1
-    if idx >= len(text) or text[idx] != "{":
-        return record_type, None, idx
+def _record_body(text, start):
+    """The end of the record body that starts at `text[start]`, just
+    past its opening brace: the index of its closing brace, or None
+    when its braces never balance."""
     depth = 1
-    idx += 1
-    body_start = idx
-    while idx < len(text) and depth > 0:
-        ch = text[idx]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        idx += 1
-    if depth != 0:
-        return record_type, None, idx
-    return record_type, text[body_start:idx - 1], idx
+    for brace in _BRACE_RE.finditer(text, start):
+        depth += 1 if brace[0] == "{" else -1
+        if depth == 0:
+            return brace.start()
+    return None
 
 
 def _resync(text, at):
@@ -212,21 +196,23 @@ def _record_fields(body):
 
 def _split_top_level(text):
     """Split on commas that are outside braces and quotes."""
-    chunks: list[list[str]] = [[]]
+    chunks = []
     depth = 0
     in_quotes = False
-    for ch in text:
-        if ch == '"' and depth == 0:
-            in_quotes = not in_quotes
-        elif ch == "{":
+    start = 0
+    for mark in _SPLIT_MARK_RE.finditer(text):
+        ch = mark[0]
+        if ch == "{":
             depth += 1
         elif ch == "}":
             depth = max(depth - 1, 0)
-        if ch == "," and depth == 0 and not in_quotes:
-            chunks.append([])
-        else:
-            chunks[-1].append(ch)
-    return [c for c in ("".join(chunk).strip() for chunk in chunks) if c]
+        elif depth == 0 and ch == '"':
+            in_quotes = not in_quotes
+        elif depth == 0 and not in_quotes:
+            chunks.append(text[start:mark.start()])
+            start = mark.end()
+    chunks.append(text[start:])
+    return [c for c in (chunk.strip() for chunk in chunks) if c]
 
 
 def _clean_value(raw):
@@ -264,7 +250,7 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
         if field not in mapping:
             raise IngestError(f"CSV mapping must include '{field}'")
 
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))
     rows = _checked_rows(reader)
     try:
         header = next(rows)
@@ -327,9 +313,9 @@ _ENDNOTE_KEYWORD_SEP_RE = re.compile(r"[;\n]")
 def parse_endnote(text, year_range=None, start_ordinal=1):
     """Parse refer-style tagged records separated by blank lines.
 
-    Tags: %T title, %A author (repeatable), %D year, %K keywords
-    (split on `;` or newline), %X abstract. Untagged lines continue the
-    previous tag's value; unknown tags are ignored.
+    Tags: %T title, %A author (repeatable, split on `;`), %D year, %K
+    keywords (split on `;` or newline), %X abstract. Untagged lines
+    continue the previous tag's value; unknown tags are ignored.
     """
     entries: list[Entry] = []
     diagnostics: list[Diagnostic] = []
@@ -353,7 +339,7 @@ def parse_endnote(text, year_range=None, start_ordinal=1):
             title=values["%T"][-1],
             abstract=values["%X"][-1],
             keywords=_split_on("\n".join(values["%K"]), _ENDNOTE_KEYWORD_SEP_RE),
-            authors=[name for name in (a.strip() for a in values["%A"]) if name],
+            authors=_split_on(";".join(values["%A"]), _SEMICOLON_RE),
             year_text=values["%D"][-1],
             year_range=year_range,
         )
@@ -435,8 +421,8 @@ def write_corpus(entries, dest):
     """Write entries as the canonical corpus CSV, preserving order.
 
     Keywords and authors are `;`-joined inside their cells, so the
-    items themselves must not contain semicolons (the parsers guarantee
-    this by construction).
+    items themselves must not contain semicolons; the parsers split
+    both on `;`, so no entry they return holds one.
     """
     with open_for_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -10,6 +10,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from trendgram.ingest import (_AUTHOR_SEP_RE, _KEYWORD_SEP_RE, _SKIPPED_RECORD_TYPES,
+                              Diagnostic, Entry, _clean_value, _make_entry, _resync,
+                              _split_on)
+
 _NEEDS_QUOTES = re.compile('[,"\n\r]')
 
 
@@ -86,3 +90,109 @@ def exact_ols_slope(points):
     sxy = sum(Fraction(x) * Fraction(y) for x, y in points)
     sxx = sum(Fraction(x) * Fraction(x) for x, _ in points)
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
+def naive_parse_bibtex(text, year_range=None, start_ordinal=1):
+    """`parse_bibtex` as it was before its scanners became regexes: it
+    finds each `@` with `str.find` and walks records and fields one
+    character at a time."""
+    entries: list[Entry] = []
+    diagnostics: list[Diagnostic] = []
+    ordinal = start_ordinal
+    pos = 0
+    line, line_start = 1, 0  # the line number of text[line_start]
+    while True:
+        at = text.find("@", pos)
+        if at == -1:
+            break
+        if at > 0 and (text[at - 1].isalnum() or text[at - 1] in "._-+"):
+            pos = at + 1  # an e-mail address in free text, not a record
+            continue
+        line += text.count("\n", line_start, at)
+        line_start = at
+        record_type, body, end = _scan_record(text, at)
+        if body is None:
+            diagnostics.append(Diagnostic(line, "unbalanced braces in record"))
+            pos = _resync(text, at)
+            continue
+        pos = end
+        if record_type in _SKIPPED_RECORD_TYPES:
+            continue
+        fields = _record_fields(body)
+        entry, problem = _make_entry(
+            "bibtex",
+            ordinal,
+            title=fields.get("title", ""),
+            abstract=fields.get("abstract", ""),
+            keywords=_split_on(fields.get("keywords", ""), _KEYWORD_SEP_RE),
+            authors=_split_on(fields.get("author", ""), _AUTHOR_SEP_RE),
+            year_text=fields.get("year", ""),
+            year_range=year_range,
+        )
+        if problem:
+            key = body.partition(",")[0].strip() or "?"
+            diagnostics.append(Diagnostic(line, f"record '{key}': {problem}"))
+            continue
+        entries.append(entry)
+        ordinal += 1
+    return entries, diagnostics
+
+
+def _scan_record(text, at):
+    """Find the extent of the record starting at `text[at] == '@'`.
+
+    Returns `(type, body, end)`; `body` is None when the record has no
+    opening brace or its braces never balance before end of input.
+    """
+    idx = at + 1
+    type_start = idx
+    while idx < len(text) and (text[idx].isalnum() or text[idx] in "_-"):
+        idx += 1
+    record_type = text[type_start:idx].lower()
+    while idx < len(text) and text[idx].isspace():
+        idx += 1
+    if idx >= len(text) or text[idx] != "{":
+        return record_type, None, idx
+    depth = 1
+    idx += 1
+    body_start = idx
+    while idx < len(text) and depth > 0:
+        ch = text[idx]
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        idx += 1
+    if depth != 0:
+        return record_type, None, idx
+    return record_type, text[body_start:idx - 1], idx
+
+
+def _record_fields(body):
+    fields: dict[str, str] = {}
+    rest = body.partition(",")[2]
+    for chunk in _split_top_level(rest):
+        name, eq, raw = chunk.partition("=")
+        if not eq:
+            continue
+        fields[name.strip().lower()] = _clean_value(raw)
+    return fields
+
+
+def _split_top_level(text):
+    """Split on commas that are outside braces and quotes."""
+    chunks: list[list[str]] = [[]]
+    depth = 0
+    in_quotes = False
+    for ch in text:
+        if ch == '"' and depth == 0:
+            in_quotes = not in_quotes
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth = max(depth - 1, 0)
+        if ch == "," and depth == 0 and not in_quotes:
+            chunks.append([])
+        else:
+            chunks[-1].append(ch)
+    return [c for c in ("".join(chunk).strip() for chunk in chunks) if c]

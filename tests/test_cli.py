@@ -94,6 +94,18 @@ def test_ingest_writes_corpus_and_report_to_stderr(tmp_path, capsys):
     assert len(read_corpus(out)) == 2
 
 
+def test_ingest_ids_count_on_across_files_of_one_source(tmp_path, capsys):
+    first, second, enw = tmp_path / "1.bib", tmp_path / "2.bib", tmp_path / "x.enw"
+    first.write_text(BIB)
+    second.write_text(BIB.replace("title={", "title={More "))
+    enw.write_text("%T Elsewhere\n%A C. Three\n%D 2007\n%X Text.\n")
+    out = tmp_path / "corpus.csv"
+    assert run(["ingest", "--bibtex", str(first), "--bibtex", str(second),
+                "--endnote", str(enw), "-o", str(out)]) == 0
+    assert [e.id for e in read_corpus(out)] == [
+        "bibtex:1", "bibtex:2", "bibtex:3", "bibtex:4", "endnote:1"]
+
+
 def test_ingest_diagnostics_name_file_and_line(tmp_path, capsys):
     bib = tmp_path / "x.bib"
     bib.write_text("@article{bad, title={T}, abstract={A.}, author={X}, year={nope}}\n" + BIB)

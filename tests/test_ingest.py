@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trendgram
+from oracle import naive_parse_bibtex
 from support import make_entry
 from trendgram.errors import IngestError
 from trendgram.ingest import (Diagnostic, filter_incomplete, merge_dedup,
@@ -157,6 +159,40 @@ def test_parse_bibtex_ordinals_continue():
         "@article{a, title={T}, abstract={A.}, author={X}, year={2005}}",
         start_ordinal=7)
     assert entries[0].id == "bibtex:7"
+
+
+# Records built from parts, with field values drawn from the characters
+# that steer the field split, between runs of characters that steer the
+# record scan (e-mail `@`s, non-ASCII letters and digits, backslashes).
+_BIBTEX_VALUE = st.lists(st.sampled_from(list('{}",= a\n\\') + ["2001", '{"}']),
+                         max_size=10).map("".join)
+_BIBTEX_RECORD = st.builds(
+    "@{}{}{{{},{}}}".format,
+    st.sampled_from(["article", "MISC", "string", "comment", "", "a-b_1"]),
+    st.sampled_from(["", " ", "\n\t"]),
+    st.sampled_from(["k", "", " k ", "k{", "{k}"]),
+    st.lists(st.builds("{}={}".format, st.sampled_from(["title", "year", "author", "x"]),
+                       _BIBTEX_VALUE), max_size=4).map(",".join),
+)
+_BIBTEX_TEXT = st.lists(
+    st.one_of(_BIBTEX_RECORD,
+              st.sampled_from(list('@@{}",=\n._-+ aX') + ["\u00e9", "\u0661", "\\"])),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BIBTEX_TEXT, st.sampled_from([None, (2000, 2014)]), st.integers(1, 3))
+@example("@article{bad, title={T, year=2001\n@article{ok, title={T}, year=2002}\n", None, 1)
+@example("@x{a, title={T}, year=2001} a.@b{c} b_@b{c} c-@b{c} d+@b{c} \u00e9@b{c} \u0661@b{c} ",
+         None, 1)
+@example("@string{s = {v}}\n@COMMENT{x}\n@article{a, title={T}, year=2001}", None, 1)
+@example("@article no brace\n@article{a, title={T}, year=2001}", None, 1)
+@example('@article{a, title={A {nested {b}} "c}, year={20{0}1}}', None, 1)
+@example('@article{a, title="Quoted, with comma", year=2001}', None, 1)
+def test_parse_bibtex_matches_naive_scanner(text, year_range, start_ordinal):
+    assert (parse_bibtex(text, year_range, start_ordinal)
+            == naive_parse_bibtex(text, year_range, start_ordinal))
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +484,55 @@ def test_read_corpus_rejects_unknown_source():
 
 def test_parsers_roundtrip_through_corpus(tmp_path):
     bib_entries, _ = parse_bibtex(
-        "@article{a, title={T, one}, abstract={A.}, author={X and Y}, year={2005}, keywords={k1; k2}}")
+        "@article{a, title={T, one}, abstract={A.}, author={X and Y}, year={2005}, keywords={k1; k2}}\n"
+        "@a{k, title={T}, year=2001, abstract={A}, author={Doe; Jane and Roe}}")
     csv_entries, _ = parse_csv(
         'Document Title,Authors,Publication Year,Abstract,Author Keywords\n'
-        '"C, title",P. Q;R. S,2006,Abstract text.,kw a;kw b\n')
-    enw_entries, _ = parse_endnote("%T E title\n%A Z. Z\n%D 2007\n%K k\n%X Abs.\n")
+        '"C, title",P. Q;R. S,2006,Abstract text.,kw a;kw b\n'
+        '"a\rb",X,2001,A,\r')
+    enw_entries, _ = parse_endnote("%T E title\n%A Z. Z\n%A Doe; Jane\n%D 2007\n%K k\n%X Abs.\n")
+    assert [e.authors for e in bib_entries] == [["X", "Y"], ["Doe", "Jane", "Roe"]]
+    assert [e.title for e in csv_entries] == ["C, title", "a\nb"]
+    assert enw_entries[0].authors == ["Z. Z", "Doe", "Jane"]
     entries = bib_entries + csv_entries + enw_entries
     path = tmp_path / "corpus.csv"
     write_corpus(entries, path)
     assert read_corpus(path) == entries
+
+
+# Pieces of all three export formats, and characters their readers and
+# the corpus writer treat specially (NUL and every line break included).
+_EXPORT_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(list('@{}",=;%\n\r\t .-+aT1') + ["\x00", "\x0b", "\x85", "\u2028",
+                                                        "\u00e9", "\u0661", "\\"]),
+        st.sampled_from(["@article{k, title={T}, year=2001, author={A; B}, abstract={X}}",
+                         "%T T\n%A A; B\n%D 2001\n%X X\n", 'T,"A;B",2001,X,k\n',
+                         '"T\rU",A,2001,X,\r\n', "title=", "year=", "%A ", "%D 20", "\n\n"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@pytest.mark.parametrize("parse", [parse_bibtex, parse_csv, parse_endnote])
+@given(prefix=st.sampled_from(["", CSV_HEADER]), body=_EXPORT_TEXT)
+def test_parsers_survive_any_text(parse, prefix, body):
+    text = prefix + body
+    try:
+        entries, diagnostics = parse(text)
+    except IngestError:
+        return
+    lines = max(len(text.splitlines()), 1)
+    assert all(1 <= diagnostic.line <= lines for diagnostic in diagnostics)
+    buffer = io.StringIO()
+    write_corpus(entries, buffer)
+    written = buffer.getvalue()
+    if "\x00" in written and sys.version_info < (3, 11):  # its csv module cannot read NUL
+        with pytest.raises(IngestError):
+            read_corpus(io.StringIO(written))
+    else:
+        assert read_corpus(io.StringIO(written)) == entries
 
 
 def test_random_entry_lists_report_invariant():
