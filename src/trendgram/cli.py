@@ -11,22 +11,49 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from ._io import location, open_for_write, read_text
+from ._limits import (CSV_FIELDS, DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
+                      DEFAULT_YEAR_RANGE, NGRAM_MAX)
 from .errors import IngestError, TrendgramError
-from .frequency import (evaluate, parse_query, query_lengths, write_series_csv,
-                        write_series_json)
-from .ingest import (DEFAULT_YEAR_RANGE, CSV_FIELDS, merge_dedup, parse_bibtex,
-                     parse_csv, parse_endnote, read_corpus, write_corpus)
-# `build_table` and `read_records` are unused here but stay importable from this
-# module: bench/tracing.py wraps them under these names.
-from .ngrams import (NGRAM_MAX, Stoplist, build_table, count_ngrams, read_records,
-                     read_table, top_ngrams, write_records)
-from .plotting import render_plot
-from .textprep import entry_sentences
-from .trends import (DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
-                     build_catalog, rank_trends)
+
+# The stage functions the commands call. Each command binds the groups it
+# runs as globals of this module on first use, so no command loads a stage
+# it does not run. They stay patchable as `trendgram.cli.<name>`, before any
+# command has run too: bench/tracing.py wraps them there, `build_table` and
+# `read_records` included, although no command calls those two.
+_STAGES = {
+    "_io": ("location", "open_for_write", "read_text"),
+    "frequency": ("evaluate", "parse_query", "query_lengths", "write_series_csv",
+                  "write_series_json"),
+    "ingest": ("merge_dedup", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
+               "write_corpus"),
+    "ngrams": ("Stoplist", "build_table", "count_ngrams", "read_records", "read_table",
+               "top_ngrams", "write_records"),
+    "plotting": ("render_plot",),
+    "textprep": ("entry_sentences",),
+    "trends": ("build_catalog", "rank_trends"),
+}
+_STAGE_OF = {name: module for module, names in _STAGES.items() for name in names}
+
+
+def _load(*modules):
+    """Bind the names of `modules` here; a name already set, such as a
+    wrapper patched in, is kept."""
+    for module in modules:
+        stage = import_module(f"{__package__}.{module}")
+        for name in _STAGES[module]:
+            globals().setdefault(name, getattr(stage, name))
+
+
+def __getattr__(name):
+    module = _STAGE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 STOPLIST_ENV = "TRENDGRAM_STOPLIST"
 
@@ -148,6 +175,7 @@ def main():
 # subcommands
 
 def cmd_ingest(args):
+    _load("_io", "ingest")
     if args.year_min > args.year_max:
         raise UsageError("", f"year-min {args.year_min} is greater than year-max {args.year_max}")
     year_range = (args.year_min, args.year_max)
@@ -202,6 +230,7 @@ def _load_stoplist(path_argument):
 
 
 def cmd_extract(args):
+    _load("ingest", "ngrams", "textprep")
     stoplist = _load_stoplist(args.stoplist)
     entries = read_corpus(args.input)
     sentences = (sentence for entry in entries for sentence in entry_sentences(entry))
@@ -231,6 +260,9 @@ def _write_svg(path, series, title):
 
 
 def cmd_query(args):
+    _load("frequency", "ngrams")
+    if args.svg:
+        _load("_io", "plotting")
     query = parse_query(args.query)
     table = read_table(args.input, query_lengths(query))
     series = evaluate(table, query, _year_range_for(args, table))
@@ -246,6 +278,7 @@ def cmd_query(args):
 
 
 def cmd_top(args):
+    _load("ngrams")
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
     table = read_table(args.input, (args.n,))
@@ -255,6 +288,7 @@ def cmd_top(args):
 
 
 def cmd_catalog(args):
+    _load("ngrams", "trends")
     if args.limit < 1:
         raise UsageError("", "--limit must be at least 1")
     table = read_table(args.input)
@@ -269,6 +303,7 @@ def cmd_catalog(args):
 
 
 def cmd_trends(args):
+    _load("ngrams", "trends")
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
     table = read_table(args.input, (args.n,))
@@ -281,6 +316,7 @@ def cmd_trends(args):
 
 
 def cmd_demo(args):
+    _load("_io", "frequency", "ngrams", "plotting")
     queries = [parse_query(text) for text in DEMO_QUERIES]
     table = read_table(args.input, set().union(*map(query_lengths, queries)))
     year_range = _year_range_for(args, table)

@@ -14,7 +14,6 @@ removal as extraction did, so a query matches exactly what was stored.
 from __future__ import annotations
 
 import csv
-import json
 from typing import NamedTuple
 
 from ._io import open_for_write
@@ -149,6 +148,8 @@ def write_series_csv(series_list, dest):
 
 def write_series_json(series_list, dest):
     """Same content as the CSV form, as a JSON array of series."""
+    import json  # here, so that no other command loads it
+
     payload = [
         {
             "label": series.label,

@@ -21,13 +21,12 @@ import re
 from typing import NamedTuple
 
 from ._io import checked_csv, open_for_write
+from ._limits import CSV_FIELDS, DEFAULT_YEAR_RANGE
 from .errors import IngestError
 
 SOURCES = ("bibtex", "csv", "endnote")
 
 CORPUS_HEADER = ("id", "source", "year", "title", "abstract", "keywords", "authors")
-
-DEFAULT_YEAR_RANGE = (2000, 2014)
 
 # Column names used by IEEE Xplore CSV exports. The keywords column must
 # be the author-supplied one, not the automatically assigned keywords.
@@ -39,7 +38,6 @@ DEFAULT_CSV_MAPPING = {
     "authors": "Authors",
 }
 
-CSV_FIELDS = ("title", "abstract", "keywords", "year", "authors")
 _CSV_REQUIRED = ("title", "year")
 
 
@@ -423,20 +421,26 @@ def write_corpus(entries, dest):
     Keywords and authors are `;`-joined inside their cells, so the
     items themselves must not contain semicolons; the parsers split
     both on `;`, so no entry they return holds one.
+
+    A row with a `\r` in any cell is written with every cell quoted: the
+    writer quotes a cell for a comma, a quote or its line terminator
+    `\n`, not for a `\r`, which unquoted would end the row for the reader.
     """
     with open_for_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(CORPUS_HEADER)
         for entry in entries:
-            writer.writerow([
+            row = [
                 entry.id,
                 entry.source,
-                entry.year,
+                str(entry.year),
                 entry.title,
                 entry.abstract,
                 ";".join(entry.keywords),
                 ";".join(entry.authors),
-            ])
+            ]
+            (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
 
 
 def read_corpus(source):

@@ -18,6 +18,7 @@ index, and `write_records` does not write one.
 
 from __future__ import annotations
 
+import heapq
 import marshal
 import os
 import stat
@@ -31,11 +32,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._io import checked_csv, open_for_write, read_text, replacing
+from ._limits import NGRAM_MAX
 from .errors import RecordsError, TrendgramError
 
 RECORDS_HEADER = ("n", "ngram", "year", "count")
-
-NGRAM_MAX = 4
 
 _ALL_LENGTHS = frozenset(range(1, NGRAM_MAX + 1))
 
@@ -434,9 +434,9 @@ def top_ngrams(table, n, k):
     if k < 1:
         raise ValueError("k must be at least 1")
     table.require((n,))
-    totals: Counter = Counter()
+    totals = {}
+    get = totals.get
     for (record_n, ngram, _), count in table.counts.items():
         if record_n == n:
-            totals[ngram] += count
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+            totals[ngram] = get(ngram, 0) + count
+    return heapq.nsmallest(k, totals.items(), key=lambda item: (-item[1], item[0]))

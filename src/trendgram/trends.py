@@ -13,13 +13,10 @@ from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple
 
+from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS
 from .errors import SlopeError
 from .frequency import Query, QuerySeries, evaluate
 from .plotting import escape, render_plot
-
-DEFAULT_MIN_SUPPORT = 30
-DEFAULT_MIN_YEARS = 5
-DEFAULT_CATALOG_LIMIT = 800
 
 
 class TrendEntry(NamedTuple):

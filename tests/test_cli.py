@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -207,6 +208,111 @@ def test_cli_import_skips_unused_stdlib_chains():
     loaded = sorted(name for name in with_cli - bare
                     if any(name == root or name.startswith(root + ".") for root in unused))
     assert loaded == []
+
+
+def _modules_after(code, *argv, cwd=None):
+    """The `trendgram.*` modules and `json` that a fresh interpreter holds
+    after running `code`, which may set `status`; and that status."""
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    listing = ("print(globals().get('status'), *sorted(name for name in sys.modules "
+               "if name == 'json' or name.startswith('trendgram.')))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}; {listing}",
+         *argv], capture_output=True, text=True, check=True, cwd=cwd)
+    status, *modules = result.stdout.splitlines()[-1].split()
+    return status, set(modules)
+
+
+def test_import_trendgram_loads_no_stage():
+    assert _modules_after("import trendgram") == ("None", set())
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", [
+    (["ingest", "--bibtex", "{demo}/demo.bib", "--csv", "{demo}/demo.csv",
+      "--endnote", "{demo}/demo.enw", "-o", "c.csv"],
+     ["ingest"], ["ngrams", "textprep", "frequency", "plotting", "trends"]),
+    (["extract", "-i", "corpus.csv", "-o", "r.csv"],
+     ["ingest", "textprep", "ngrams"], ["frequency", "plotting", "trends"]),
+    (["top", "-i", "records.csv", "-n", "2"],
+     ["ngrams"], ["ingest", "frequency", "plotting", "trends"]),
+    (["query", "-i", "records.csv", "code", "-o", "series.csv"],
+     ["frequency", "ngrams"], ["plotting", "json"]),
+    (["query", "-i", "records.csv", "code", "--svg", "q.svg"],
+     ["frequency", "plotting"], ["json"]),
+])
+def test_each_command_loads_only_its_stages(records_csv, demo_dir, argv, loaded, unloaded):
+    argv = [arg.format(demo=demo_dir) for arg in argv]
+    status, modules = _modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
+                                     *argv, cwd=records_csv.parent)
+    assert status == "0"
+    assert {f"trendgram.{stage}" for stage in loaded} <= modules
+    assert modules.isdisjoint(name if name == "json" else f"trendgram.{name}"
+                              for name in unloaded)
+
+
+@pytest.fixture()
+def fresh_cli(monkeypatch):
+    """`trendgram.cli` imported anew, as in a process that has run no command."""
+    monkeypatch.setattr(trendgram, "cli", trendgram.cli)
+    monkeypatch.delitem(sys.modules, "trendgram.cli")
+    return importlib.import_module("trendgram.cli")
+
+
+def test_traced_cli_names_resolve_before_any_command(fresh_cli, request, monkeypatch):
+    monkeypatch.syspath_prepend(str(request.config.rootpath / "bench"))
+    tracing = importlib.import_module("tracing")
+    names = [attr for module, attr, _, _ in tracing.TARGETS if module.__name__ == "trendgram.cli"]
+    assert "build_table" in names and "read_records" in names
+    assert not set(names) & set(vars(fresh_cli))
+    for name in names:
+        stage_function = getattr(fresh_cli, name)
+        assert stage_function.__module__ != "trendgram.cli"
+        assert stage_function is getattr(sys.modules[stage_function.__module__], name)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("parse_bibtex", ["ingest", "--bibtex", "{demo}/demo.bib", "-o", "{tmp}/c.csv"]),
+    ("count_ngrams", ["extract", "-i", "{tmp}/corpus.csv", "-o", "{tmp}/r.csv"]),
+    ("top_ngrams", ["top", "-i", "{tmp}/records.csv", "-n", "1"]),
+])
+def test_a_wrapper_patched_before_the_first_command_is_called(
+        fresh_cli, monkeypatch, records_csv, demo_dir, name, argv):
+    original = getattr(fresh_cli, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fresh_cli, name, wrapper)
+    argv = [arg.format(demo=demo_dir, tmp=records_csv.parent) for arg in argv]
+    assert fresh_cli.run(argv) == 0
+    assert calls and getattr(fresh_cli, name) is wrapper
+
+
+# Every name `trendgram/__init__.py` exported when it imported each stage up front.
+PACKAGE_EXPORTS = (
+    "IngestError", "QueryError", "RecordsError", "SlopeError", "TrendgramError",
+    "FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq", "freq_list",
+    "parse_query", "query_lengths", "write_series_csv", "write_series_json",
+    "Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
+    "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
+    "write_corpus",
+    "FrequencyTable", "NgramRecord", "Stoplist", "build_table", "count_ngrams", "ngrams_of",
+    "passes_stopword_rule", "read_records", "read_table", "top_ngrams", "write_records",
+    "render_plot",
+    "Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize",
+    "TrendEntry", "build_catalog", "rank_trends", "trend_slope",
+)
+
+
+def test_package_exports_every_public_name():
+    for name in PACKAGE_EXPORTS:
+        value = getattr(__import__("trendgram", fromlist=[name]), name)  # from trendgram import name
+        assert value is getattr(sys.modules[value.__module__], name)
+    assert sorted(trendgram.__all__) == sorted(PACKAGE_EXPORTS)
+    assert set(PACKAGE_EXPORTS) <= set(dir(trendgram))
+    assert trendgram.__version__ == "0.1.0"
 
 
 def test_extract_matches_library_pipeline(tmp_path, records_csv):

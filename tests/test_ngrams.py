@@ -793,6 +793,25 @@ def test_top_ngrams_tie_breaks_lexicographically():
     assert top_ngrams(table, 1, 2) == [("aa", 3), ("bb", 3)]
 
 
+_TOP_KEYS = st.integers(1, 2).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sampled_from(WORDS[:4]), min_size=n, max_size=n).map(" ".join),
+    st.integers(2000, 2003)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.dictionaries(_TOP_KEYS, st.integers(1, 3), max_size=40),
+       n=st.integers(1, 2), k=st.integers(1, 20))
+def test_top_ngrams_matches_its_definition(counts, n, k):
+    # Few distinct n-grams (4 unigrams, 16 bigrams) with small counts: many
+    # tied totals, and k both above and below the number of n-grams.
+    totals = Counter()
+    for (record_n, ngram, _), count in counts.items():
+        if record_n == n:
+            totals[ngram] += count
+    expected = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:k]
+    assert top_ngrams(build_table(counts), n, k) == expected
+
+
 def test_top_ngrams_single_record():
     assert top_ngrams(build_table({(1, "x", 2000): 5}), 1, 3) == [("x", 5)]
 
