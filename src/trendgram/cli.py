@@ -292,7 +292,7 @@ def cmd_catalog(args):
     if args.limit < 1:
         raise UsageError("", "--limit must be at least 1")
     table = read_table(args.input)
-    if not table.counts:
+    if not table.cells:
         raise TrendgramError("records file has no records to catalog")
     year_range = None
     if args.year_from is not None or args.year_to is not None:

@@ -52,7 +52,7 @@ def freq(table, phrase, year):
     total = table.totals.get((n, year), 0)
     if total == 0:
         return 0.0
-    return table.counts.get((n, " ".join(phrase), year), 0) / total
+    return table.cells.get((n, year), {}).get(" ".join(phrase), 0) / total
 
 
 def freq_list(table, phrases, year):
@@ -109,7 +109,7 @@ def evaluate(table, query, year_range):
     if lo > hi:
         raise ValueError(f"empty year range {lo}..{hi}")
     table.require(query_lengths(query))
-    counts, totals = table.counts, table.totals
+    cells, totals = table.cells, table.totals
     result = []
     for qs in query.series:
         keys = [(len(phrase), " ".join(phrase)) for phrase in qs.phrases]
@@ -118,7 +118,7 @@ def evaluate(table, query, year_range):
             terms, data = [], False
             for n, ngram in keys:
                 total = totals.get((n, year), 0)
-                terms.append(counts.get((n, ngram, year), 0) / total if total else 0.0)
+                terms.append(cells[n, year].get(ngram, 0) / total if total else 0.0)
                 data = data or total > 0
             points[year] = SeriesPoint(sum(terms), data)
         result.append(FrequencySeries(qs.label, points))

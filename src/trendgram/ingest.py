@@ -130,11 +130,17 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
     ordinal = start_ordinal
     pos = 0
     line, line_start = 1, 0  # the line number of text[line_start]
+    closing = None  # see `_closing_braces`; made once a record is found unclosed
     while match := _RECORD_START_RE.search(text, pos):
         at = match.start()
         line += text.count("\n", line_start, at)
         line_start = at
-        end = _record_body(text, match.end()) if match[2] else None
+        if not match[2]:
+            end = None
+        elif closing is not None:
+            end = closing.get(match.end() - 1)
+        elif (end := _record_body(text, match.end())) is None:
+            closing = _closing_braces(text)
         if end is None:
             diagnostics.append(Diagnostic(line, "unbalanced braces in record"))
             pos = _resync(text, at)
@@ -173,6 +179,21 @@ def _record_body(text, start):
         if depth == 0:
             return brace.start()
     return None
+
+
+def _closing_braces(text):
+    """Each `{` of `text`, by index, mapped to the index of its closing
+    brace, as `_record_body` finds it; a `{` that never closes is absent.
+    Once one record is found unclosed, each later one may be too, and
+    scanning each to the end of the text would be quadratic: this one
+    pass answers them all."""
+    closing, opened = {}, []
+    for brace in _BRACE_RE.finditer(text):
+        if brace[0] == "{":
+            opened.append(brace.start())
+        elif opened:
+            closing[opened.pop()] = brace.start()
+    return closing
 
 
 def _resync(text, at):

@@ -2,16 +2,18 @@
 records file format.
 
 The tabular model is one record per (n, ngram, year) with an occurrence
-count, held in memory as a `FrequencyTable`. An n-gram is discarded when
-at least half of its tokens are stopwords; the comparison is exact
-integer arithmetic, so a bigram with exactly one stopword is discarded.
+count. A `FrequencyTable` holds them as one `{ngram: count}` dict per
+(n, year), the unit every frequency is taken over. An n-gram is
+discarded when at least half of its tokens are stopwords; the comparison
+is exact integer arithmetic, so a bigram with exactly one stopword is
+discarded.
 
 `read_table` keeps a sidecar index beside a records file it reads by
 path, `RECORDS.idx`, holding the table it built the last time it fully
-validated that exact file, one section per n-gram length, and loads the
-sections it is asked for again while the file's size and crc32 still
-match (see `_read_index`). A missing, stale or damaged index only means
-the CSV is parsed and checked again, after which the index is
+validated that exact file, one section per (n, year), and loads the
+sections of the lengths it is asked for again while the file's size and
+crc32 still match (see `_read_index`). A missing, stale or damaged index
+only means the CSV is parsed and checked again, after which the index is
 rewritten; failing to write it is not an error. Streams never use an
 index, and `write_records` does not write one.
 """
@@ -24,9 +26,9 @@ import os
 import stat
 import struct
 import zlib
-from collections import Counter
+from collections.abc import Mapping
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -48,27 +50,29 @@ class NgramRecord(NamedTuple):
 
 
 class FrequencyTable:
-    """N-gram counts keyed (n, ngram, year), plus the per-(n, year)
-    totals used as frequency denominators and the sorted years with data.
-    Unless `totals` is given, both are derived from `counts` the first
-    time they are read.
+    """N-gram counts as `cells`, one `{ngram: count}` dict per (n, year)
+    that has any, plus the per-(n, year) totals used as frequency
+    denominators and the sorted years with data. Unless `totals` is
+    given, both are derived from `cells` the first time they are read.
+    No cell is empty, so tables are equal when their cells are; they are
+    unhashable.
 
     `lengths` are the n-gram lengths the table answers for: every length
     unless it was loaded for some only (see `read_table`). Such a table's
-    `counts` hold only those lengths' keys, while its `totals` and
-    `years` still cover every length; `evaluate`, `top_ngrams` and
-    `rank_trends` refuse it any other length (see `require`).
+    `cells` hold only those lengths, while its `totals` and `years`
+    still cover every length; `evaluate`, `top_ngrams` and `rank_trends`
+    refuse it any other length (see `require`).
 
-    Iterating yields one `NgramRecord` per key in (n, ngram, year)
-    order; `len` is the number of such rows. Tables are equal when their
-    counts are, and unhashable. Build it with `build_table`.
+    Iterating yields one `NgramRecord` per count in (n, ngram, year)
+    order; `len` is the number of such rows. Build one from a flat
+    `(n, ngram, year) -> count` dict with `build_table`.
     """
 
     __hash__ = None
 
-    def __init__(self, counts: dict[tuple[int, str, int], int], totals=None,
+    def __init__(self, cells: dict[tuple[int, int], dict[str, int]], totals=None,
                  lengths=_ALL_LENGTHS):
-        self.counts = counts
+        self.cells = cells
         self.lengths = frozenset(lengths)
         if totals is not None:
             self.totals = totals
@@ -76,29 +80,30 @@ class FrequencyTable:
     def __eq__(self, other):
         if not isinstance(other, FrequencyTable):
             return NotImplemented
-        return self.counts == other.counts
+        return self.cells == other.cells
 
     def __repr__(self):
-        return f"FrequencyTable(counts={self.counts!r})"
+        return f"FrequencyTable(cells={self.cells!r})"
 
     @cached_property
     def totals(self):
-        totals: dict[tuple[int, int], int] = {}
-        for (n, _, year), count in self.counts.items():
-            totals[(n, year)] = totals.get((n, year), 0) + count
-        return totals
+        return {key: sum(cell.values()) for key, cell in self.cells.items()}
 
     @cached_property
     def years(self):
         return sorted({year for _, year in self.totals})
 
+    @property
+    def counts(self):
+        """The counts as a read-only `(n, ngram, year) -> count` mapping
+        (see `FlatCounts`)."""
+        return FlatCounts(self.cells)
+
     def __len__(self):
-        return len(self.counts)
+        return sum(map(len, self.cells.values()))
 
     def __iter__(self):
-        counts = self.counts
-        for key in _sorted_keys(counts):
-            yield NgramRecord(*key, counts[key])
+        return map(NgramRecord._make, _records(self.cells))
 
     def require(self, lengths):
         """Raise `ValueError` unless the table holds every n-gram length
@@ -118,10 +123,57 @@ class FrequencyTable:
         return self.years[0], self.years[-1]
 
 
+class FlatCounts(Mapping):
+    """A read-only `(n, ngram, year) -> count` view of a table's cells,
+    iterated in (n, ngram, year) order, the records file's. No stage
+    reads it: it keeps the flat form for `bench/tracing.py` and for
+    `read_records`, until the program reports its own stage counts
+    (ROADMAP item 1) and the view can go."""
+
+    def __init__(self, cells):
+        self._cells = cells
+
+    def __getitem__(self, key):
+        n, ngram, year = key
+        return self._cells[n, year][ngram]
+
+    def __iter__(self):
+        return (record[:3] for record in _records(self._cells))
+
+    def __len__(self):
+        return sum(map(len, self._cells.values()))
+
+
 def build_table(counts):
-    """The table over a `(n, ngram, year) -> count` dict, which it keeps
-    as its `counts`."""
-    return FrequencyTable(counts)
+    """The table over a `(n, ngram, year) -> count` dict."""
+    cells: dict[tuple[int, int], dict[str, int]] = {}
+    for (n, ngram, year), count in counts.items():
+        cell = cells.get((n, year))
+        if cell is None:
+            cell = cells[n, year] = {}
+        cell[ngram] = count
+    return FrequencyTable(cells)
+
+
+def _rows(cells, n):
+    """The `(ngram, year, count)` rows of length `n` in (ngram, year)
+    order: listed a year at a time in ascending years, then stably
+    sorted by n-gram alone, a sort that compares only strings, which is
+    much cheaper than comparing tuples."""
+    rows = []
+    for year in sorted(year for length, year in cells if length == n):
+        cell = cells[n, year]
+        rows.extend(zip(cell, repeat(year), cell.values()))
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
+def _records(cells):
+    """`(n, ngram, year, count)` for every count in `cells`, in (n,
+    ngram, year) order; only one length's rows are alive at a time."""
+    for n in sorted({n for n, _ in cells}):
+        for ngram, year, count in _rows(cells, n):
+            yield n, ngram, year, count
 
 
 class Stoplist:
@@ -193,33 +245,28 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     `passes_stopword_rule`, applied through a prefix sum of stop flags
     per sentence: `stops[i]` is the number of stopwords among the first
     i tokens, so a window's stopword count is one subtraction, and the
-    n-gram text is built only for windows that are kept.
+    n-gram text is built only for windows that are kept. Each kept
+    window is counted in the dict of its (n, year).
     """
     _check_bounds(n_min, n_max)
-    counts: dict[tuple[int, str, int], int] = {}
+    stopwords = stoplist.words
+    lengths = range(n_min, n_max + 1)
+    by_year: dict[int, list[dict[str, int]]] = {}
     for sentence in sentences:
         tokens = sentence.tokens
-        year = sentence.year
-        stops = list(accumulate((token in stoplist for token in tokens), initial=0))
-        for n in range(n_min, n_max + 1):
+        cells = by_year.get(sentence.year)
+        if cells is None:
+            cells = by_year[sentence.year] = [{} for _ in lengths]
+        stops = list(accumulate((token in stopwords for token in tokens), initial=0))
+        for n, cell in zip(lengths, cells):
+            get = cell.get
             for start in range(len(tokens) - n + 1):
                 if 2 * (stops[start + n] - stops[start]) < n:
-                    key = (n, " ".join(tokens[start:start + n]), year)
-                    counts[key] = counts.get(key, 0) + 1
-    return FrequencyTable(counts)
-
-
-def _sorted_keys(counts):
-    """The keys of `counts` in (n, ngram, year) order, one length at a
-    time. Within a length, a stable sort by year and then one by n-gram
-    give exactly `sorted` order, but each pass compares only ints or
-    only strings, which is much cheaper than comparing 3-tuples that
-    mostly tie on n; only one length's key list is alive at a time."""
-    for n in sorted({key[0] for key in counts}):
-        keys = [key for key in counts if key[0] == n]
-        keys.sort(key=itemgetter(2))
-        keys.sort(key=itemgetter(1))
-        yield from keys
+                    ngram = " ".join(tokens[start:start + n])
+                    cell[ngram] = get(ngram, 0) + 1
+    years = sorted(by_year)
+    return FrequencyTable({(n, year): by_year[year][index] for index, n in enumerate(lengths)
+                           for year in years if by_year[year][index]})
 
 
 def write_records(table, dest):
@@ -229,19 +276,19 @@ def write_records(table, dest):
     contains a comma, a quote, `\n` or `\r` (token rules make all four
     impossible, but readers must accept it).
     """
-    counts = table.counts
+    cells = table.cells
     with open_for_write(dest) as fh:
         write = fh.write
         write(",".join(RECORDS_HEADER) + "\n")
-        for key in _sorted_keys(counts):
-            n, ngram, year = key
-            if "," in ngram or '"' in ngram or "\n" in ngram or "\r" in ngram:
-                ngram = '"' + ngram.replace('"', '""') + '"'
-            write(f"{n},{ngram},{year},{counts[key]}\n")
+        for n in sorted({n for n, _ in cells}):
+            for ngram, year, count in _rows(cells, n):
+                if "," in ngram or '"' in ngram or "\n" in ngram or "\r" in ngram:
+                    ngram = '"' + ngram.replace('"', '""') + '"'
+                write(f"{n},{ngram},{year},{count}\n")
 
 
 def read_table(source, lengths=None):
-    """Read a records CSV into a `FrequencyTable` holding the keys of
+    """Read a records CSV into a `FrequencyTable` holding the cells of
     the n-gram `lengths` only (default: all), enforcing every record
     invariant on the whole file. Its `totals` and `years` are those of
     the whole file, whatever `lengths` it holds.
@@ -270,25 +317,20 @@ def read_table(source, lengths=None):
         _write_index(f"{source}.idx", fingerprint, table)
     if wanted == _ALL_LENGTHS:
         return table
-    # Deleting the other lengths' keys in place, one length at a time,
-    # adds only a list of one length's keys to the peak memory; a new
-    # dict of the wanted keys would add more.
-    totals, counts = table.totals, table.counts
-    for n in _ALL_LENGTHS - wanted:
-        for key in [key for key in counts if key[0] == n]:
-            del counts[key]
-    return FrequencyTable(counts, totals, wanted)
+    cells = {key: cell for key, cell in table.cells.items() if key[0] in wanted}
+    return FrequencyTable(cells, table.totals, wanted)
 
 
 def read_records(source):
     """`read_table(source).counts`: every record of a records CSV as a
-    `(n, ngram, year) -> count` dict."""
+    read-only `(n, ngram, year) -> count` mapping."""
     return read_table(source).counts
 
 
 def _parse_records(source):
-    """`read_table` without the index: parse and check every row."""
-    counts: dict[tuple[int, str, int], int] = {}
+    """`read_table` without the index: parse and check every row into
+    the cells of a table."""
+    cells: dict[tuple[int, int], dict[str, int]] = {}
     with checked_csv(source, RECORDS_HEADER, RecordsError, "records") as reader:
         for row in reader:
             if len(row) != len(RECORDS_HEADER):
@@ -305,20 +347,23 @@ def _parse_records(source):
             tokens = ngram.split(" ")
             if len(tokens) != n or not all(tokens):
                 raise RecordsError(f"ngram {ngram!r} is not {n} tokens")
-            key = (n, ngram, year)
-            if key in counts:
+            cell = cells.get((n, year))
+            if cell is None:
+                cell = cells[n, year] = {}
+            elif ngram in cell:
                 raise RecordsError(f"duplicate record for {ngram!r} in {year}")
-            counts[key] = count
-    return counts
+            cell[ngram] = count
+    return cells
 
 
 # The sidecar index: a header; a chunk holding the per-(n, year) totals
-# and the number of entries of each length; then one section per length
-# n, in order, of at most _INDEX_CHUNK entries per chunk in the dict's
-# order. A chunk is a length, its crc32 and a `marshal` (version 2, which
-# writes no back-references, so the bytes do not depend on reference
-# counts): a `(totals, entries per length)` tuple, then a dict per chunk.
-_INDEX_MAGIC = b"trendgram records index 2\n"
+# and the layout, one `(n, year, entries)` per cell in (n, year) order;
+# then each cell's `{ngram: count}` dict in that order, in chunks of at
+# most _INDEX_CHUNK entries. A chunk is a length, its crc32 and a
+# `marshal` (version 2, which writes no back-references, so the bytes do
+# not depend on reference counts): the `(totals, layout)` tuple, then a
+# dict per chunk.
+_INDEX_MAGIC = b"trendgram records index 3\n"
 _INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQ")  # magic, crc32, size, entries
 _INDEX_CHUNK_HEADER = struct.Struct("<II")  # length, crc32
 _INDEX_CHUNK = 4096
@@ -343,11 +388,12 @@ def _read_index(path, fingerprint, lengths):
     this fingerprint, holding `lengths` only, or None if the index is
     missing, was written for other content, or is damaged where it was
     read: a wrong magic, a damaged chunk (see `_read_chunk`), one
-    `marshal` rejects, or section sizes that disagree with the header or
-    with what the sections hold. Sections after the last of `lengths`
-    are not read, and other unloaded ones are passed over by their chunk
-    lengths alone; only a read of the last section checks that nothing
-    follows it."""
+    `marshal` rejects, cell sizes that disagree with the header or with
+    what the cells hold, or loaded cells other than those the totals
+    name. Cells of lengths after the last of
+    `lengths` are not read, and other unloaded ones are passed over by
+    their chunk lengths alone; only a read that reaches the last cell
+    checks that nothing follows it."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(_INDEX_HEADER.size)
@@ -357,25 +403,33 @@ def _read_index(path, fingerprint, lengths):
             if magic != _INDEX_MAGIC or (crc, size) != fingerprint:
                 return None
             end = os.fstat(fh.fileno()).st_size
-            totals, sizes = marshal.loads(_read_chunk(fh, end))
-            if type(totals) is not dict or len(sizes) != NGRAM_MAX or sum(sizes) != entries:
+            totals, layout = marshal.loads(_read_chunk(fh, end))
+            if type(totals) is not dict or sum(size for _, _, size in layout) != entries:
                 return None
-            counts = {}
+            cells = {}
             last = max(lengths)
-            for n, size in enumerate(sizes[:last], 1):
+            for n, year, size in layout:
+                if n > last:
+                    break
                 chunks = -(-size // _INDEX_CHUNK)
                 if n not in lengths:
                     for _ in range(chunks):
                         _read_chunk(fh, end, skip=True)
                     continue
-                expected = len(counts) + size
-                for _ in range(chunks):
-                    counts.update(marshal.loads(_read_chunk(fh, end)))
-                if len(counts) != expected:
+                cell = marshal.loads(_read_chunk(fh, end))
+                if type(cell) is not dict:
                     return None
-            if last == NGRAM_MAX and fh.read(1):
+                for _ in range(chunks - 1):
+                    cell.update(marshal.loads(_read_chunk(fh, end)))
+                if len(cell) != size:
+                    return None
+                cells[n, year] = cell
+            else:
+                if fh.read(1):
+                    return None
+            if cells.keys() != {key for key in totals if key[0] in lengths}:
                 return None
-            return FrequencyTable(counts, totals, lengths)
+            return FrequencyTable(cells, totals, lengths)
     except (OSError, ValueError, EOFError, TypeError):
         return None
 
@@ -404,16 +458,15 @@ def _read_chunk(fh, end, skip=False):
 def _write_index(path, fingerprint, table):
     """Store the full `table` as the index at `path` for a records file
     with this fingerprint, replacing it atomically; an `OSError` (such
-    as a read-only directory) leaves things as they were. Each section
-    is one filtering pass over the counts, so they are never copied."""
-    counts = table.counts
-    sizes = Counter(map(itemgetter(0), counts))
+    as a read-only directory) leaves things as they were."""
+    cells = table.cells
+    layout = tuple((n, year, len(cells[n, year])) for n, year in sorted(cells))
     try:
         with replacing(path, binary=True) as fh:
-            fh.write(_INDEX_HEADER.pack(_INDEX_MAGIC, *fingerprint, len(counts)))
-            _write_chunk(fh, (table.totals, tuple(sizes[n] for n in range(1, NGRAM_MAX + 1))))
-            for n in range(1, NGRAM_MAX + 1):
-                items = (item for item in counts.items() if item[0][0] == n)
+            fh.write(_INDEX_HEADER.pack(_INDEX_MAGIC, *fingerprint, len(table)))
+            _write_chunk(fh, (table.totals, layout))
+            for n, year, _ in layout:
+                items = iter(cells[n, year].items())
                 while part := dict(islice(items, _INDEX_CHUNK)):
                     _write_chunk(fh, part)
     except OSError:
@@ -426,6 +479,16 @@ def _write_chunk(fh, value):
     fh.write(chunk)
 
 
+def _ngram_totals(cells):
+    """Each n-gram's count summed over `cells`, `{ngram: count}` dicts."""
+    totals: dict[str, int] = {}
+    get = totals.get
+    for cell in cells:
+        for ngram, count in cell.items():
+            totals[ngram] = get(ngram, 0) + count
+    return totals
+
+
 def top_ngrams(table, n, k):
     """The k most frequent length-n n-grams summed across years.
 
@@ -434,9 +497,5 @@ def top_ngrams(table, n, k):
     if k < 1:
         raise ValueError("k must be at least 1")
     table.require((n,))
-    totals = {}
-    get = totals.get
-    for (record_n, ngram, _), count in table.counts.items():
-        if record_n == n:
-            totals[ngram] = get(ngram, 0) + count
+    totals = _ngram_totals(cell for (length, _), cell in table.cells.items() if length == n)
     return heapq.nsmallest(k, totals.items(), key=lambda item: (-item[1], item[0]))

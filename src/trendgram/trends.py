@@ -9,13 +9,14 @@ articles in a single year can otherwise look like a steep trend.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import heapq
 from pathlib import Path
 from typing import NamedTuple
 
 from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS
 from .errors import SlopeError
 from .frequency import Query, QuerySeries, evaluate
+from .ngrams import _ngram_totals
 from .plotting import escape, render_plot
 
 
@@ -67,17 +68,13 @@ def rank_trends(table, n, direction, k, min_support=DEFAULT_MIN_SUPPORT,
     if len(data_years) < max(min_years, 2):
         return []
 
-    by_ngram: dict[str, dict[int, int]] = defaultdict(dict)
-    for (record_n, ngram, year), count in table.counts.items():
-        if record_n == n:
-            by_ngram[ngram][year] = count
-
+    cells = [table.cells[n, year] for year in data_years]
+    year_totals = [table.totals[(n, year)] for year in data_years]
     entries = []
-    for ngram, year_counts in by_ngram.items():
-        total = sum(year_counts.values())
+    for ngram, total in _ngram_totals(cells).items():
         if total < min_support:
             continue
-        values = [year_counts.get(year, 0) / table.totals[(n, year)] for year in data_years]
+        values = [cell.get(ngram, 0) / year_total for cell, year_total in zip(cells, year_totals)]
         entries.append(TrendEntry(ngram, n, _slope(data_years, values), total))
 
     reverse = direction == "rising"
@@ -95,14 +92,12 @@ def build_catalog(table, limit, out_dir, year_range=None):
     """
     if limit < 1:
         raise ValueError("catalog limit must be at least 1")
-    if not table.counts:
+    if not table.cells:
         raise ValueError("cannot build a catalog from an empty table")
     year_range = year_range or table.year_span()
 
-    totals: dict[str, int] = defaultdict(int)
-    for (_, ngram, _), count in table.counts.items():
-        totals[ngram] += count
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:limit]
+    totals = _ngram_totals(table.cells.values())
+    ranked = heapq.nsmallest(limit, totals.items(), key=lambda item: (-item[1], item[0]))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -111,7 +106,8 @@ def build_catalog(table, limit, out_dir, year_range=None):
         phrase = tuple(ngram.split(" "))
         series = evaluate(table, Query([QuerySeries(ngram, [phrase])]), year_range)
         filename = f"{page:04d}.svg"
-        (out_dir / filename).write_text(render_plot(series, ngram), encoding="utf-8")
+        with open(out_dir / filename, "wb") as fh:
+            fh.write(render_plot(series, ngram).encode("utf-8"))
         index.append((ngram, total, filename))
 
     (out_dir / "index.html").write_text(_index_html(index), encoding="utf-8")

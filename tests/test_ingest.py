@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +194,24 @@ _BIBTEX_TEXT = st.lists(
 def test_parse_bibtex_matches_naive_scanner(text, year_range, start_ordinal):
     assert (parse_bibtex(text, year_range, start_ordinal)
             == naive_parse_bibtex(text, year_range, start_ordinal))
+
+
+UNCLOSED = "@article{x, title={T}, year=2001\n"
+
+
+def test_parse_bibtex_is_linear_in_records_that_never_close():
+    # Scanning each unclosed record to the end of the text made 8000 of
+    # them take about 40 s of CPU; one pass over the braces answers all.
+    text = UNCLOSED * 8000 + "@article{ok, title={T}, year=2002}\n"
+    started = time.process_time()
+    entries, diagnostics = parse_bibtex(text)
+    elapsed = time.process_time() - started
+    assert [entry.title for entry in entries] == ["T"]
+    assert diagnostics == [Diagnostic(line, "unbalanced braces in record")
+                           for line in range(1, 8001)]
+    assert elapsed < 2.0
+    short = UNCLOSED * 50 + "@article{ok, title={T}, year=2002}\n" + UNCLOSED * 50
+    assert parse_bibtex(short) == naive_parse_bibtex(short)
 
 
 # ---------------------------------------------------------------------------

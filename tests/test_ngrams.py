@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import marshal
@@ -165,10 +166,48 @@ def test_count_ngrams_agrees_with_naive_oracle(stoplist):
         rows = list(table)
         assert len(table) == len(rows) == len(expected)
         assert [(r.n, r.ngram, r.year) for r in rows] == sorted(expected)
+        assert_table_contract(table, expected)
 
         buffer = io.StringIO()
         write_records(table, buffer)
         assert build_table(read_records(io.StringIO(buffer.getvalue()))) == table
+        streamed = read_table(io.StringIO(buffer.getvalue()))
+        assert streamed == table
+        assert_table_contract(streamed, expected)
+
+
+def assert_table_contract(table, expected):
+    """What a table promises its readers, `bench/tracing.py` among them,
+    for a table whose counts are the `(n, ngram, year) -> count` dict
+    `expected`: no empty cell; a flat `counts` view equal to `expected`,
+    read-only and iterated in `sorted` key order; one row per count; and
+    `NgramRecord`s in (n, ngram, year) order."""
+    assert all(table.cells.values())
+    view = table.counts
+    assert view == expected
+    assert not hasattr(view, "__setitem__") and not hasattr(view, "__delitem__")
+    with pytest.raises(TypeError):
+        view[(1, "x", 2000)] = 1
+    assert list(view) == sorted(view) == sorted(expected)
+    assert len(table) == len(view) == len(expected)
+    assert list(table) == [NgramRecord(*key, expected[key]) for key in sorted(expected)]
+    assert build_table(dict(view.items())) == table
+    assert table.totals == {key: sum(cell.values()) for key, cell in table.cells.items()}
+
+
+def test_counted_table_equals_its_view_and_its_records_read_back(stoplist, tmp_path):
+    sentences = random_sentences(random.Random(17), 80)
+    expected = naive_ngram_counts(sentences, stoplist)
+    table = count_ngrams(sentences, stoplist)
+    path = tmp_path / "records.csv"
+    write_records(table, path)
+    parsed, parses = read_counting_parses(path)
+    assert parses == 1 and index_of(path).exists()
+    indexed = table_from_index(path, None)
+    assert table == build_table(dict(table.counts.items())) == parsed == indexed
+    for each in (table, parsed, indexed):
+        assert_table_contract(each, expected)
+    assert parsed.totals == indexed.totals == table.totals
 
 
 def test_count_ngrams_rejects_bad_bounds_without_sentences(stoplist):
@@ -304,12 +343,18 @@ def test_write_records_matches_oracle_writer(tmp_path_factory, counts):
 
 def assert_iterates_in_key_order(table):
     counts = table.counts
+    assert list(counts) == sorted(counts)
     assert list(table) == [NgramRecord(*key, counts[key]) for key in sorted(counts)]
+
+
+def stored_keys(table):
+    """The table's `(n, ngram, year)` keys in the order its cells hold them."""
+    return [(n, ngram, year) for (n, year), cell in table.cells.items() for ngram in cell]
 
 
 def test_tables_iterate_in_key_order(stoplist, tmp_path):
     table = count_ngrams(random_sentences(random.Random(5), 60), stoplist)
-    assert list(table.counts) != sorted(table.counts)
+    assert stored_keys(table) != sorted(stored_keys(table))
     assert_iterates_in_key_order(table)
     path = tmp_path / "records.csv"
     write_records(table, path)
@@ -375,9 +420,11 @@ ANY_NGRAM = st.lists(ANY_TOKEN, min_size=1, max_size=4).map(" ".join)
 def test_records_round_trip_any_ngram_text(tmp_path_factory, ngrams):
     counts = {(len(ngram.split(" ")), ngram, 2000 + i): i + 1 for i, ngram in enumerate(ngrams)}
     path = tmp_path_factory.mktemp("any") / "records.csv"
-    write_records(build_table(counts), path)
+    table = build_table(counts)
+    write_records(table, path)
     assert read_records(path) == counts
     assert read_stream(path) == counts
+    assert read_table(path) == table_from_index(path, None) == table
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +474,22 @@ def test_records_index_round_trip(tmp_path_factory, counts):
     second = read_from_index(path)
     stream = read_stream(path)
     assert first == second == stream == counts
-    assert list(first) == list(second) == list(stream)
+    assert list(first) == list(second) == list(stream) == sorted(counts)
+    parsed, indexed = read_table(io.StringIO(path.read_text())), table_from_index(path, None)
+    assert parsed.cells == indexed.cells and parsed.totals == indexed.totals
+    assert_table_contract(indexed, counts)
+    layout = [(n, year, len(cell)) for (n, year), cell in sorted(parsed.cells.items())]
+    data = index_of(path).read_bytes()
+    assert index_chunk(data, 0) == (parsed.totals, tuple(layout))
+    assert len(chunk_starts(data)) == 1 + sum(-(-size // ngrams._INDEX_CHUNK)
+                                              for _, _, size in layout)
 
 
-# More entries than fit in one chunk of the index.
-MANY = {(1, f"w{index}", 2000 + index % 7): index + 1 for index in range(10_000)}
+# Cells of more entries than fit in one chunk of the index, one of exactly
+# a chunk and one of a chunk and one entry.
+MANY = {**{(1, f"w{index}", 2000 + index % 2): index + 1 for index in range(10_000)},
+        **{(2, f"w{index} x", 2000): 1 for index in range(4096)},
+        **{(2, f"w{index} y", 2001): 2 for index in range(4097)}}
 
 
 def test_records_index_spans_several_chunks(tmp_path):
@@ -441,6 +499,12 @@ def test_records_index_spans_several_chunks(tmp_path):
     indexed = read_from_index(path)
     assert indexed == counts
     assert list(indexed) == list(read_stream(path)) == sorted(counts)
+    data = index_of(path).read_bytes()
+    # the totals; 2 + 2 chunks of the unigram cells; 1 + 2 of the bigram ones
+    assert len(chunk_starts(data)) == 1 + 2 + 2 + 1 + 2
+    assert [len(index_chunk(data, chunk)) for chunk in range(1, 8)] == [
+        4096, 904, 4096, 904, 4096, 4096, 1]
+    assert table_from_index(path, {2}) == build_table(restrict(counts, {2}))
 
 
 @pytest.mark.parametrize("count", ["5", "30"], ids=["same-size", "other-size"])
@@ -465,6 +529,36 @@ def crc_valid_chunk(payload):
         len(payload), zlib.crc32(payload)) + payload)
 
 
+def with_first_chunk(change):
+    """The index with its first chunk, `(totals, layout)`, replaced by
+    `change(totals, layout)` under a matching crc32."""
+    def damage(data):
+        rest = chunk_starts(data)[1]
+        payload = marshal.dumps(change(*index_chunk(data, 0)), 2)
+        return (data[:HEADER_SIZE] + ngrams._INDEX_CHUNK_HEADER.pack(
+            len(payload), zlib.crc32(payload)) + payload + data[rest:])
+    return damage
+
+
+def moved_size(to, away):
+    """A change of the first chunk that moves one entry of the size of
+    cell number `away` in the layout to cell number `to`: the sizes
+    still add up to the header's entry count."""
+    def change(totals, layout):
+        layout = [list(cell) for cell in layout]
+        layout[to][2] += 1
+        layout[away][2] -= 1
+        return totals, tuple(map(tuple, layout))
+    return change
+
+
+def index_chunk(data, chunk):
+    """The value of chunk number `chunk` of the index `data`."""
+    start = chunk_starts(data)[chunk] + ngrams._INDEX_CHUNK_HEADER.size
+    return marshal.loads(data[start:start + ngrams._INDEX_CHUNK_HEADER.unpack_from(
+        data, start - ngrams._INDEX_CHUNK_HEADER.size)[0]])
+
+
 DAMAGE = {
     "empty": lambda data: b"",
     "truncated-header": lambda data: data[:HEADER_SIZE - 1],
@@ -483,12 +577,17 @@ DAMAGE = {
     "flipped-payload": flip(-3),
     "bad-marshal": crc_valid_chunk(b"\xff" * 16),
     "not-a-dict": crc_valid_chunk(marshal.dumps(5, 2)),
+    "cell-not-a-dict": lambda data: data[:chunk_starts(data)[1]] + crc_valid_chunk(
+        marshal.dumps([1], 2))(b"\0" * HEADER_SIZE)[HEADER_SIZE:],
+    "cell-size-moved": with_first_chunk(moved_size(0, -1)),
+    "totals-of-a-missing-cell": with_first_chunk(
+        lambda totals, layout: ({**totals, (1, 1999): 5}, layout)),
 }
 
 
 @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
 def test_damaged_index_is_ignored_and_rewritten(tmp_path, damage):
-    counts = {(1, f"w{index}", 2000): index + 1 for index in range(50)}
+    counts = {(1, f"w{index}", 2000 + index % 2): index + 1 for index in range(50)}
     path = tmp_path / "records.csv"
     write_indexed(path, counts)
     good = index_of(path).read_bytes()
@@ -665,9 +764,15 @@ def test_top_ngrams_refuses_a_length_the_table_did_not_load(tmp_path):
         top_ngrams(table, 1, 5)
 
 
-# One chunk per section: chunk 0 holds the totals and chunk n section n.
+# One chunk per cell: chunk 0 holds the totals and the layout, then come
+# the cells of length 1 to 4, three years each.
 SECTIONED = {(n, " ".join(f"w{i}" for i in range(n)), 2000 + year): n + year
              for n in range(1, 5) for year in range(3)}
+
+
+def cell_chunk(n, year):
+    """The number of the chunk that holds SECTIONED's cell (n, year)."""
+    return 1 + 3 * (n - 1) + year - 2000
 
 
 def chunk_starts(data):
@@ -701,16 +806,20 @@ SEEN_BY_A_BIGRAM_LOAD = {
     "flipped-entries": flip(CRC_AT + 12),
     "totals-chunk-payload": in_chunk(0, flip_payload),
     "totals-chunk-length": in_chunk(0, flip_length),
-    "loaded-section-payload": in_chunk(2, flip_payload),
-    "loaded-section-cut-short": in_chunk(2, cut_before_end),
-    "skipped-section-length": in_chunk(1, flip_length),
+    "loaded-section-payload": in_chunk(cell_chunk(2, 2001), flip_payload),
+    "loaded-section-cut-short": in_chunk(cell_chunk(2, 2002), cut_before_end),
+    "skipped-section-length": in_chunk(cell_chunk(1, 2000), flip_length),
+    "loaded-cell-size-moved": with_first_chunk(
+        moved_size(cell_chunk(2, 2000) - 1, cell_chunk(2, 2001) - 1)),
 }
 
 # Damage only in sections a load of length 2 does not read.
 UNSEEN_BY_A_BIGRAM_LOAD = {
-    "skipped-section-payload": in_chunk(1, flip_payload),
-    "later-section-payload": in_chunk(3, flip_payload),
-    "later-section-length": in_chunk(4, flip_length),
+    "skipped-section-payload": in_chunk(cell_chunk(1, 2001), flip_payload),
+    "later-section-payload": in_chunk(cell_chunk(3, 2000), flip_payload),
+    "later-section-length": in_chunk(cell_chunk(4, 2002), flip_length),
+    "unloaded-cell-size-moved": with_first_chunk(
+        moved_size(cell_chunk(1, 2000) - 1, cell_chunk(4, 2002) - 1)),
     "truncated-payload": lambda data: data[:-1],
     "appended": lambda data: data + b"\0",
 }
@@ -719,7 +828,33 @@ UNSEEN_BY_A_BIGRAM_LOAD = {
 def test_sectioned_table_has_one_chunk_per_section(tmp_path):
     path = tmp_path / "records.csv"
     write_indexed(path, SECTIONED)
-    assert len(chunk_starts(index_of(path).read_bytes())) == 5
+    data = index_of(path).read_bytes()
+    assert len(chunk_starts(data)) == 1 + 4 * 3
+    totals, layout = index_chunk(data, 0)
+    assert totals == build_table(SECTIONED).totals
+    assert layout == tuple((n, year, 1) for n in range(1, 5) for year in range(2000, 2003))
+    for (n, ngram, year), count in SECTIONED.items():
+        assert index_chunk(data, cell_chunk(n, year)) == {ngram: count}
+
+
+def test_a_unigram_top_reads_no_chunk_past_length_1(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    write_indexed(path, SECTIONED)
+    read = []
+    read_chunk = ngrams._read_chunk
+
+    def recording(fh, end, skip=False):
+        read.append(fh.tell())
+        return read_chunk(fh, end, skip)
+    data = index_of(path).read_bytes()
+    # everything past the unigram cells cut off, which a load must not notice
+    index_of(path).write_bytes(data[:chunk_starts(data)[cell_chunk(2, 2000)]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngrams, "_parse_records", None)
+        patch.setattr(ngrams, "_read_chunk", recording)
+        assert run(["top", "-i", str(path), "-n", "1"]) == 0
+    assert read == chunk_starts(data)[:cell_chunk(2, 2000)]
+    assert capsys.readouterr().out == "1. w0 6\n"
 
 
 @pytest.mark.parametrize("damage", SEEN_BY_A_BIGRAM_LOAD.values(),
@@ -751,6 +886,61 @@ def test_damage_outside_the_loaded_sections_waits_for_a_full_read(tmp_path, dama
     assert parses == 1
     assert table == build_table(SECTIONED)
     assert index_of(path).read_bytes() == good
+
+
+def version_2_index(path):
+    """The index the previous version wrote for the records file at
+    `path`: a header; a chunk with the totals and the entries of each
+    length; then each length's `(n, ngram, year) -> count` dict in
+    chunks of 4096 entries."""
+    counts = dict(read_stream(path))
+    data = path.read_bytes()
+    magic = b"trendgram records index 2\n"
+    sizes = tuple(sum(1 for key in counts if key[0] == n) for n in range(1, 5))
+    totals = {}
+    for (n, _, year), count in counts.items():
+        totals[n, year] = totals.get((n, year), 0) + count
+    chunks = [(totals, sizes)]
+    for n in range(1, 5):
+        items = [item for item in counts.items() if item[0][0] == n]
+        chunks += [dict(items[at:at + 4096]) for at in range(0, len(items), 4096)]
+    out = struct.pack(f"<{len(magic)}sIQQ", magic, zlib.crc32(data), len(data), len(counts))
+    for chunk in chunks:
+        payload = marshal.dumps(chunk, 2)
+        out += struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+    return out
+
+
+def command_outputs(records, out_dir):
+    """stdout and files of the commands that read `records`, run in turn."""
+    outputs = []
+    for argv in (["top", "-n", "1"], ["top", "-n", "2", "-k", "40"],
+                 ["trends", "-n", "1", "--min-support", "2", "--min-years", "2"],
+                 ["query", "code, program+tool"], ["demo", "-o", str(out_dir / "demo")],
+                 ["catalog", "-o", str(out_dir / "catalog"), "--limit", "30"]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert run([argv[0], "-i", str(records), *argv[1:]]) == 0
+        outputs.append(stdout.getvalue())
+    outputs.append({p.relative_to(out_dir).as_posix(): p.read_bytes()
+                    for p in sorted(out_dir.rglob("*")) if p.is_file()})
+    return outputs
+
+
+def test_version_2_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
+    table = count_ngrams(random_sentences(random.Random(23), 300), stoplist)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    for where in (fresh, old):
+        where.mkdir()
+        write_records(table, where / "records.csv")
+    index_of(old / "records.csv").write_bytes(version_2_index(old / "records.csv"))
+    assert read_counting_parses(old / "records.csv", {2})[1] == 1
+    assert index_of(old / "records.csv").read_bytes().startswith(ngrams._INDEX_MAGIC)
+    assert read_counting_parses(old / "records.csv")[1] == 0
+    assert command_outputs(old / "records.csv", old / "out") == command_outputs(
+        fresh / "records.csv", fresh / "out")
+    assert (index_of(old / "records.csv").read_bytes()
+            == index_of(fresh / "records.csv").read_bytes())
 
 
 def test_version_1_index_is_replaced_on_first_read(tmp_path):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import errno
+import os
 import random
 
 import pytest
 
 from oracle import exact_ols_slope
+from trendgram.cli import run
 from trendgram.errors import SlopeError
-from trendgram.frequency import FrequencySeries, SeriesPoint
+from trendgram.frequency import FrequencySeries, Query, QuerySeries, SeriesPoint, evaluate
 from trendgram.ngrams import build_table, read_table, write_records
+from trendgram.plotting import render_plot
 from trendgram.trends import build_catalog, rank_trends, trend_slope
 
 
@@ -213,6 +217,26 @@ def test_build_catalog_deterministic(tmp_path):
     build_catalog(table, 2, tmp_path / "two")
     for name in ("0001.svg", "0002.svg", "index.html"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_build_catalog_pages_are_the_rendered_plots(tmp_path):
+    table = build_table({(1, "café", 2000): 5, (1, "café", 2002): 1, (2, "naïve code", 2001): 2})
+    (tmp_path / "0001.svg").write_text("x" * 100_000)  # an older, longer page
+    index = build_catalog(table, 2, tmp_path)
+    assert [item[0] for item in index] == ["café", "naïve code"]
+    for ngram, _, filename in index:
+        series = evaluate(table, Query([QuerySeries(ngram, [tuple(ngram.split(" "))])]),
+                          (2000, 2002))
+        assert (tmp_path / filename).read_bytes() == render_plot(series, ngram).encode("utf-8")
+
+
+def test_catalog_page_that_cannot_be_written_names_its_path(tmp_path, capsys):
+    records, out = tmp_path / "records.csv", tmp_path / "catalog"
+    write_records(catalog_table(), records)
+    (out / "0002.svg").mkdir(parents=True)
+    assert run(["catalog", "-i", str(records), "-o", str(out), "--limit", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out / '0002.svg'}'\n")
 
 
 def test_build_catalog_rejects_empty_table(tmp_path):
