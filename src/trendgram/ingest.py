@@ -130,17 +130,16 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
     ordinal = start_ordinal
     pos = 0
     line, line_start = 1, 0  # the line number of text[line_start]
-    closing = None  # see `_closing_braces`; made once a record is found unclosed
+    closing = None  # see `_closing_braces`; made at the first braced record
     while match := _RECORD_START_RE.search(text, pos):
         at = match.start()
         line += text.count("\n", line_start, at)
         line_start = at
-        if not match[2]:
-            end = None
-        elif closing is not None:
+        end = None
+        if match[2]:
+            if closing is None:
+                closing = _closing_braces(text)
             end = closing.get(match.end() - 1)
-        elif (end := _record_body(text, match.end())) is None:
-            closing = _closing_braces(text)
         if end is None:
             diagnostics.append(Diagnostic(line, "unbalanced braces in record"))
             pos = _resync(text, at)
@@ -169,24 +168,12 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
     return entries, diagnostics
 
 
-def _record_body(text, start):
-    """The end of the record body that starts at `text[start]`, just
-    past its opening brace: the index of its closing brace, or None
-    when its braces never balance."""
-    depth = 1
-    for brace in _BRACE_RE.finditer(text, start):
-        depth += 1 if brace[0] == "{" else -1
-        if depth == 0:
-            return brace.start()
-    return None
-
-
 def _closing_braces(text):
-    """Each `{` of `text`, by index, mapped to the index of its closing
-    brace, as `_record_body` finds it; a `{` that never closes is absent.
-    Once one record is found unclosed, each later one may be too, and
-    scanning each to the end of the text would be quadratic: this one
-    pass answers them all."""
+    """Each `{` of `text`, by index, mapped to the index of the brace
+    that closes it; a `{` that never closes is absent. One pass over the
+    text answers every record: scanning each record's braces on its own
+    would be quadratic when records never close, as each scan would run
+    to the end of the text."""
     closing, opened = {}, []
     for brace in _BRACE_RE.finditer(text):
         if brace[0] == "{":

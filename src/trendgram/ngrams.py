@@ -134,8 +134,11 @@ class FlatCounts(Mapping):
         self._cells = cells
 
     def __getitem__(self, key):
-        n, ngram, year = key
-        return self._cells[n, year][ngram]
+        try:
+            n, ngram, year = key
+            return self._cells[n, year][ngram]
+        except (TypeError, ValueError):  # not an (n, ngram, year) key
+            raise KeyError(key) from None
 
     def __iter__(self):
         return (record[:3] for record in _records(self._cells))
@@ -249,7 +252,7 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     window is counted in the dict of its (n, year).
     """
     _check_bounds(n_min, n_max)
-    stopwords = stoplist.words
+    stopwords = getattr(stoplist, "words", stoplist)
     lengths = range(n_min, n_max + 1)
     by_year: dict[int, list[dict[str, int]]] = {}
     for sentence in sentences:
@@ -276,15 +279,13 @@ def write_records(table, dest):
     contains a comma, a quote, `\n` or `\r` (token rules make all four
     impossible, but readers must accept it).
     """
-    cells = table.cells
     with open_for_write(dest) as fh:
         write = fh.write
         write(",".join(RECORDS_HEADER) + "\n")
-        for n in sorted({n for n, _ in cells}):
-            for ngram, year, count in _rows(cells, n):
-                if "," in ngram or '"' in ngram or "\n" in ngram or "\r" in ngram:
-                    ngram = '"' + ngram.replace('"', '""') + '"'
-                write(f"{n},{ngram},{year},{count}\n")
+        for n, ngram, year, count in _records(table.cells):
+            if "," in ngram or '"' in ngram or "\n" in ngram or "\r" in ngram:
+                ngram = '"' + ngram.replace('"', '""') + '"'
+            write(f"{n},{ngram},{year},{count}\n")
 
 
 def read_table(source, lengths=None):

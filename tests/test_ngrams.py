@@ -156,6 +156,8 @@ def test_count_ngrams_agrees_with_naive_oracle(stoplist):
         got = {(r.n, r.ngram, r.year): r.count for r in table}
         assert got == expected
         assert table.counts == expected
+        # Any container of stopwords serves, as it does `passes_stopword_rule`.
+        assert count_ngrams(sentences, set(stoplist.words), n_min, n_max) == table
 
         totals = {}
         for (n, _, year), count in expected.items():
@@ -189,6 +191,13 @@ def assert_table_contract(table, expected):
     with pytest.raises(TypeError):
         view[(1, "x", 2000)] = 1
     assert list(view) == sorted(view) == sorted(expected)
+    # Lookups answer as the flat dict did, for keys of any shape.
+    for key in ((1, "x"), (1, "x", 2000, 1), "abc", None, (None, "x", 2000), (9, "x", 2000)):
+        assert key not in view
+        assert view.get(key, "absent") == "absent"
+        with pytest.raises(KeyError):
+            view[key]
+    assert all(key in view and view.get(key) == count for key, count in expected.items())
     assert len(table) == len(view) == len(expected)
     assert list(table) == [NgramRecord(*key, expected[key]) for key in sorted(expected)]
     assert build_table(dict(view.items())) == table
