@@ -95,6 +95,11 @@ def query_lengths(query):
     return {len(phrase) for qs in query.series for phrase in qs.phrases}
 
 
+# The points of zero frequency, with and without data, shared by every
+# series: they are most of a catalog's points.
+_ZERO_POINTS = {True: SeriesPoint(0.0, True), False: SeriesPoint(0.0, False)}
+
+
 def evaluate(table, query, year_range):
     """One FrequencySeries per query series over every year in the
     inclusive range, in query order. A table that did not load the
@@ -102,25 +107,36 @@ def evaluate(table, query, year_range):
 
     A year's point is `freq_list` of the series' phrases, flagged as
     data when any phrase's length has data that year (`has_data`). Both
-    are inlined so that each (phrase, year) looks up its total once; the
-    terms still go through `sum`, which rounds as `freq_list` does on
-    every Python (3.12's `sum` compensates float rounding)."""
+    are inlined: each call looks up every query length's per-year total
+    and cell once, and each point's terms still go through `sum`, which
+    rounds as `freq_list` does on every Python (3.12's `sum` compensates
+    float rounding). Points are equal to `SeriesPoint(value, has_data)`;
+    zero points are shared objects, and which object a point is belongs
+    to no API."""
     lo, hi = year_range
     if lo > hi:
         raise ValueError(f"empty year range {lo}..{hi}")
-    table.require(query_lengths(query))
+    lengths = query_lengths(query)
+    table.require(lengths)
+    years = range(lo, hi + 1)
     cells, totals = table.cells, table.totals
+    per_year = {n: [(totals.get((n, year), 0), cells.get((n, year))) for year in years]
+                for n in lengths}
     result = []
     for qs in query.series:
-        keys = [(len(phrase), " ".join(phrase)) for phrase in qs.phrases]
+        columns = [(" ".join(phrase), per_year[len(phrase)]) for phrase in qs.phrases]
         points = {}
-        for year in range(lo, hi + 1):
+        for index, year in enumerate(years):
             terms, data = [], False
-            for n, ngram in keys:
-                total = totals.get((n, year), 0)
-                terms.append(cells[n, year].get(ngram, 0) / total if total else 0.0)
-                data = data or total > 0
-            points[year] = SeriesPoint(sum(terms), data)
+            for ngram, column in columns:
+                total, cell = column[index]
+                if total:
+                    terms.append(cell.get(ngram, 0) / total)
+                    data = True
+                else:
+                    terms.append(0.0)
+            value = sum(terms)
+            points[year] = SeriesPoint(value, data) if value else _ZERO_POINTS[data]
         result.append(FrequencySeries(qs.label, points))
     return result
 

@@ -30,6 +30,16 @@ STROKE_PATTERNS = ("", "8 4", "2 3", "8 3 2 3")
 
 _HEADROOM = 1.1
 
+# Every plot starts with these lines, up to its escaped title.
+_HEAD = "\n".join([
+    '<?xml version="1.0" encoding="UTF-8"?>',
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+    f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+    f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    f'<text x="{WIDTH / 2:g}" y="20" font-family="sans-serif" font-size="14" '
+    'text-anchor="middle">',
+])
+
 
 def _num(value):
     text = f"{value:.2f}".rstrip("0").rstrip(".")
@@ -114,14 +124,7 @@ def render_plot(series_list, title):
     def y_at(value):
         return _PLOT_BOTTOM - (value / top) * (_PLOT_BOTTOM - _PLOT_TOP)
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:g}" y="20" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle">{escape(title, quote=False)}</text>',
-    ]
+    parts = [f"{_HEAD}{escape(title, quote=False)}</text>"]
 
     # horizontal gridlines and y tick labels
     step = _nice_step(top)
@@ -141,6 +144,8 @@ def render_plot(series_list, title):
     parts.append(x_axis)
 
     if values:
+        # each distinct value's formatted y, once per plot
+        y_of = {value: _num(y_at(value)) for value in set(values)}
         for index, series in enumerate(series_list):
             pattern = STROKE_PATTERNS[index % len(STROKE_PATTERNS)]
             dash = f' stroke-dasharray="{pattern}"' if pattern else ""
@@ -148,11 +153,11 @@ def render_plot(series_list, title):
                 if len(run) == 1:
                     year, value = run[0]
                     parts.append(
-                        f'<circle cx="{x_of[year]}" cy="{_num(y_at(value))}" '
+                        f'<circle cx="{x_of[year]}" cy="{y_of[value]}" '
                         f'r="2.5" fill="black"/>')
                 else:
                     coords = " ".join(
-                        f"{'M' if i == 0 else 'L'} {x_of[year]} {_num(y_at(value))}"
+                        f"{'M' if i == 0 else 'L'} {x_of[year]} {y_of[value]}"
                         for i, (year, value) in enumerate(run))
                     parts.append(
                         f'<path d="{coords}" fill="none" stroke="black" '

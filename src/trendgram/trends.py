@@ -10,6 +10,7 @@ articles in a single year can otherwise look like a steep trend.
 from __future__ import annotations
 
 import heapq
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,6 +19,10 @@ from .errors import SlopeError
 from .frequency import Query, QuerySeries, evaluate
 from .ngrams import _ngram_totals
 from .plotting import escape, render_plot
+
+
+# A catalog page is opened as `open(path, "wb")` opens a file.
+_PAGE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 class TrendEntry(NamedTuple):
@@ -106,12 +111,23 @@ def build_catalog(table, limit, out_dir, year_range=None):
         phrase = tuple(ngram.split(" "))
         series = evaluate(table, Query([QuerySeries(ngram, [phrase])]), year_range)
         filename = f"{page:04d}.svg"
-        with open(out_dir / filename, "wb") as fh:
-            fh.write(render_plot(series, ngram).encode("utf-8"))
+        _write_page(os.path.join(out_dir, filename), render_plot(series, ngram).encode("utf-8"))
         index.append((ngram, total, filename))
 
     (out_dir / "index.html").write_text(_index_html(index), encoding="utf-8")
     return index
+
+
+def _write_page(path, data):
+    """Write `data` over the file at `path`, in place, through one file
+    descriptor: no `Path` or file object per page."""
+    fd = os.open(path, _PAGE_FLAGS, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
 
 
 def _index_html(index):

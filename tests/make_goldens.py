@@ -4,10 +4,12 @@ Run from the repository root:
 
     python tests/make_goldens.py
 
-The demo pipeline outputs are cross-checked against the naive oracle
-before being written, so a regression in the real implementation cannot
-silently become the new golden truth. Regenerate only after verifying
-an intentional behavior change.
+It writes the demo pipeline's outputs, the demo plots, a 12-page
+catalog of the demo records (`tests/golden/demo/catalog/`) and two
+renderer fixtures. The demo pipeline outputs are cross-checked against
+the naive oracle before being written, so a regression in the real
+implementation cannot silently become the new golden truth. Regenerate
+only after verifying an intentional behavior change.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ def main():
 
     assert run(["query", "-i", str(records), DEMO_QUERIES[0], "-o", str(series)]) == 0
     assert run(["demo", "-i", str(records), "-o", str(out)]) == 0
+    assert run(["catalog", "-i", str(records), "-o", str(out / "catalog"),
+                "--limit", "12"]) == 0
     # The reads above left the records index beside records.csv; it is a
     # cache, not a golden.
     Path(f"{records}.idx").unlink(missing_ok=True)

@@ -7,12 +7,16 @@ real implementations against these.
 
 from __future__ import annotations
 
+import html
+import math
 import re
 from fractions import Fraction
 
 from trendgram.ingest import (_AUTHOR_SEP_RE, _KEYWORD_SEP_RE, _SKIPPED_RECORD_TYPES,
                               Diagnostic, Entry, _clean_value, _make_entry, _resync,
                               _split_on)
+from trendgram.plotting import (HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
+                                STROKE_PATTERNS, WIDTH)
 
 _NEEDS_QUOTES = re.compile('[,"\n\r]')
 
@@ -196,3 +200,139 @@ def _split_top_level(text):
         else:
             chunks[-1].append(ch)
     return [c for c in ("".join(chunk).strip() for chunk in chunks) if c]
+
+
+def naive_render_plot(series_list, title):
+    """`render_plot` as it was before its per-plot caches: every
+    coordinate goes through `_num` where it is written, and the x axis
+    is laid out again for each plot."""
+    if not series_list:
+        raise ValueError("render_plot needs at least one series")
+    left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
+    top_edge, bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
+
+    years = sorted({year for series in series_list for year in series.points})
+    values = [point.frequency
+              for series in series_list
+              for point in series.points.values()
+              if point.has_data]
+    top = max(values) * 1.1 if values and max(values) > 0 else 1.0
+
+    def x_at(year):
+        if len(years) < 2:
+            return (left + right) / 2
+        return left + (year - years[0]) / (years[-1] - years[0]) * (right - left)
+
+    def y_at(value):
+        return bottom - (value / top) * (bottom - top_edge)
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:g}" y="20" font-family="sans-serif" font-size="14" '
+        f'text-anchor="middle">{html.escape(title, quote=False)}</text>',
+    ]
+
+    step = _naive_nice_step(top)
+    tick = 0
+    while tick * step <= top + 1e-12:
+        value = tick * step
+        y = y_at(value)
+        parts.append(
+            f'<line x1="{left}" y1="{_naive_num(y)}" x2="{right}" y2="{_naive_num(y)}" '
+            f'stroke="#cccccc" stroke-width="0.5"/>')
+        parts.append(
+            f'<text x="{left - 6}" y="{_naive_num(y + 3.5)}" font-family="sans-serif" '
+            f'font-size="11" text-anchor="end">{value:g}</text>')
+        tick += 1
+
+    if years:
+        year_step = max(1, math.ceil((years[-1] - years[0]) / 7))
+        year = years[0]
+        while year <= years[-1]:
+            x = _naive_num(x_at(year))
+            parts.append(
+                f'<line x1="{x}" y1="{bottom}" x2="{x}" '
+                f'y2="{bottom + 5}" stroke="black" stroke-width="1"/>')
+            parts.append(
+                f'<text x="{x}" y="{bottom + 19}" font-family="sans-serif" '
+                f'font-size="11" text-anchor="middle">{year}</text>')
+            year += year_step
+    parts.append(
+        f'<line x1="{left}" y1="{top_edge}" x2="{left}" '
+        f'y2="{bottom}" stroke="black" stroke-width="1"/>')
+    parts.append(
+        f'<line x1="{left}" y1="{bottom}" x2="{right}" '
+        f'y2="{bottom}" stroke="black" stroke-width="1"/>')
+
+    if values:
+        for index, series in enumerate(series_list):
+            pattern = STROKE_PATTERNS[index % len(STROKE_PATTERNS)]
+            dash = f' stroke-dasharray="{pattern}"' if pattern else ""
+            for run in _naive_data_runs(series):
+                if len(run) == 1:
+                    year, value = run[0]
+                    parts.append(
+                        f'<circle cx="{_naive_num(x_at(year))}" cy="{_naive_num(y_at(value))}" '
+                        f'r="2.5" fill="black"/>')
+                else:
+                    coords = " ".join(
+                        f"{'M' if i == 0 else 'L'} {_naive_num(x_at(year))} "
+                        f"{_naive_num(y_at(value))}"
+                        for i, (year, value) in enumerate(run))
+                    parts.append(
+                        f'<path d="{coords}" fill="none" stroke="black" '
+                        f'stroke-width="1.5"{dash}/>')
+    else:
+        parts.append(
+            f'<text x="{(left + right) / 2:g}" '
+            f'y="{(top_edge + bottom) / 2:g}" font-family="sans-serif" '
+            f'font-size="16" text-anchor="middle" fill="#888888">no data</text>')
+
+    legend_x = right - 196
+    for index, series in enumerate(series_list):
+        pattern = STROKE_PATTERNS[index % len(STROKE_PATTERNS)]
+        dash = f' stroke-dasharray="{pattern}"' if pattern else ""
+        y = top_edge + 10 + 16 * index
+        parts.append(
+            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 26}" y2="{y}" '
+            f'stroke="black" stroke-width="1.5"{dash}/>')
+        parts.append(
+            f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
+            f'font-size="11">{html.escape(series.label, quote=False)}</text>')
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _naive_num(value):
+    text = f"{value:.2f}".rstrip("0").rstrip(".")
+    return "0" if text in ("", "-0") else text
+
+
+def _naive_nice_step(span, divisions=5):
+    raw = span / divisions
+    magnitude = 10.0 ** math.floor(math.log10(raw))
+    for multiplier in (1, 2, 5, 10):
+        step = multiplier * magnitude
+        if step >= raw:
+            return step
+    return 10 * magnitude
+
+
+def _naive_data_runs(series):
+    """Consecutive has-data points; a no-data point ends the run."""
+    runs = []
+    current = []
+    for year in sorted(series.points):
+        point = series.points[year]
+        if point.has_data:
+            current.append((year, point.frequency))
+        elif current:
+            runs.append(current)
+            current = []
+    if current:
+        runs.append(current)
+    return runs

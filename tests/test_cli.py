@@ -521,6 +521,21 @@ def test_full_pipeline_matches_golden_directory(demo_dir, golden_dir, tmp_path, 
         assert (tmp_path / svg.name).read_bytes() == svg.read_bytes()
 
 
+def test_catalog_matches_golden_directory(golden_dir, tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_bytes((golden_dir / "demo" / "records.csv").read_bytes())
+    out = tmp_path / "catalog"
+    assert run(["catalog", "-i", str(records), "-o", str(out), "--limit", "12"]) == 0
+    capsys.readouterr()
+
+    golden = golden_dir / "demo" / "catalog"
+    names = sorted(path.name for path in golden.iterdir())
+    assert len(names) == 13
+    assert sorted(path.name for path in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_pipeline_composition_equals_library_calls(demo_dir, tmp_path, capsys):
     corpus = tmp_path / "corpus.csv"
     assert run(["ingest", "--bibtex", str(demo_dir / "demo.bib"),

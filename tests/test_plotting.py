@@ -4,9 +4,10 @@ import html
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import naive_render_plot
 from trendgram.frequency import FrequencySeries, SeriesPoint
 from trendgram.plotting import escape, render_plot
 
@@ -124,3 +125,37 @@ def test_headroom_scales_axis():
 def test_escape_matches_html_escape(text):
     assert escape(text, quote=False) == html.escape(text, quote=False)
     assert escape(text) == html.escape(text)
+
+
+_TEXT = st.text(alphabet=st.sampled_from("ab &<>\"'é"), max_size=12)
+# A few fixed values, so that points repeat and zeros are common, beside
+# arbitrary ones.
+_VALUE = st.one_of(st.sampled_from((0.0, 0.0, 0.25, 1e-4, 0.3333333333333333)),
+                   st.floats(min_value=1e-9, max_value=5.0))
+
+
+@st.composite
+def _plot_inputs(draw):
+    """1-4 series over years drawn from 1995-2014, with gaps (no-data
+    points), isolated points, and the all-no-data and all-zero cases."""
+    shape = draw(st.sampled_from(("mixed", "no data", "all zero")))
+    series_list = []
+    for _ in range(draw(st.integers(1, 4))):
+        years = draw(st.lists(st.integers(1995, 2014), min_size=1, max_size=12, unique=True))
+        points = {}
+        for year in years:
+            if shape == "no data":
+                points[year] = SeriesPoint(0.0, False)
+            elif shape == "all zero":
+                points[year] = SeriesPoint(0.0, True)
+            else:
+                points[year] = SeriesPoint(draw(_VALUE), draw(st.booleans()))
+        series_list.append(FrequencySeries(draw(_TEXT), points))
+    return series_list, draw(_TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plot_inputs())
+def test_render_plot_matches_naive_oracle(inputs):
+    series_list, title = inputs
+    assert render_plot(series_list, title) == naive_render_plot(series_list, title)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import os
 import random
+import stat
 
 import pytest
 
@@ -227,6 +228,37 @@ def test_build_catalog_pages_are_the_rendered_plots(tmp_path):
     for ngram, _, filename in index:
         series = evaluate(table, Query([QuerySeries(ngram, [tuple(ngram.split(" "))])]),
                           (2000, 2002))
+        assert (tmp_path / filename).read_bytes() == render_plot(series, ngram).encode("utf-8")
+
+
+def test_build_catalog_pages_get_the_mode_open_gives(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        build_catalog(catalog_table(), 1, tmp_path / "catalog")
+        with open(tmp_path / "opened", "wb"):
+            pass
+    finally:
+        os.umask(old_umask)
+    mode = stat.S_IMODE((tmp_path / "catalog" / "0001.svg").stat().st_mode)
+    assert mode == 0o666 & ~0o027
+    assert mode == stat.S_IMODE((tmp_path / "opened").stat().st_mode)
+
+
+def test_build_catalog_finishes_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:1000])
+
+    monkeypatch.setattr(os, "write", short_write)
+    table = catalog_table()
+    index = build_catalog(table, 3, tmp_path)
+    monkeypatch.undo()
+    assert max(calls) > 1000  # a page needed more than one write
+    for ngram, _, filename in index:
+        series = evaluate(table, Query([QuerySeries(ngram, [(ngram,)])]), (2000, 2002))
         assert (tmp_path / filename).read_bytes() == render_plot(series, ngram).encode("utf-8")
 
 
