@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 from pathlib import Path
 
+from . import _lazy
 from ._limits import (CSV_FIELDS, DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
                       DEFAULT_YEAR_RANGE, NGRAM_MAX)
 from .errors import IngestError, TrendgramError
@@ -33,26 +33,17 @@ _STAGES = {
                "top_ngrams", "write_records"),
     "plotting": ("render_plot",),
     "textprep": ("entry_sentences",),
-    "trends": ("build_catalog", "rank_trends"),
+    "trends": ("build_catalog", "load_catalog_stages", "rank_trends"),
 }
-_STAGE_OF = {name: module for module, names in _STAGES.items() for name in names}
 
 
 def _load(*modules):
     """Bind the names of `modules` here; a name already set, such as a
     wrapper patched in, is kept."""
-    for module in modules:
-        stage = import_module(f"{__package__}.{module}")
-        for name in _STAGES[module]:
-            globals().setdefault(name, getattr(stage, name))
+    _lazy.bind(globals(), _STAGES, *modules)
 
 
-def __getattr__(name):
-    module = _STAGE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(module)
-    return globals()[name]
+__getattr__ = _lazy.module_getattr(globals(), _STAGES)
 
 
 STOPLIST_ENV = "TRENDGRAM_STOPLIST"
@@ -289,6 +280,10 @@ def cmd_top(args):
 
 def cmd_catalog(args):
     _load("ngrams", "trends")
+    # build_catalog would load its stages itself; loading them before the
+    # table is read keeps what importing them briefly allocates (compiling,
+    # without a bytecode cache) off the top of the table.
+    load_catalog_stages()
     if args.limit < 1:
         raise UsageError("", "--limit must be at least 1")
     table = read_table(args.input)

@@ -14,15 +14,32 @@ import os
 from pathlib import Path
 from typing import NamedTuple
 
+from . import _lazy
 from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS
 from .errors import SlopeError
-from .frequency import Query, QuerySeries, evaluate
 from .ngrams import _ngram_totals
-from .plotting import escape, render_plot
+
+# The names only `build_catalog` uses. They are bound as globals of this
+# module on first use, so ranking trends loads neither stage. They stay
+# patchable as `trendgram.trends.<name>` before any catalog is built:
+# bench/tracing.py wraps `evaluate` and `render_plot` here.
+_CATALOG_STAGES = {
+    "frequency": ("Query", "QuerySeries", "evaluate"),
+    "plotting": ("escape", "render_plot"),
+}
+
+# A catalog page is opened for writing without truncating it, created
+# with the mode `open(path, "wb")` gives a new file.
+_PAGE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-# A catalog page is opened as `open(path, "wb")` opens a file.
-_PAGE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+def load_catalog_stages():
+    """Bind `_CATALOG_STAGES` here; a name already set, such as a wrapper
+    patched in, is kept."""
+    _lazy.bind(globals(), _CATALOG_STAGES)
+
+
+__getattr__ = _lazy.module_getattr(globals(), _CATALOG_STAGES)
 
 
 class TrendEntry(NamedTuple):
@@ -100,6 +117,7 @@ def build_catalog(table, limit, out_dir, year_range=None):
     if not table.cells:
         raise ValueError("cannot build a catalog from an empty table")
     year_range = year_range or table.year_span()
+    load_catalog_stages()
 
     totals = _ngram_totals(table.cells.values())
     ranked = heapq.nsmallest(limit, totals.items(), key=lambda item: (-item[1], item[0]))
@@ -120,12 +138,22 @@ def build_catalog(table, limit, out_dir, year_range=None):
 
 def _write_page(path, data):
     """Write `data` over the file at `path`, in place, through one file
-    descriptor: no `Path` or file object per page."""
+    descriptor: no `Path` or file object per page.
+
+    An existing page is overwritten from its start and then cut to
+    `len(data)` if it was longer, never truncated to zero first: on ext4
+    that would free its blocks and make `close` start writing the new
+    page back to disk. A device or pipe, which has no size, is not cut.
+    An `OSError` names the page."""
     fd = os.open(path, _PAGE_FLAGS, 0o666)
     try:
         written = os.write(fd, data)
         while written < len(data):
             written += os.write(fd, data[written:])
+        if os.fstat(fd).st_size > written:
+            os.ftruncate(fd, written)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         os.close(fd)
 

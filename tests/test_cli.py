@@ -227,6 +227,12 @@ def test_import_trendgram_loads_no_stage():
     assert _modules_after("import trendgram") == ("None", set())
 
 
+def test_import_trends_loads_no_catalog_stage():
+    _, modules = _modules_after("import trendgram.trends")
+    assert "trendgram.trends" in modules
+    assert modules.isdisjoint({"trendgram.frequency", "trendgram.plotting", "trendgram.textprep"})
+
+
 @pytest.mark.parametrize("argv, loaded, unloaded", [
     (["ingest", "--bibtex", "{demo}/demo.bib", "--csv", "{demo}/demo.csv",
       "--endnote", "{demo}/demo.enw", "-o", "c.csv"],
@@ -239,6 +245,10 @@ def test_import_trendgram_loads_no_stage():
      ["frequency", "ngrams"], ["plotting", "json"]),
     (["query", "-i", "records.csv", "code", "--svg", "q.svg"],
      ["frequency", "plotting"], ["json"]),
+    (["trends", "-i", "records.csv", "--min-support", "1", "--min-years", "1"],
+     ["ngrams", "trends"], ["ingest", "textprep", "frequency", "plotting"]),
+    (["catalog", "-i", "records.csv", "-o", "catalog", "--limit", "3"],
+     ["ngrams", "trends", "frequency", "plotting"], ["ingest"]),
 ])
 def test_each_command_loads_only_its_stages(records_csv, demo_dir, argv, loaded, unloaded):
     argv = [arg.format(demo=demo_dir) for arg in argv]
@@ -268,6 +278,36 @@ def test_traced_cli_names_resolve_before_any_command(fresh_cli, request, monkeyp
         stage_function = getattr(fresh_cli, name)
         assert stage_function.__module__ != "trendgram.cli"
         assert stage_function is getattr(sys.modules[stage_function.__module__], name)
+
+
+@pytest.fixture()
+def fresh_trends(monkeypatch):
+    """`trendgram.trends` imported anew, as in a process that has built no catalog."""
+    monkeypatch.setattr(trendgram, "trends", trendgram.trends)
+    monkeypatch.delitem(sys.modules, "trendgram.trends")
+    return importlib.import_module("trendgram.trends")
+
+
+def test_traced_trends_names_are_the_ones_build_catalog_calls(fresh_trends, request, monkeypatch,
+                                                              tmp_path):
+    monkeypatch.syspath_prepend(str(request.config.rootpath / "bench"))
+    tracing = importlib.import_module("tracing")
+    names = [attr for module, attr, _, _ in tracing.TARGETS if module.__name__ == "trendgram.trends"]
+    assert sorted(names) == ["evaluate", "render_plot"]
+    assert not set(names) & set(vars(fresh_trends))
+    calls = []
+    for name in names:
+        original = getattr(fresh_trends, name)
+        assert original is getattr(sys.modules[original.__module__], name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fresh_trends, name, wrapper)
+    table = build_table({(1, "code", 2000): 2, (1, "code", 2001): 3, (1, "test", 2001): 1})
+    assert len(fresh_trends.build_catalog(table, 2, tmp_path)) == 2
+    assert calls == ["evaluate", "render_plot"] * 2
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -534,6 +574,30 @@ def test_catalog_matches_golden_directory(golden_dir, tmp_path, capsys):
     assert sorted(path.name for path in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stale", [
+    lambda old: old + b"x" * 9000,  # every existing file longer than the new one
+    lambda old: old[:len(old) // 2],  # every existing file shorter
+], ids=["longer", "shorter"])
+def test_catalog_rewrites_existing_files_to_the_golden_bytes(golden_dir, tmp_path, capsys, stale):
+    records = tmp_path / "records.csv"
+    records.write_bytes((golden_dir / "demo" / "records.csv").read_bytes())
+    golden = golden_dir / "demo" / "catalog"
+    fresh, rewritten = tmp_path / "fresh", tmp_path / "rewritten"
+    rewritten.mkdir()
+    for path in golden.iterdir():
+        (rewritten / path.name).write_bytes(stale(path.read_bytes()))
+    for out in (fresh, rewritten):
+        assert run(["catalog", "-i", str(records), "-o", str(out), "--limit", "12"]) == 0
+    capsys.readouterr()
+
+    names = sorted(path.name for path in golden.iterdir())
+    assert sorted(path.name for path in rewritten.iterdir()) == names
+    for name in names:
+        expected = (golden / name).read_bytes()
+        assert (fresh / name).read_bytes() == expected, name
+        assert (rewritten / name).read_bytes() == expected, name
 
 
 def test_pipeline_composition_equals_library_calls(demo_dir, tmp_path, capsys):

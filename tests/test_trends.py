@@ -271,6 +271,52 @@ def test_catalog_page_that_cannot_be_written_names_its_path(tmp_path, capsys):
         f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out / '0002.svg'}'\n")
 
 
+@pytest.mark.parametrize("call, code", [("write", errno.ENOSPC), ("ftruncate", errno.EIO)])
+def test_catalog_page_write_error_names_its_path(tmp_path, capsys, monkeypatch, call, code):
+    records, out = tmp_path / "records.csv", tmp_path / "catalog"
+    write_records(catalog_table(), records)
+    out.mkdir()
+    (out / "0001.svg").write_bytes(b"x" * 100_000)  # longer than the page, so it is cut
+
+    def fail(*args):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, call, fail)
+    assert run(["catalog", "-i", str(records), "-o", str(out), "--limit", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {code}] {os.strerror(code)}: '{out / '0001.svg'}'\n")
+
+
+def test_build_catalog_keeps_an_existing_page_and_its_mode(tmp_path):
+    page = tmp_path / "0001.svg"
+    page.write_bytes(b"x" * 100_000)
+    page.chmod(0o600)
+    inode = page.stat().st_ino
+    build_catalog(catalog_table(), 1, tmp_path)
+    assert stat.S_IMODE(page.stat().st_mode) == 0o600
+    assert page.stat().st_ino == inode
+    assert page.read_bytes().startswith(b"<?xml") and page.read_bytes().endswith(b"</svg>\n")
+
+
+def test_build_catalog_writes_through_a_page_symlink(tmp_path):
+    target = tmp_path / "elsewhere.svg"
+    target.write_bytes(b"x" * 100_000)
+    out = tmp_path / "catalog"
+    out.mkdir()
+    (out / "0001.svg").symlink_to(target)
+    build_catalog(catalog_table(), 1, tmp_path / "fresh")
+    build_catalog(catalog_table(), 1, out)
+    assert (out / "0001.svg").is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh" / "0001.svg").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_build_catalog_writes_a_page_linked_to_a_device(tmp_path):
+    (tmp_path / "0001.svg").symlink_to("/dev/null")  # has no size, so it is not cut
+    build_catalog(catalog_table(), 2, tmp_path)
+    assert (tmp_path / "0002.svg").read_bytes().endswith(b"</svg>\n")
+
+
 def test_build_catalog_rejects_empty_table(tmp_path):
     with pytest.raises(ValueError):
         build_catalog(build_table({}), 1, tmp_path)
