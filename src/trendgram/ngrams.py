@@ -8,6 +8,12 @@ discarded when at least half of its tokens are stopwords; the comparison
 is exact integer arithmetic, so a bigram with exactly one stopword is
 discarded.
 
+`ngrams_of` and `passes_stopword_rule` define the windows and the rule.
+`count_ngrams` does not call them: it counts whole batches of sentences
+in C iterator pipelines, and `write_records` formats and writes rows in
+chunks the same way, so neither runs Python code per window or per row.
+The tests hold both against those definitions and against naive oracles.
+
 `read_table` keeps a sidecar index beside a records file it reads by
 path, `RECORDS.idx`, holding the table it built the last time it fully
 validated that exact file, one section per (n, year), and loads the
@@ -26,10 +32,11 @@ import os
 import stat
 import struct
 import zlib
+from collections import _count_elements
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import accumulate, islice, repeat
-from operator import itemgetter
+from itertools import accumulate, compress, groupby, islice, repeat
+from operator import attrgetter, itemgetter, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +47,10 @@ from .errors import RecordsError, TrendgramError
 RECORDS_HEADER = ("n", "ngram", "year", "count")
 
 _ALL_LENGTHS = frozenset(range(1, NGRAM_MAX + 1))
+
+_BATCH = 256  # sentences counted together; bounds the batch's token lists
+_BOUNDARY = object()  # follows each sentence of a batch; equals no token
+_WRITE_CHUNK = 1024  # records lines joined into one write
 
 
 class NgramRecord(NamedTuple):
@@ -158,24 +169,28 @@ def build_table(counts):
     return FrequencyTable(cells)
 
 
-def _rows(cells, n):
-    """The `(ngram, year, count)` rows of length `n` in (ngram, year)
-    order: listed a year at a time in ascending years, then stably
-    sorted by n-gram alone, a sort that compares only strings, which is
-    much cheaper than comparing tuples."""
+def _rows(cells, n, rows_of):
+    """The rows `rows_of(year, cell)` gives for each cell of length `n`,
+    which start with the n-gram, in (ngram, year) order: listed a year
+    at a time in ascending years, then stably sorted by n-gram alone, a
+    sort that compares only strings, which is much cheaper than
+    comparing tuples."""
     rows = []
     for year in sorted(year for length, year in cells if length == n):
-        cell = cells[n, year]
-        rows.extend(zip(cell, repeat(year), cell.values()))
+        rows += rows_of(year, cells[n, year])
     rows.sort(key=itemgetter(0))
     return rows
+
+
+def _counted(year, cell):
+    return zip(cell, repeat(year), cell.values())
 
 
 def _records(cells):
     """`(n, ngram, year, count)` for every count in `cells`, in (n,
     ngram, year) order; only one length's rows are alive at a time."""
     for n in sorted({n for n, _ in cells}):
-        for ngram, year, count in _rows(cells, n):
+        for ngram, year, count in _rows(cells, n, _counted):
             yield n, ngram, year, count
 
 
@@ -242,31 +257,41 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
 
     Repeated occurrences within one sentence all count. Returns a
     `FrequencyTable`; counts of separately counted shards sum to the
-    counts of the whole corpus.
+    counts of the whole corpus. `stoplist` is a `Stoplist` or a set of
+    words.
 
     The windows and the rule are those of `ngrams_of` and
-    `passes_stopword_rule`, applied through a prefix sum of stop flags
-    per sentence: `stops[i]` is the number of stopwords among the first
-    i tokens, so a window's stopword count is one subtraction, and the
-    n-gram text is built only for windows that are kept. Each kept
-    window is counted in the dict of its (n, year).
+    `passes_stopword_rule`, applied a batch at a time: up to _BATCH
+    consecutive sentences of one year, their tokens concatenated with
+    `_BOUNDARY` after each sentence. `stops[i]` is the weight of the
+    first i tokens, a stopword weighing 1 and `_BOUNDARY` NGRAM_MAX, so
+    a window's stopword count is one subtraction, and a window that
+    crosses a sentence boundary weighs too much to be kept. The n-gram
+    text is built only for windows that are kept, and each is counted
+    in the dict of its (n, year), all inside C iterators.
     """
     _check_bounds(n_min, n_max)
-    stopwords = getattr(stoplist, "words", stoplist)
+    weight = dict.fromkeys(getattr(stoplist, "words", stoplist), 1)
+    weight[_BOUNDARY] = NGRAM_MAX
+    weigh = weight.get
     lengths = range(n_min, n_max + 1)
     by_year: dict[int, list[dict[str, int]]] = {}
-    for sentence in sentences:
-        tokens = sentence.tokens
-        cells = by_year.get(sentence.year)
+    for year, run in groupby(sentences, attrgetter("year")):
+        cells = by_year.get(year)
         if cells is None:
-            cells = by_year[sentence.year] = [{} for _ in lengths]
-        stops = list(accumulate((token in stopwords for token in tokens), initial=0))
-        for n, cell in zip(lengths, cells):
-            get = cell.get
-            for start in range(len(tokens) - n + 1):
-                if 2 * (stops[start + n] - stops[start]) < n:
-                    ngram = " ".join(tokens[start:start + n])
-                    cell[ngram] = get(ngram, 0) + 1
+            cells = by_year[year] = [{} for _ in lengths]
+        while True:
+            tokens = []
+            for sentence in islice(run, _BATCH):
+                tokens += sentence.tokens
+                tokens.append(_BOUNDARY)
+            if not tokens:
+                break
+            stops = list(accumulate(map(weigh, tokens, repeat(0)), initial=0))
+            for n, cell in zip(lengths, cells):
+                kept = map(((n + 1) // 2).__gt__, map(sub, islice(stops, n, None), stops))
+                windows = zip(*[islice(tokens, start, None) for start in range(n)])
+                _count_elements(cell, map(" ".join, compress(windows, kept)))
     years = sorted(by_year)
     return FrequencyTable({(n, year): by_year[year][index] for index, n in enumerate(lengths)
                            for year in years if by_year[year][index]})
@@ -278,14 +303,41 @@ def write_records(table, dest):
     The n-gram cell is quoted, with its quotes doubled, only if it
     contains a comma, a quote, `\n` or `\r` (token rules make all four
     impossible, but readers must accept it).
+
+    Each length's rows (see `_quoted_rows`) are formatted and written in
+    chunks of _WRITE_CHUNK lines. Only the formatting iterator holds
+    them, so they are freed before the next length's rows are listed.
     """
+    cells = table.cells
     with open_for_write(dest) as fh:
         write = fh.write
         write(",".join(RECORDS_HEADER) + "\n")
-        for n, ngram, year, count in _records(table.cells):
-            if "," in ngram or '"' in ngram or "\n" in ngram or "\r" in ngram:
-                ngram = '"' + ngram.replace('"', '""') + '"'
-            write(f"{n},{ngram},{year},{count}\n")
+        for n in sorted({n for n, _ in cells}):
+            lines = map(f"{n},%s%s".__mod__, _quoted_rows(cells, n))
+            while chunk := "".join(islice(lines, _WRITE_CHUNK)):
+                write(chunk)
+
+
+def _quoted_rows(cells, n):
+    """The `(ngram, ",year,count\n")` rows of length `n` in (ngram, year)
+    order, each suffix string shared by the rows of its cell with that
+    count. N-grams are quoted after the sort, since a quoted one sorts
+    elsewhere, and only for a length where some cell's n-grams, joined
+    and searched once, hold a character that needs it."""
+    rows = _rows(cells, n, _suffixed)
+    if any(_needs_quotes(" ".join(cell)) for (length, _), cell in cells.items() if length == n):
+        rows = [('"' + ngram.replace('"', '""') + '"' if _needs_quotes(ngram) else ngram, suffix)
+                for ngram, suffix in rows]
+    return rows
+
+
+def _suffixed(year, cell):
+    suffix = {count: f",{year},{count}\n" for count in set(cell.values())}
+    return zip(cell, map(suffix.__getitem__, cell.values()))
+
+
+def _needs_quotes(text):
+    return "," in text or '"' in text or "\n" in text or "\r" in text
 
 
 def read_table(source, lengths=None):

@@ -156,7 +156,7 @@ def test_count_ngrams_agrees_with_naive_oracle(stoplist):
         got = {(r.n, r.ngram, r.year): r.count for r in table}
         assert got == expected
         assert table.counts == expected
-        # Any container of stopwords serves, as it does `passes_stopword_rule`.
+        # A plain set of stopwords serves as a `Stoplist` does.
         assert count_ngrams(sentences, set(stoplist.words), n_min, n_max) == table
 
         totals = {}
@@ -176,6 +176,39 @@ def test_count_ngrams_agrees_with_naive_oracle(stoplist):
         streamed = read_table(io.StringIO(buffer.getvalue()))
         assert streamed == table
         assert_table_contract(streamed, expected)
+
+
+def year_runs(rng, runs):
+    """Sentences in consecutive same-year runs, `runs` being (year, size)
+    pairs. A sentence is often empty, one token, all stopwords, or made
+    of the tokens "" and " "; otherwise random."""
+    vocab = WORDS[:4] + STOPPY_WORDS[:3] + ("", " ")
+    shapes = ([], ["code"], ["of"], ["of", "the", "and"], ["", " "], [" ", "code", ""])
+    sentences = []
+    for year, size in runs:
+        for _ in range(size):
+            if rng.random() < 0.4:
+                tokens = list(rng.choice(shapes))
+            else:
+                tokens = [rng.choice(vocab) for _ in range(rng.randint(2, 9))]
+            sentences.append(Sentence(tokens, "abstract", f"x:{len(sentences)}", year))
+    return sentences
+
+
+@pytest.mark.parametrize("runs", [
+    [(2000, 600), (2001, 257), (2002, 1)],  # years sorted, runs beyond one batch
+    [(2001, 300), (2000, 2), (2001, 513), (2000, 256), (2001, 1)],  # interleaved
+], ids=["sorted", "interleaved"])
+def test_count_ngrams_agrees_with_naive_oracle_across_batches(stoplist, runs):
+    sentences = year_runs(random.Random(len(runs)), runs)
+    words = set(stoplist.words) | {" "}
+    for n_min in range(1, 5):
+        for n_max in range(n_min, 5):
+            table = count_ngrams(iter(sentences), stoplist, n_min, n_max)
+            assert table.counts == naive_ngram_counts(sentences, stoplist, n_min, n_max)
+            assert all(table.cells.values())
+            table = count_ngrams(iter(sentences), words, n_min, n_max)
+            assert table.counts == naive_ngram_counts(sentences, words, n_min, n_max)
 
 
 def assert_table_contract(table, expected):
@@ -348,6 +381,26 @@ def test_write_records_matches_oracle_writer(tmp_path_factory, counts):
     path = tmp_path_factory.mktemp("oracle") / "records.csv"
     write_records(build_table(counts), path)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("counts", [
+    # only one year's cell of length 1 and of length 2 needs quoting
+    {(1, "alpha", 2000): 1, (1, "alpha", 2001): 2, (1, "a,b", 2001): 3, (1, 'say "x"', 2001): 4,
+     (1, "zeta", 2000): 5, (2, "line\nfeed", 2003): 6, (2, "carriage\rreturn", 2003): 7,
+     (2, "a b", 2002): 8, (3, "a b c", 2003): 9},
+    # "zeta," quoted sorts before "alpha", but its row must stay after it
+    {(1, "alpha", 2000): 1, (1, "zeta,", 2000): 2, (1, "zeta,", 1999): 3, (1, "beta", 2001): 4},
+    # more than one chunk of lines for a length, with quoting across chunks
+    {**{(1, f"w{index}", 2000 + index % 3): index + 1 for index in range(2600)},
+     **{(1, f"w{index},", 2001): 7 for index in range(0, 2600, 97)},
+     (2, "a b", 2000): 1},
+], ids=["one-cell-quotes", "quote-after-sort", "many-chunks"])
+def test_write_records_quoting_and_chunks_match_oracle_writer(counts):
+    buffer = io.StringIO()
+    write_records(build_table(counts), buffer)
+    assert buffer.getvalue() == naive_records_text(counts)
+    if (1, "zeta,", 2000) in counts:
+        assert buffer.getvalue().index("1,alpha,") < buffer.getvalue().index('1,"zeta,",')
 
 
 def assert_iterates_in_key_order(table):
