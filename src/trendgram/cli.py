@@ -3,7 +3,8 @@
 Each stage reads and writes plain files so intermediate artifacts
 (corpus.csv, records.csv) stay inspectable. Diagnostics go to standard
 error; data goes to standard output or the `-o` target. Exit status is
-0 on success, 1 on a usage error, 2 on a data error.
+0 on success, 1 on a usage error, 2 on a data error, 130 when `main`
+is interrupted with Ctrl-C.
 """
 
 from __future__ import annotations
@@ -159,7 +160,15 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    """`run` as a program: Ctrl-C ends it with one line on standard error
+    and status 130, where `run` lets `KeyboardInterrupt` through to its
+    caller."""
+    try:
+        status = run()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        status = 130
+    sys.exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +298,7 @@ def cmd_catalog(args):
     table = read_table(args.input)
     if not table.cells:
         raise TrendgramError("records file has no records to catalog")
-    year_range = None
-    if args.year_from is not None or args.year_to is not None:
-        year_range = _year_range_for(args, table)
-    index = build_catalog(table, args.limit, args.output, year_range)
+    index = build_catalog(table, args.limit, args.output, _year_range_for(args, table))
     print(f"wrote {len(index)} plots to {args.output}", file=sys.stderr)
     return 0
 

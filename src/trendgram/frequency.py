@@ -17,12 +17,11 @@ import csv
 from typing import NamedTuple
 
 from ._io import open_for_write
+from ._limits import NGRAM_MAX
 from .errors import QueryError
 from .textprep import remove_articles, tokenize
 
 SERIES_HEADER = ("label", "year", "frequency", "has_data")
-
-MAX_PHRASE_TOKENS = 4
 
 
 class SeriesPoint(NamedTuple):
@@ -83,8 +82,8 @@ def parse_query(text):
             tokens = remove_articles(tokenize(part))
             if not tokens:
                 raise QueryError(f"phrase {part!r} has no searchable tokens")
-            if len(tokens) > MAX_PHRASE_TOKENS:
-                raise QueryError(f"phrase {part!r} is longer than {MAX_PHRASE_TOKENS} tokens")
+            if len(tokens) > NGRAM_MAX:
+                raise QueryError(f"phrase {part!r} is longer than {NGRAM_MAX} tokens")
             phrases.append(tuple(tokens))
         series.append(QuerySeries(label, phrases))
     return Query(series)

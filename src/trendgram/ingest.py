@@ -96,6 +96,26 @@ def _make_entry(source, ordinal, title, abstract, keywords, authors, year_text,
     return entry, None
 
 
+def _collect(source, records, year_range, start_ordinal):
+    """`(entries, diagnostics)` of a parser's `records`, `(line, label,
+    fields)` each: `fields` are `_make_entry`'s title, abstract,
+    keywords, authors and year text, and a refused record is reported as
+    `label: problem`; a record with `fields` None could not be read, and
+    `label` says why. Entries are numbered from `start_ordinal`."""
+    entries: list[Entry] = []
+    diagnostics: list[Diagnostic] = []
+    for line, label, fields in records:
+        if fields is None:
+            diagnostics.append(Diagnostic(line, label))
+            continue
+        entry, problem = _make_entry(source, start_ordinal + len(entries), *fields, year_range)
+        if problem:
+            diagnostics.append(Diagnostic(line, f"{label}: {problem}"))
+        else:
+            entries.append(entry)
+    return entries, diagnostics
+
+
 # ---------------------------------------------------------------------------
 # BibTeX
 
@@ -125,9 +145,11 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
 
     Returns `(entries, diagnostics)`.
     """
-    entries: list[Entry] = []
-    diagnostics: list[Diagnostic] = []
-    ordinal = start_ordinal
+    return _collect("bibtex", _bibtex_records(text), year_range, start_ordinal)
+
+
+def _bibtex_records(text):
+    """`(line, label, fields)` for each record of `text` (see `_collect`)."""
     pos = 0
     line, line_start = 1, 0  # the line number of text[line_start]
     closing = None  # see `_closing_braces`; made at the first braced record
@@ -141,7 +163,7 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
                 closing = _closing_braces(text)
             end = closing.get(match.end() - 1)
         if end is None:
-            diagnostics.append(Diagnostic(line, "unbalanced braces in record"))
+            yield line, "unbalanced braces in record", None
             pos = _resync(text, at)
             continue
         pos = end + 1
@@ -149,23 +171,14 @@ def parse_bibtex(text, year_range=None, start_ordinal=1):
             continue
         body = text[match.end():end]
         fields = _record_fields(body)
-        entry, problem = _make_entry(
-            "bibtex",
-            ordinal,
-            title=fields.get("title", ""),
-            abstract=fields.get("abstract", ""),
-            keywords=_split_on(fields.get("keywords", ""), _KEYWORD_SEP_RE),
-            authors=_split_on(fields.get("author", ""), _AUTHOR_SEP_RE),
-            year_text=fields.get("year", ""),
-            year_range=year_range,
+        key = body.partition(",")[0].strip() or "?"
+        yield line, f"record '{key}'", (
+            fields.get("title", ""),
+            fields.get("abstract", ""),
+            _split_on(fields.get("keywords", ""), _KEYWORD_SEP_RE),
+            _split_on(fields.get("author", ""), _AUTHOR_SEP_RE),
+            fields.get("year", ""),
         )
-        if problem:
-            key = body.partition(",")[0].strip() or "?"
-            diagnostics.append(Diagnostic(line, f"record '{key}': {problem}"))
-            continue
-        entries.append(entry)
-        ordinal += 1
-    return entries, diagnostics
 
 
 def _closing_braces(text):
@@ -274,28 +287,14 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
             return ""
         return row[pos].strip()
 
-    entries: list[Entry] = []
-    diagnostics: list[Diagnostic] = []
-    ordinal = start_ordinal
-    for row in rows:
-        if not any(c.strip() for c in row):
-            continue
-        entry, problem = _make_entry(
-            "csv",
-            ordinal,
-            title=cell(row, "title"),
-            abstract=cell(row, "abstract"),
-            keywords=_split_on(cell(row, "keywords"), _SEMICOLON_RE),
-            authors=_split_on(cell(row, "authors"), _SEMICOLON_RE),
-            year_text=cell(row, "year"),
-            year_range=year_range,
-        )
-        if problem:
-            diagnostics.append(Diagnostic(reader.line_num, f"row skipped: {problem}"))
-            continue
-        entries.append(entry)
-        ordinal += 1
-    return entries, diagnostics
+    records = ((reader.line_num, "row skipped", (
+        cell(row, "title"),
+        cell(row, "abstract"),
+        _split_on(cell(row, "keywords"), _SEMICOLON_RE),
+        _split_on(cell(row, "authors"), _SEMICOLON_RE),
+        cell(row, "year"),
+    )) for row in rows if any(c.strip() for c in row))
+    return _collect("csv", records, year_range, start_ordinal)
 
 
 def _checked_rows(reader):
@@ -314,6 +313,8 @@ def _checked_rows(reader):
 # The tags read, each with the separator that joins an untagged line to its value.
 _ENDNOTE_JOINERS = {"%T": " ", "%A": " ", "%D": " ", "%K": "\n", "%X": " "}
 _ENDNOTE_KEYWORD_SEP_RE = re.compile(r"[;\n]")
+_LINE_END_RE = re.compile(r"\r\n?|\n")
+_OTHER_LINE_BREAK_RE = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def parse_endnote(text, year_range=None, start_ordinal=1):
@@ -322,56 +323,51 @@ def parse_endnote(text, year_range=None, start_ordinal=1):
     Tags: %T title, %A author (repeatable, split on `;`), %D year, %K
     keywords (split on `;` or newline), %X abstract. Untagged lines
     continue the previous tag's value; unknown tags are ignored.
+
+    A diagnostic names the line a record starts on, counted at `\\n`,
+    `\\r\\n` and `\\r`. Other line breaks, such as `\\x0c` and U+2028, end
+    a tag's line too but are not counted.
     """
-    entries: list[Entry] = []
-    diagnostics: list[Diagnostic] = []
-    ordinal = start_ordinal
-    for start_line, lines in _endnote_records(text):
-        # One list per tag, starting with the value of a tag that never
-        # appears; `current` is the list an untagged line continues.
-        values = {tag: [""] for tag in _ENDNOTE_JOINERS}
-        current = None
-        for line in lines:
-            if line.startswith("%") and len(line) >= 2:
-                tag = line[:2]
-                current = values.get(tag)
-                if current is not None:
-                    current.append(line[2:].strip())
-            elif current is not None and (extra := line.strip()):
-                current[-1] += _ENDNOTE_JOINERS[tag] + extra
-        entry, problem = _make_entry(
-            "endnote",
-            ordinal,
-            title=values["%T"][-1],
-            abstract=values["%X"][-1],
-            keywords=_split_on("\n".join(values["%K"]), _ENDNOTE_KEYWORD_SEP_RE),
-            authors=_split_on(";".join(values["%A"]), _SEMICOLON_RE),
-            year_text=values["%D"][-1],
-            year_range=year_range,
-        )
-        if problem:
-            diagnostics.append(Diagnostic(start_line, f"record skipped: {problem}"))
-            continue
-        entries.append(entry)
-        ordinal += 1
-    return entries, diagnostics
+    return _collect("endnote", _endnote_records(text), year_range, start_ordinal)
 
 
 def _endnote_records(text):
-    records = []
+    """`(line, label, fields)` for each run of non-blank lines."""
     current: list[str] = []
     start = 0
-    for number, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            if not current:
-                start = number
-            current.append(line)
-        elif current:
-            records.append((start, current))
-            current = []
+    for number, line in enumerate(_LINE_END_RE.split(text), 1):
+        for piece in _OTHER_LINE_BREAK_RE.split(line):
+            if piece.strip():
+                if not current:
+                    start = number
+                current.append(piece)
+            elif current:
+                yield start, "record skipped", _endnote_fields(current)
+                current = []
     if current:
-        records.append((start, current))
-    return records
+        yield start, "record skipped", _endnote_fields(current)
+
+
+def _endnote_fields(lines):
+    # One list per tag, starting with the value of a tag that never
+    # appears; `current` is the list an untagged line continues.
+    values = {tag: [""] for tag in _ENDNOTE_JOINERS}
+    current = None
+    for line in lines:
+        if line.startswith("%") and len(line) >= 2:
+            tag = line[:2]
+            current = values.get(tag)
+            if current is not None:
+                current.append(line[2:].strip())
+        elif current is not None and (extra := line.strip()):
+            current[-1] += _ENDNOTE_JOINERS[tag] + extra
+    return (
+        values["%T"][-1],
+        values["%X"][-1],
+        _split_on("\n".join(values["%K"]), _ENDNOTE_KEYWORD_SEP_RE),
+        _split_on(";".join(values["%A"]), _SEMICOLON_RE),
+        values["%D"][-1],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ import stat
 import struct
 import zlib
 from collections import _count_elements
-from collections.abc import Mapping
 from functools import cached_property
 from itertools import accumulate, compress, groupby, islice, repeat
 from operator import attrgetter, itemgetter, sub
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ._io import checked_csv, open_for_write, read_text, replacing
@@ -106,9 +106,9 @@ class FrequencyTable:
 
     @property
     def counts(self):
-        """The counts as a read-only `(n, ngram, year) -> count` mapping
-        (see `FlatCounts`)."""
-        return FlatCounts(self.cells)
+        """A read-only snapshot of the counts as an `(n, ngram, year) ->
+        count` mapping, in (n, ngram, year) order, the records file's."""
+        return MappingProxyType({record[:3]: record[3] for record in _records(self.cells)})
 
     def __len__(self):
         return sum(map(len, self.cells.values()))
@@ -132,30 +132,6 @@ class FrequencyTable:
         if not self.years:
             return None
         return self.years[0], self.years[-1]
-
-
-class FlatCounts(Mapping):
-    """A read-only `(n, ngram, year) -> count` view of a table's cells,
-    iterated in (n, ngram, year) order, the records file's. No stage
-    reads it: it keeps the flat form for `bench/tracing.py` and for
-    `read_records`, until the program reports its own stage counts
-    (ROADMAP item 1) and the view can go."""
-
-    def __init__(self, cells):
-        self._cells = cells
-
-    def __getitem__(self, key):
-        try:
-            n, ngram, year = key
-            return self._cells[n, year][ngram]
-        except (TypeError, ValueError):  # not an (n, ngram, year) key
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        return (record[:3] for record in _records(self._cells))
-
-    def __len__(self):
-        return sum(map(len, self._cells.values()))
 
 
 def build_table(counts):
@@ -542,6 +518,13 @@ def _ngram_totals(cells):
     return totals
 
 
+def _most_frequent(cells, k):
+    """The k `(ngram, total)` pairs of `cells` with the highest totals
+    (see `_ngram_totals`), sorted by total descending, ties broken
+    lexicographically."""
+    return heapq.nsmallest(k, _ngram_totals(cells).items(), key=lambda item: (-item[1], item[0]))
+
+
 def top_ngrams(table, n, k):
     """The k most frequent length-n n-grams summed across years.
 
@@ -550,5 +533,4 @@ def top_ngrams(table, n, k):
     if k < 1:
         raise ValueError("k must be at least 1")
     table.require((n,))
-    totals = _ngram_totals(cell for (length, _), cell in table.cells.items() if length == n)
-    return heapq.nsmallest(k, totals.items(), key=lambda item: (-item[1], item[0]))
+    return _most_frequent((cell for (length, _), cell in table.cells.items() if length == n), k)

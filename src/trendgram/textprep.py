@@ -13,7 +13,9 @@ import re
 from typing import NamedTuple
 
 _TERMINATOR_RE = re.compile(r"[.!?;:]\s+")
-_TOKEN_RE = re.compile(r"[\w'-]+")
+# A run of word characters, apostrophes and hyphens, from its first word
+# character to its last.
+_TOKEN_RE = re.compile(r"\w(?:[\w'-]*\w)?")
 
 ARTICLES = frozenset({"a", "an", "the"})
 
@@ -43,13 +45,7 @@ def tokenize(sentence):
     one token); leading and trailing ones are stripped, and anything
     that was pure punctuation disappears.
     """
-    folded = sentence.casefold().replace("_", " ")
-    tokens = []
-    for raw in _TOKEN_RE.findall(folded):
-        token = raw.strip("'-")
-        if token:
-            tokens.append(token)
-    return tokens
+    return _TOKEN_RE.findall(sentence.casefold().replace("_", " "))
 
 
 def remove_articles(tokens):

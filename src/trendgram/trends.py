@@ -9,7 +9,6 @@ articles in a single year can otherwise look like a steep trend.
 
 from __future__ import annotations
 
-import heapq
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -17,7 +16,7 @@ from typing import NamedTuple
 from . import _lazy
 from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS
 from .errors import SlopeError
-from .ngrams import _ngram_totals
+from .ngrams import _most_frequent, _ngram_totals
 
 # The names only `build_catalog` uses. They are bound as globals of this
 # module on first use, so ranking trends loads neither stage. They stay
@@ -119,8 +118,7 @@ def build_catalog(table, limit, out_dir, year_range=None):
     year_range = year_range or table.year_span()
     load_catalog_stages()
 
-    totals = _ngram_totals(table.cells.values())
-    ranked = heapq.nsmallest(limit, totals.items(), key=lambda item: (-item[1], item[0]))
+    ranked = _most_frequent(table.cells.values(), limit)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -132,7 +130,7 @@ def build_catalog(table, limit, out_dir, year_range=None):
         _write_page(os.path.join(out_dir, filename), render_plot(series, ngram).encode("utf-8"))
         index.append((ngram, total, filename))
 
-    (out_dir / "index.html").write_text(_index_html(index), encoding="utf-8")
+    _write_page(os.path.join(out_dir, "index.html"), _index_html(index).encode("utf-8"))
     return index
 
 

@@ -5,7 +5,8 @@ Run from the repository root:
     python tests/make_goldens.py
 
 It writes the demo pipeline's outputs, the demo plots, a 12-page
-catalog of the demo records (`tests/golden/demo/catalog/`) and two
+catalog of the demo records (`tests/golden/demo/catalog/`), the `top`
+and `trends` listings of the demo records (`TEXT_GOLDENS`) and two
 renderer fixtures. The demo pipeline outputs are cross-checked against
 the naive oracle before being written, so a regression in the real
 implementation cannot silently become the new golden truth. Regenerate
@@ -14,7 +15,9 @@ only after verifying an intentional behavior change.
 
 from __future__ import annotations
 
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +30,24 @@ from trendgram.ingest import read_corpus  # noqa: E402
 from trendgram.ngrams import Stoplist, read_records  # noqa: E402
 from trendgram.plotting import render_plot  # noqa: E402
 from trendgram.textprep import entry_sentences  # noqa: E402
+
+# Golden file -> the command whose standard output it holds, run on the
+# demo records (`-i` is added). They pin the paper's headline trends.
+TEXT_GOLDENS = {
+    "top-2.txt": ["top", "-n", "2", "-k", "10"],
+    "trends-rising.csv": ["trends", "-n", "2", "--direction", "rising", "-k", "5",
+                          "--min-support", "3", "--min-years", "3"],
+    "trends-falling.csv": ["trends", "-n", "2", "--direction", "falling", "-k", "5",
+                           "--min-support", "3", "--min-years", "3"],
+}
+
+
+def run_output(argv):
+    """The standard output of `run(argv)`, which must succeed."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(argv) == 0, argv
+    return out.getvalue()
 
 
 def main():
@@ -56,6 +77,8 @@ def main():
     assert run(["demo", "-i", str(records), "-o", str(out)]) == 0
     assert run(["catalog", "-i", str(records), "-o", str(out / "catalog"),
                 "--limit", "12"]) == 0
+    for name, argv in TEXT_GOLDENS.items():
+        (out / name).write_bytes(run_output([*argv, "-i", str(records)]).encode("utf-8"))
     # The reads above left the records index beside records.csv; it is a
     # cache, not a golden.
     Path(f"{records}.idx").unlink(missing_ok=True)

@@ -96,6 +96,19 @@ def exact_ols_slope(points):
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
+def naive_tokenize(sentence):
+    """`tokenize` as it was defined before it became one regex: casefold,
+    turn `_` into a space, take each run of word characters, apostrophes
+    and hyphens, strip the apostrophes and hyphens at both of its ends,
+    and keep it if anything is left."""
+    tokens = []
+    for run in re.findall(r"[\w'-]+", sentence.casefold().replace("_", " ")):
+        token = run.strip("'-")
+        if token:
+            tokens.append(token)
+    return tokens
+
+
 def naive_parse_bibtex(text, year_range=None, start_ordinal=1):
     """`parse_bibtex` as it was before its scanners became regexes: it
     finds each `@` with `str.find` and walks records and fields one

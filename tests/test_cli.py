@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import trendgram
+import trendgram.cli
 
+from make_goldens import TEXT_GOLDENS
+from trendgram._io import open_for_write
 from trendgram.cli import DEMO_QUERIES, run
 from trendgram.frequency import evaluate, parse_query, write_series_csv
 from trendgram.ingest import (merge_dedup, parse_bibtex, parse_csv,
@@ -598,6 +601,49 @@ def test_catalog_rewrites_existing_files_to_the_golden_bytes(golden_dir, tmp_pat
         expected = (golden / name).read_bytes()
         assert (fresh / name).read_bytes() == expected, name
         assert (rewritten / name).read_bytes() == expected, name
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_GOLDENS))
+def test_top_and_trends_match_their_goldens(golden_dir, tmp_path, capsys, name):
+    records = tmp_path / "records.csv"
+    records.write_bytes((golden_dir / "demo" / "records.csv").read_bytes())
+    assert run([*TEXT_GOLDENS[name], "-i", str(records)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (golden_dir / "demo" / name).read_bytes()
+
+
+def test_demo_records_rank_the_papers_headline_trends(golden_dir, tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_bytes((golden_dir / "demo" / "records.csv").read_bytes())
+
+    def ranked(direction):
+        assert run([*TEXT_GOLDENS[f"trends-{direction}.csv"], "-i", str(records)]) == 0
+        return [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]]
+
+    rising, falling = ranked("rising"), ranked("falling")
+    assert rising[0] == "open source" and rising[2] == "feature location"
+    assert falling[1] == "program slicing" and falling[2] == "legacy systems"
+
+
+def test_ctrl_c_ends_main_with_130_and_keeps_the_old_output(records_csv, tmp_path, monkeypatch,
+                                                            capsys):
+    old = records_csv.read_bytes()
+    argv = ["extract", "-i", str(tmp_path / "corpus.csv"), "-o", str(records_csv)]
+
+    def interrupted(table, dest):
+        with open_for_write(dest) as fh:
+            fh.write("n,ngram,year,count\n")
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(trendgram.cli, "write_records", interrupted)
+    with pytest.raises(KeyboardInterrupt):  # in-process callers still see it
+        run(argv)
+    monkeypatch.setattr(sys, "argv", ["trendgram", *argv])
+    with pytest.raises(BaseException) as raised:  # a KeyboardInterrupt must not stop pytest
+        trendgram.cli.main()
+    assert raised.type is SystemExit and raised.value.code == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert records_csv.read_bytes() == old
+    assert not list(tmp_path.glob(".*.tmp"))
 
 
 def test_pipeline_composition_equals_library_calls(demo_dir, tmp_path, capsys):

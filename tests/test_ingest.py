@@ -335,6 +335,16 @@ def test_parse_endnote_continuation_lines(lines, field, expected):
     assert getattr(entry, field) == expected
 
 
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"])
+def test_parse_endnote_counts_only_newlines_as_lines(brk):
+    # A break inside the first record must not move the second off line 6.
+    text = f"%T First\n%A A\n%D 2010\n%X One{brk}two.\n\n%T Second\n%A B\n%X Y.\n"
+    entries, diagnostics = parse_endnote(text)
+    assert [entry.abstract for entry in entries] == ["One two."]
+    assert diagnostics == [Diagnostic(6, "record skipped: missing year")]
+
+
 # ---------------------------------------------------------------------------
 # Filtering and dedup
 

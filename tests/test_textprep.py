@@ -3,6 +3,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import naive_tokenize
 from support import make_entry
 from trendgram.textprep import (ARTICLES, entry_sentences, remove_articles,
                                 split_sentences, tokenize)
@@ -58,6 +59,21 @@ def test_tokenize_drops_pure_punctuation():
 def test_tokenize_idempotent_on_joined_output(text):
     tokens = tokenize(text)
     assert tokenize(" ".join(tokens)) == tokens
+
+
+# Word characters, the characters a token may hold inside, and ones that
+# casefold or classify unusually: combining marks, `İ` (which casefolds
+# to `i` and a combining dot), fullwidth letters, digits, low line,
+# apostrophe and hyphen, and punctuation.
+_TOKEN_TEXT = st.text(alphabet=list("aZ9_'- .,;!()\t") + [
+    "\u0301", "\u0308", "\u0130", "\u00df", "\u00e9", "\u0661", "\uff21", "\uff11",
+    "\uff3f", "\uff07", "\uff0d", "\u2019", "\u2010"], max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_TOKEN_TEXT, st.text(max_size=40)))
+def test_tokenize_matches_the_strip_based_definition(text):
+    assert tokenize(text) == naive_tokenize(text)
 
 
 def test_remove_articles_basic():
