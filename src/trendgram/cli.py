@@ -4,7 +4,7 @@ Each stage reads and writes plain files so intermediate artifacts
 (corpus.csv, records.csv) stay inspectable. Diagnostics go to standard
 error; data goes to standard output or the `-o` target. Exit status is
 0 on success, 1 on a usage error, 2 on a data error, 130 when `main`
-is interrupted with Ctrl-C.
+is interrupted with Ctrl-C and 141 when its output was closed early.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ __getattr__ = _lazy.module_getattr(globals(), _STAGES)
 
 
 STOPLIST_ENV = "TRENDGRAM_STOPLIST"
+
+# The exit status of a command whose output was closed before it ended,
+# as a shell reports a process killed by SIGPIPE: 128 + 13.
+_CLOSED_OUTPUT = 141
 
 # The five demonstration queries plotted by `trendgram demo`.
 DEMO_QUERIES = (
@@ -154,6 +158,8 @@ def run(argv=None):
             sys.stderr.write(exc.usage)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader went away, as `| head` does: nothing to report
+        return _CLOSED_OUTPUT
     except (TrendgramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -162,12 +168,22 @@ def run(argv=None):
 def main():
     """`run` as a program: Ctrl-C ends it with one line on standard error
     and status 130, where `run` lets `KeyboardInterrupt` through to its
-    caller."""
+    caller. An output closed early, such as standard output piped into
+    `head`, ends it with status 141 and nothing on standard error: what
+    standard output still buffers then goes to the null device, so that
+    flushing it at exit does not fail again."""
     try:
         status = run()
+        sys.stdout.flush()
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         status = 130
+    except BrokenPipeError:
+        status = _CLOSED_OUTPUT
+    if status == _CLOSED_OUTPUT:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     sys.exit(status)
 
 

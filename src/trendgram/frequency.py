@@ -106,12 +106,19 @@ def evaluate(table, query, year_range):
 
     A year's point is `freq_list` of the series' phrases, flagged as
     data when any phrase's length has data that year (`has_data`). Both
-    are inlined: each call looks up every query length's per-year total
-    and cell once, and each point's terms still go through `sum`, which
-    rounds as `freq_list` does on every Python (3.12's `sum` compensates
-    float rounding). Points are equal to `SeriesPoint(value, has_data)`;
-    zero points are shared objects, and which object a point is belongs
-    to no API."""
+    are inlined, in one of two ways chosen by the series' phrase count:
+
+    - a series of one phrase, such as every catalog page, takes its
+      points from one comprehension over the years that looks up the
+      phrase's count and its length's total per year, with no `sum`:
+      the sum of one float is that float on every Python, 3.12's
+      compensated `sum` included, so the values are `freq_list`'s;
+    - a series of several phrases reads each length's per-year total and
+      cell, looked up once per call, and adds each point's terms with
+      `sum`, which rounds as `freq_list` does on every Python.
+
+    Points are equal to `SeriesPoint(value, has_data)`; zero points are
+    shared objects, and which object a point is belongs to no API."""
     lo, hi = year_range
     if lo > hi:
         raise ValueError(f"empty year range {lo}..{hi}")
@@ -119,23 +126,33 @@ def evaluate(table, query, year_range):
     table.require(lengths)
     years = range(lo, hi + 1)
     cells, totals = table.cells, table.totals
+    summed = {len(phrase) for qs in query.series if len(qs.phrases) > 1 for phrase in qs.phrases}
     per_year = {n: [(totals.get((n, year), 0), cells.get((n, year))) for year in years]
-                for n in lengths}
+                for n in summed}
+    no_data, zero = _ZERO_POINTS[False], _ZERO_POINTS[True]
     result = []
     for qs in query.series:
-        columns = [(" ".join(phrase), per_year[len(phrase)]) for phrase in qs.phrases]
-        points = {}
-        for index, year in enumerate(years):
-            terms, data = [], False
-            for ngram, column in columns:
-                total, cell = column[index]
-                if total:
-                    terms.append(cell.get(ngram, 0) / total)
-                    data = True
-                else:
-                    terms.append(0.0)
-            value = sum(terms)
-            points[year] = SeriesPoint(value, data) if value else _ZERO_POINTS[data]
+        if len(qs.phrases) == 1:
+            (phrase,) = qs.phrases
+            n, ngram = len(phrase), " ".join(phrase)
+            points = {year: (SeriesPoint(count / total, True)
+                             if (count := cells[n, year].get(ngram, 0)) else zero)
+                      if (total := totals.get((n, year))) else no_data
+                      for year in years}
+        else:
+            columns = [(" ".join(phrase), per_year[len(phrase)]) for phrase in qs.phrases]
+            points = {}
+            for index, year in enumerate(years):
+                terms, data = [], False
+                for ngram, column in columns:
+                    total, cell = column[index]
+                    if total:
+                        terms.append(cell.get(ngram, 0) / total)
+                        data = True
+                    else:
+                        terms.append(0.0)
+                value = sum(terms)
+                points[year] = SeriesPoint(value, data) if value else _ZERO_POINTS[data]
         result.append(FrequencySeries(qs.label, points))
     return result
 

@@ -10,7 +10,7 @@ discarded.
 
 `ngrams_of` and `passes_stopword_rule` define the windows and the rule.
 `count_ngrams` does not call them: it counts whole batches of sentences
-in C iterator pipelines, and `write_records` formats and writes rows in
+in C iterator pipelines, and `write_records` joins and writes rows in
 chunks the same way, so neither runs Python code per window or per row.
 The tests hold both against those definitions and against naive oracles.
 
@@ -280,18 +280,22 @@ def write_records(table, dest):
     contains a comma, a quote, `\n` or `\r` (token rules make all four
     impossible, but readers must accept it).
 
-    Each length's rows (see `_quoted_rows`) are formatted and written in
-    chunks of _WRITE_CHUNK lines. Only the formatting iterator holds
-    them, so they are freed before the next length's rows are listed.
+    Each length's rows (see `_quoted_rows`) are written in chunks of
+    _WRITE_CHUNK lines. A line is its `(ngram, suffix)` row joined with
+    `"".join`, and a chunk is its lines joined with the length's `"n,"`
+    prefix, which also goes before the first: no line is %-formatted.
+    Only the joining iterator holds the rows, so they are freed before
+    the next length's rows are listed.
     """
     cells = table.cells
     with open_for_write(dest) as fh:
         write = fh.write
         write(",".join(RECORDS_HEADER) + "\n")
         for n in sorted({n for n, _ in cells}):
-            lines = map(f"{n},%s%s".__mod__, _quoted_rows(cells, n))
-            while chunk := "".join(islice(lines, _WRITE_CHUNK)):
-                write(chunk)
+            prefix = f"{n},"
+            lines = map("".join, _quoted_rows(cells, n))
+            while chunk := prefix.join(islice(lines, _WRITE_CHUNK)):
+                write(prefix + chunk)
 
 
 def _quoted_rows(cells, n):

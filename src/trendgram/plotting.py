@@ -8,12 +8,20 @@ Series are distinguished by stroke pattern (solid, dashed, dotted,
 dash-dot), not color, so plots survive monochrome printing. Points
 flagged as having no data break the line; an isolated data point is
 drawn as a small circle so it stays visible.
+
+The axes depend on little of a plot: the x axis only on its years, the
+y gridlines and tick labels only on the top of its scale. Each is built
+once per distinct value and shared by every plot with that value (see
+`_x_axis` and `_y_axis`), so a catalog of thousands of pages over a few
+hundred scales formats each scale's axis once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import groupby
+from operator import is_not
 from types import MappingProxyType
 
 WIDTH, HEIGHT = 640, 400
@@ -29,6 +37,8 @@ _PLOT_BOTTOM = HEIGHT - MARGIN_BOTTOM
 STROKE_PATTERNS = ("", "8 4", "2 3", "8 3 2 3")
 
 _HEADROOM = 1.1
+
+_is_point = partial(is_not, None)  # in `_data_runs`, a point that has data
 
 # Every plot starts with these lines, up to its escaped title.
 _HEAD = "\n".join([
@@ -101,6 +111,32 @@ def _x_axis(years):
     return MappingProxyType({year: _num(x_at(year)) for year in years}), "\n".join(parts)
 
 
+def _y_at(value, top):
+    return _PLOT_BOTTOM - (value / top) * (_PLOT_BOTTOM - _PLOT_TOP)
+
+
+@lru_cache(maxsize=256)
+def _y_axis(top):
+    """The SVG lines of the horizontal gridlines and y tick labels of a
+    plot whose y axis runs from zero to `top`. Every plot of the same
+    scale shares them."""
+    step = _nice_step(top)
+    parts = []
+    tick = 0
+    while tick * step <= top + 1e-12:
+        value = tick * step
+        y = _y_at(value, top)
+        y_text = _num(y)
+        parts.append(
+            f'<line x1="{_PLOT_LEFT}" y1="{y_text}" x2="{_PLOT_RIGHT}" y2="{y_text}" '
+            f'stroke="#cccccc" stroke-width="0.5"/>')
+        parts.append(
+            f'<text x="{_PLOT_LEFT - 6}" y="{_num(y + 3.5)}" font-family="sans-serif" '
+            f'font-size="11" text-anchor="end">{value:g}</text>')
+        tick += 1
+    return "\n".join(parts)
+
+
 def render_plot(series_list, title):
     """Render FrequencySeries as a standalone 640x400 SVG string.
 
@@ -115,53 +151,28 @@ def render_plot(series_list, title):
 
     years = tuple(sorted({year for series in series_list for year in series.points}))
     x_of, x_axis = _x_axis(years)
-    values = [point.frequency
+    values = {point.frequency
               for series in series_list
               for point in series.points.values()
-              if point.has_data]
+              if point.has_data}
     top = max(values) * _HEADROOM if values and max(values) > 0 else 1.0
 
-    def y_at(value):
-        return _PLOT_BOTTOM - (value / top) * (_PLOT_BOTTOM - _PLOT_TOP)
-
-    parts = [f"{_HEAD}{escape(title, quote=False)}</text>"]
-
-    # horizontal gridlines and y tick labels
-    step = _nice_step(top)
-    tick = 0
-    while tick * step <= top + 1e-12:
-        value = tick * step
-        y = y_at(value)
-        y_text = _num(y)
-        parts.append(
-            f'<line x1="{_PLOT_LEFT}" y1="{y_text}" x2="{_PLOT_RIGHT}" y2="{y_text}" '
-            f'stroke="#cccccc" stroke-width="0.5"/>')
-        parts.append(
-            f'<text x="{_PLOT_LEFT - 6}" y="{_num(y + 3.5)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{value:g}</text>')
-        tick += 1
-
-    parts.append(x_axis)
+    parts = [f"{_HEAD}{escape(title, quote=False)}</text>", _y_axis(top), x_axis]
 
     if values:
         # each distinct value's formatted y, once per plot
-        y_of = {value: _num(y_at(value)) for value in set(values)}
+        y_of = {value: _num(_y_at(value, top)) for value in values}
         for index, series in enumerate(series_list):
             pattern = STROKE_PATTERNS[index % len(STROKE_PATTERNS)]
             dash = f' stroke-dasharray="{pattern}"' if pattern else ""
-            for run in _data_runs(series):
+            for run in _data_runs(series, x_of, y_of):
                 if len(run) == 1:
-                    year, value = run[0]
-                    parts.append(
-                        f'<circle cx="{x_of[year]}" cy="{y_of[value]}" '
-                        f'r="2.5" fill="black"/>')
+                    ((x, y),) = run
+                    parts.append(f'<circle cx="{x}" cy="{y}" r="2.5" fill="black"/>')
                 else:
-                    coords = " ".join(
-                        f"{'M' if i == 0 else 'L'} {x_of[year]} {y_of[value]}"
-                        for i, (year, value) in enumerate(run))
                     parts.append(
-                        f'<path d="{coords}" fill="none" stroke="black" '
-                        f'stroke-width="1.5"{dash}/>')
+                        f'<path d="M {" L ".join(map(" ".join, run))}" fill="none" '
+                        f'stroke="black" stroke-width="1.5"{dash}/>')
     else:
         parts.append(
             f'<text x="{(_PLOT_LEFT + _PLOT_RIGHT) / 2:g}" '
@@ -185,17 +196,9 @@ def render_plot(series_list, title):
     return "\n".join(parts) + "\n"
 
 
-def _data_runs(series):
-    """Consecutive has-data points; a no-data point ends the run."""
-    runs = []
-    current = []
-    for year in sorted(series.points):
-        point = series.points[year]
-        if point.has_data:
-            current.append((year, point.frequency))
-        elif current:
-            runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
-    return runs
+def _data_runs(series, x_of, y_of):
+    """The runs of consecutive has-data points as lists of formatted
+    (x, y) pairs; a no-data point ends a run."""
+    coords = [(x_of[year], y_of[point.frequency]) if point.has_data else None
+              for year, point in sorted(series.points.items())]
+    return [list(run) for has_data, run in groupby(coords, _is_point) if has_data]

@@ -122,15 +122,16 @@ def build_catalog(table, limit, out_dir, year_range=None):
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    prefix = os.path.join(out_dir, "")
     index = []
     for page, (ngram, total) in enumerate(ranked, 1):
         phrase = tuple(ngram.split(" "))
         series = evaluate(table, Query([QuerySeries(ngram, [phrase])]), year_range)
         filename = f"{page:04d}.svg"
-        _write_page(os.path.join(out_dir, filename), render_plot(series, ngram).encode("utf-8"))
+        _write_page(prefix + filename, render_plot(series, ngram).encode("utf-8"))
         index.append((ngram, total, filename))
 
-    _write_page(os.path.join(out_dir, "index.html"), _index_html(index).encode("utf-8"))
+    _write_page(prefix + "index.html", _index_html(index).encode("utf-8"))
     return index
 
 

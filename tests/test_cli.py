@@ -646,6 +646,36 @@ def test_ctrl_c_ends_main_with_130_and_keeps_the_old_output(records_csv, tmp_pat
     assert not list(tmp_path.glob(".*.tmp"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["top", "-i", "{tmp}/records.csv", "-n", "1", "-k", "100000"],
+    ["extract", "-i", "{tmp}/corpus.csv", "-o", "-"],
+])
+def test_closed_stdout_ends_main_quietly_with_141(records_csv, tmp_path, argv):
+    # The reader of standard output is gone before the command writes,
+    # as when `| head` has exited: no message, no traceback, status 141.
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", "from trendgram.cli import main; main()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=False)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")
+
+
+def test_closed_output_makes_run_return_141_quietly(records_csv, monkeypatch, capsys):
+    def closed(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(trendgram.cli, "top_ngrams", closed)
+    assert run(["top", "-i", str(records_csv)]) == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_pipeline_composition_equals_library_calls(demo_dir, tmp_path, capsys):
     corpus = tmp_path / "corpus.csv"
     assert run(["ingest", "--bibtex", str(demo_dir / "demo.bib"),

@@ -272,6 +272,9 @@ COUNTS = st.dictionaries(
                  (2, "model test", 2001): 2, (3, "code test model", 2002): 7},
          series=[[("code",), ("code", "test"), ("code",)], [("test",), ("model", "test")]],
          lo=1999, width=4)
+@example(counts={(1, "code", 2001): 3, (1, "test", 2001): 1, (1, "model", 2002): 4,
+                 (1, "code", 2003): 2, (2, "code test", 2002): 5},
+         series=[[("code",)]], lo=2000, width=4)
 def test_evaluate_is_freq_list_and_has_data_per_year(tmp_path_factory, counts, series, lo,
                                                      width):
     # Mixed lengths, repeated phrases, years where one length has no

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracle import naive_render_plot
 from trendgram.frequency import FrequencySeries, SeriesPoint
-from trendgram.plotting import escape, render_plot
+from trendgram.plotting import _y_axis, escape, render_plot
 
 
 def series_of(points, label="s", gaps=()):
@@ -62,6 +62,26 @@ def test_plots_over_other_years_leave_a_plot_unchanged(golden_dir):
     other = render_plot([series_of({1990 + i: 0.1 * i for i in range(4)})], "other")
     assert ">1990</text>" in other and ">1993</text>" in other and ">2000</text>" not in other
     assert render_plot(gapped_fixture(), "gapped years") == golden
+
+
+def test_plots_over_other_scales_leave_a_plot_unchanged():
+    # Plots of one scale share their gridlines and y tick labels.
+    first = [series_of({2000: 0.02, 2001: 0.05, 2002: 0.01})]
+    before = render_plot(first, "first")
+    render_plot([series_of({2000: 0.3, 2001: 0.1})], "higher")
+    hits = _y_axis.cache_info().hits
+    equal = render_plot([series_of({2003: 0.05, 2004: 0.0, 2005: 0.04})], "equal top")
+    assert _y_axis.cache_info().hits == hits + 1
+    render_plot([series_of({2000: 0.0}, gaps=(2000,))], "no data")
+    again = render_plot(first, "first")
+    _y_axis.cache_clear()
+    assert before == again == render_plot(first, "first")
+
+    def gridlines(svg):
+        return [line for line in svg.splitlines() if 'stroke="#cccccc"' in line]
+
+    assert gridlines(equal) == gridlines(before) != gridlines(render_plot(
+        [series_of({2000: 0.3, 2001: 0.1})], "higher"))
 
 
 def test_constant_series_draws_horizontal_line():
