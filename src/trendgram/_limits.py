@@ -5,9 +5,8 @@ stages import these names from here, and `trendgram.ingest`,
 `trendgram.ngrams` and `trendgram.trends` still export them.
 """
 
-# ingest: the publication years kept, and the fields a CSV export maps.
+# ingest: the publication years kept.
 DEFAULT_YEAR_RANGE = (2000, 2014)
-CSV_FIELDS = ("title", "abstract", "keywords", "year", "authors")
 
 # ngrams: the longest n-gram counted.
 NGRAM_MAX = 4

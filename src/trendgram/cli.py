@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from . import _lazy
-from ._limits import (CSV_FIELDS, DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
+from ._io import location, open_for_write, read_text
+from ._limits import (DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
                       DEFAULT_YEAR_RANGE, NGRAM_MAX)
 from .errors import IngestError, TrendgramError
 
@@ -25,11 +26,10 @@ from .errors import IngestError, TrendgramError
 # command has run too: bench/tracing.py wraps them there, `build_table` and
 # `read_records` included, although no command calls those two.
 _STAGES = {
-    "_io": ("location", "open_for_write", "read_text"),
     "frequency": ("evaluate", "parse_query", "query_lengths", "write_series_csv",
                   "write_series_json"),
-    "ingest": ("merge_dedup", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
-               "write_corpus"),
+    "ingest": ("check_csv_mapping", "merge_dedup", "parse_bibtex", "parse_csv", "parse_endnote",
+               "read_corpus", "write_corpus"),
     "ngrams": ("Stoplist", "build_table", "count_ngrams", "read_records", "read_table",
                "top_ngrams", "write_records"),
     "plotting": ("render_plot",),
@@ -191,7 +191,7 @@ def main():
 # subcommands
 
 def cmd_ingest(args):
-    _load("_io", "ingest")
+    _load("ingest")
     if args.year_min > args.year_max:
         raise UsageError("", f"year-min {args.year_min} is greater than year-max {args.year_max}")
     year_range = (args.year_min, args.year_max)
@@ -232,9 +232,11 @@ def _parse_csv_map(pairs):
         field, column = field.strip(), column.strip()
         if not eq or not field or not column:
             raise UsageError("", f"--csv-map expects FIELD=COLUMN, got {pair!r}")
-        if field not in CSV_FIELDS:
-            raise UsageError("", f"--csv-map field must be one of {', '.join(CSV_FIELDS)}; got {field!r}")
         mapping[field] = column
+    try:
+        check_csv_mapping(mapping)
+    except IngestError as exc:
+        raise UsageError("", f"--csv-map: {exc}") from None
     return mapping
 
 
@@ -278,7 +280,7 @@ def _write_svg(path, series, title):
 def cmd_query(args):
     _load("frequency", "ngrams")
     if args.svg:
-        _load("_io", "plotting")
+        _load("plotting")
     query = parse_query(args.query)
     table = read_table(args.input, query_lengths(query))
     series = evaluate(table, query, _year_range_for(args, table))
@@ -333,7 +335,7 @@ def cmd_trends(args):
 
 
 def cmd_demo(args):
-    _load("_io", "frequency", "ngrams", "plotting")
+    _load("frequency", "ngrams", "plotting")
     queries = [parse_query(text) for text in DEMO_QUERIES]
     table = read_table(args.input, set().union(*map(query_lengths, queries)))
     year_range = _year_range_for(args, table)

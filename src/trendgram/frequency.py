@@ -105,17 +105,12 @@ def evaluate(table, query, year_range):
     length of one of the phrases raises `ValueError`.
 
     A year's point is `freq_list` of the series' phrases, flagged as
-    data when any phrase's length has data that year (`has_data`). Both
-    are inlined, in one of two ways chosen by the series' phrase count:
-
-    - a series of one phrase, such as every catalog page, takes its
-      points from one comprehension over the years that looks up the
-      phrase's count and its length's total per year, with no `sum`:
-      the sum of one float is that float on every Python, 3.12's
-      compensated `sum` included, so the values are `freq_list`'s;
-    - a series of several phrases reads each length's per-year total and
-      cell, looked up once per call, and adds each point's terms with
-      `sum`, which rounds as `freq_list` does on every Python.
+    data when any phrase's length has data that year (`has_data`). A
+    series of one phrase, such as every catalog page, inlines both in
+    one comprehension over the years that looks up the phrase's count
+    and its length's total per year, with no `sum`: the sum of one float
+    is that float on every Python, 3.12's compensated `sum` included, so
+    the values are `freq_list`'s.
 
     Points are equal to `SeriesPoint(value, has_data)`; zero points are
     shared objects, and which object a point is belongs to no API."""
@@ -126,9 +121,6 @@ def evaluate(table, query, year_range):
     table.require(lengths)
     years = range(lo, hi + 1)
     cells, totals = table.cells, table.totals
-    summed = {len(phrase) for qs in query.series if len(qs.phrases) > 1 for phrase in qs.phrases}
-    per_year = {n: [(totals.get((n, year), 0), cells.get((n, year))) for year in years]
-                for n in summed}
     no_data, zero = _ZERO_POINTS[False], _ZERO_POINTS[True]
     result = []
     for qs in query.series:
@@ -140,25 +132,13 @@ def evaluate(table, query, year_range):
                       if (total := totals.get((n, year))) else no_data
                       for year in years}
         else:
-            columns = [(" ".join(phrase), per_year[len(phrase)]) for phrase in qs.phrases]
             points = {}
-            for index, year in enumerate(years):
-                terms, data = [], False
-                for ngram, column in columns:
-                    total, cell = column[index]
-                    if total:
-                        terms.append(cell.get(ngram, 0) / total)
-                        data = True
-                    else:
-                        terms.append(0.0)
-                value = sum(terms)
+            for year in years:
+                value = freq_list(table, qs.phrases, year)
+                data = any(table.has_data(len(phrase), year) for phrase in qs.phrases)
                 points[year] = SeriesPoint(value, data) if value else _ZERO_POINTS[data]
         result.append(FrequencySeries(qs.label, points))
     return result
-
-
-def _format_frequency(value):
-    return format(value, ".10g")
 
 
 def write_series_csv(series_list, dest):
@@ -173,7 +153,7 @@ def write_series_csv(series_list, dest):
                 writer.writerow([
                     series.label,
                     year,
-                    _format_frequency(point.frequency),
+                    format(point.frequency, ".10g"),
                     "true" if point.has_data else "false",
                 ])
 

@@ -21,7 +21,7 @@ import re
 from typing import NamedTuple
 
 from ._io import checked_csv, open_for_write
-from ._limits import CSV_FIELDS, DEFAULT_YEAR_RANGE
+from ._limits import DEFAULT_YEAR_RANGE
 from .errors import IngestError
 
 SOURCES = ("bibtex", "csv", "endnote")
@@ -38,6 +38,8 @@ DEFAULT_CSV_MAPPING = {
     "authors": "Authors",
 }
 
+# The entry fields a CSV mapping may name; title and year are required.
+CSV_FIELDS = ("title", "abstract", "keywords", "year", "authors")
 _CSV_REQUIRED = ("title", "year")
 
 
@@ -152,16 +154,12 @@ def _bibtex_records(text):
     """`(line, label, fields)` for each record of `text` (see `_collect`)."""
     pos = 0
     line, line_start = 1, 0  # the line number of text[line_start]
-    closing = None  # see `_closing_braces`; made at the first braced record
+    closing = _closing_braces(text)
     while match := _RECORD_START_RE.search(text, pos):
         at = match.start()
         line += text.count("\n", line_start, at)
         line_start = at
-        end = None
-        if match[2]:
-            if closing is None:
-                closing = _closing_braces(text)
-            end = closing.get(match.end() - 1)
+        end = closing.get(match.end() - 1) if match[2] else None
         if end is None:
             yield line, "unbalanced braces in record", None
             pos = _resync(text, at)
@@ -262,13 +260,7 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
     on `;`. Rows with a bad year become diagnostics and are skipped.
     """
     mapping = DEFAULT_CSV_MAPPING if mapping is None else mapping
-    unknown = sorted(set(mapping) - set(CSV_FIELDS))
-    if unknown:
-        raise IngestError(f"unknown field(s) in CSV mapping: {', '.join(unknown)}")
-    for field in _CSV_REQUIRED:
-        if field not in mapping:
-            raise IngestError(f"CSV mapping must include '{field}'")
-
+    check_csv_mapping(mapping)
     reader = csv.reader(io.StringIO(text, newline=None))
     rows = _checked_rows(reader)
     try:
@@ -295,6 +287,18 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
         cell(row, "year"),
     )) for row in rows if any(c.strip() for c in row))
     return _collect("csv", records, year_range, start_ordinal)
+
+
+def check_csv_mapping(mapping):
+    """Raise `IngestError` unless `mapping` names only `CSV_FIELDS` and
+    includes title and year."""
+    unknown = sorted(set(mapping) - set(CSV_FIELDS))
+    if unknown:
+        raise IngestError(f"unknown field(s) in CSV mapping: {', '.join(unknown)}"
+                          f" (fields are {', '.join(CSV_FIELDS)})")
+    for field in _CSV_REQUIRED:
+        if field not in mapping:
+            raise IngestError(f"CSV mapping must include '{field}'")
 
 
 def _checked_rows(reader):

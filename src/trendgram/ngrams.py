@@ -196,7 +196,12 @@ class Stoplist:
 
     @classmethod
     def from_file(cls, path):
-        return cls.from_text(read_text(path))
+        """`from_text` of the file at `path`; an empty list names the file."""
+        text = read_text(path)
+        try:
+            return cls.from_text(text)
+        except TrendgramError as exc:
+            raise TrendgramError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls):

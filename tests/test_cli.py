@@ -77,6 +77,22 @@ def test_ingest_rejects_bad_csv_map(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs, missing", [
+    (["abstract=Abstract"], "title"),
+    (["title=Document Title", "abstract=Abstract"], "year"),
+])
+def test_ingest_incomplete_csv_map_is_usage_error(pairs, missing, demo_dir, tmp_path, capsys):
+    # Checked once, before any export is read: the second file does not exist.
+    argv = ["ingest", "--csv", str(demo_dir / "demo.csv"), "--csv", str(tmp_path / "absent.csv"),
+            "-o", str(tmp_path / "c.csv")]
+    for pair in pairs:
+        argv += ["--csv-map", pair]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --csv-map: CSV mapping must include '{missing}'"]
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_ingest_missing_file_is_data_error(tmp_path, capsys):
     assert run(["ingest", "--bibtex", str(tmp_path / "absent.bib"),
                 "-o", str(tmp_path / "c.csv")]) == 2
@@ -163,6 +179,24 @@ def test_python_dash_m_runs_the_cli(records_csv, module):
         [sys.executable, "-m", module, "top", "-i", str(records_csv), "-n", "1", "-k", "1"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False)
     assert (result.returncode, result.stdout) == (0, "1. code 4\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["top", "-k", "0"], "-k must be at least 1"),
+    (["trends", "-k", "0"], "-k must be at least 1"),
+    (["catalog", "--limit", "0", "-o", "{tmp}/catalog"], "--limit must be at least 1"),
+], ids=["top", "trends", "catalog"])
+def test_counts_below_one_are_usage_errors(argv, message, records_csv, tmp_path):
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    command, *rest = argv
+    result = subprocess.run(
+        [sys.executable, "-m", "trendgram", command, "-i", str(records_csv),
+         *(arg.format(tmp=tmp_path) for arg in rest)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "catalog").exists()
 
 
 # A quoted field longer than the csv module's default limit of 131072 characters.
@@ -252,6 +286,8 @@ def test_import_trends_loads_no_catalog_stage():
      ["ngrams", "trends"], ["ingest", "textprep", "frequency", "plotting"]),
     (["catalog", "-i", "records.csv", "-o", "catalog", "--limit", "3"],
      ["ngrams", "trends", "frequency", "plotting"], ["ingest"]),
+    (["demo", "-i", "records.csv", "-o", "plots"],
+     ["frequency", "ngrams", "plotting"], ["ingest", "trends", "json"]),
 ])
 def test_each_command_loads_only_its_stages(records_csv, demo_dir, argv, loaded, unloaded):
     argv = [arg.format(demo=demo_dir) for arg in argv]
@@ -411,6 +447,24 @@ def test_extract_stoplist_env_fallback(tmp_path, monkeypatch):
     out = tmp_path / "records.csv"
     assert run(["extract", "-i", str(corpus), "-o", str(out)]) == 0
     assert not any(record.ngram == "tracing" for record in build_table(read_records(out)))
+
+
+@pytest.mark.parametrize("content", ["", "# only comments\n\n"], ids=["empty", "comments"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_empty_stoplist_error_names_the_file(content, via, tmp_path, monkeypatch, capsys):
+    entries, _ = parse_bibtex(BIB)
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(entries, corpus)
+    stop = tmp_path / "stop.txt"
+    stop.write_text(content)
+    argv = ["extract", "-i", str(corpus), "-o", str(tmp_path / "records.csv")]
+    if via == "flag":
+        argv += ["--stoplist", str(stop)]
+    else:
+        monkeypatch.setenv("TRENDGRAM_STOPLIST", str(stop))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {stop}: stoplist is empty"]
+    assert not (tmp_path / "records.csv").exists()
 
 
 def test_query_csv_to_stdout(records_csv, capsys):
