@@ -2,7 +2,8 @@
 series, trend queries, and rising/falling trend rankings.
 
 The public names below load their module on first use (PEP 562), so
-`import trendgram` loads no stage and each command loads only its own.
+`import trendgram` loads no stage and each command loads only its own;
+`cli` and `trends` bind their stage names from `_MODULES` the same way.
 """
 
 from importlib import import_module
@@ -24,20 +25,41 @@ _MODULES = {
     "textprep": ("Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize"),
     "trends": ("TrendEntry", "build_catalog", "rank_trends", "trend_slope"),
 }
-_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = sorted(name for names in _MODULES.values() for name in names)
 
-__all__ = sorted(_MODULE_OF)
+
+def _bind(namespace, *modules):
+    """Bind in `namespace` the names `_MODULES` lists for the stage
+    `modules`, importing each; a name already set, such as a wrapper
+    patched in, is kept."""
+    for module in modules:
+        stage = import_module(f"{__name__}.{module}")
+        for name in _MODULES[module]:
+            namespace.setdefault(name, getattr(stage, name))
+
+
+def _module_getattr(namespace):
+    """A PEP 562 `__getattr__` for the module whose globals are
+    `namespace`: a public name is bound there, with the other names of
+    its stage module, on first access."""
+
+    def __getattr__(name):
+        for module, names in _MODULES.items():
+            if name in names:
+                _bind(namespace, module)
+                return namespace[name]
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+
+    return __getattr__
+
+
+_public_name = _module_getattr(globals())
 
 
 def __getattr__(name):
     if name in _MODULES:  # a stage module itself, such as `trendgram.ngrams`
         return import_module(f"{__name__}.{name}")
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+    return _public_name(name)
 
 
 def __dir__():

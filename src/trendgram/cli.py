@@ -4,7 +4,8 @@ Each stage reads and writes plain files so intermediate artifacts
 (corpus.csv, records.csv) stay inspectable. Diagnostics go to standard
 error; data goes to standard output or the `-o` target. Exit status is
 0 on success, 1 on a usage error, 2 on a data error, 130 when `main`
-is interrupted with Ctrl-C and 141 when its output was closed early.
+is interrupted with Ctrl-C, 141 when its output was closed early and
+143 when `main` gets SIGTERM.
 """
 
 from __future__ import annotations
@@ -14,37 +15,22 @@ import os
 import sys
 from pathlib import Path
 
-from . import _lazy
+from . import _bind, _module_getattr
 from ._io import location, open_for_write, read_text
 from ._limits import (DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
                       DEFAULT_YEAR_RANGE, NGRAM_MAX)
 from .errors import IngestError, TrendgramError
 
-# The stage functions the commands call. Each command binds the groups it
-# runs as globals of this module on first use, so no command loads a stage
-# it does not run. They stay patchable as `trendgram.cli.<name>`, before any
-# command has run too: bench/tracing.py wraps them there, `build_table` and
-# `read_records` included, although no command calls those two.
-_STAGES = {
-    "frequency": ("evaluate", "parse_query", "query_lengths", "write_series_csv",
-                  "write_series_json"),
-    "ingest": ("check_csv_mapping", "merge_dedup", "parse_bibtex", "parse_csv", "parse_endnote",
-               "read_corpus", "write_corpus"),
-    "ngrams": ("Stoplist", "build_table", "count_ngrams", "read_records", "read_table",
-               "top_ngrams", "write_records"),
-    "plotting": ("render_plot",),
-    "textprep": ("entry_sentences",),
-    "trends": ("build_catalog", "load_catalog_stages", "rank_trends"),
-}
-
-
+# The stage functions a command calls are bound as globals of this module
+# when it loads their stages, so no command loads a stage it does not run.
+# Every public name of the package resolves here, also before any command
+# has run: bench/tracing.py wraps stage functions as `trendgram.cli.<name>`,
+# and a wrapper patched in is the one the command calls.
 def _load(*modules):
-    """Bind the names of `modules` here; a name already set, such as a
-    wrapper patched in, is kept."""
-    _lazy.bind(globals(), _STAGES, *modules)
+    _bind(globals(), *modules)
 
 
-__getattr__ = _lazy.module_getattr(globals(), _STAGES)
+__getattr__ = _module_getattr(globals())
 
 
 STOPLIST_ENV = "TRENDGRAM_STOPLIST"
@@ -69,6 +55,11 @@ class UsageError(Exception):
     def __init__(self, usage, message):
         super().__init__(message)
         self.usage = usage
+
+
+class _Terminated(BaseException):
+    """Raised by `main` on SIGTERM, so that the cleanup that runs for
+    Ctrl-C runs for it too."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,16 +159,26 @@ def run(argv=None):
 def main():
     """`run` as a program: Ctrl-C ends it with one line on standard error
     and status 130, where `run` lets `KeyboardInterrupt` through to its
-    caller. An output closed early, such as standard output piped into
-    `head`, ends it with status 141 and nothing on standard error: what
-    standard output still buffers then goes to the null device, so that
-    flushing it at exit does not fail again."""
+    caller, and SIGTERM likewise with status 143. An output closed early,
+    such as standard output piped into `head`, ends it with status 141
+    and nothing on standard error: what standard output still buffers
+    then goes to the null device, so that flushing it at exit does not
+    fail again."""
+    import signal  # here, so that importing this module or calling `run` does not load it
+
+    def terminated(signum, frame):
+        raise _Terminated
+
+    signal.signal(signal.SIGTERM, terminated)
     try:
         status = run()
         sys.stdout.flush()
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         status = 130
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        status = 143
     except BrokenPipeError:
         status = _CLOSED_OUTPUT
     if status == _CLOSED_OUTPUT:
@@ -215,7 +216,7 @@ def cmd_ingest(args):
                 raise IngestError(f"{location(path, exc.line)}{exc.message}") from None
             ordinal += len(entries)
             for diagnostic in diagnostics:
-                print(f"{path}:{diagnostic.line}: {diagnostic.message}", file=sys.stderr)
+                print(f"{location(path, diagnostic.line)}{diagnostic.message}", file=sys.stderr)
             lists.append(entries)
 
     merged, report = merge_dedup(lists)
@@ -226,12 +227,16 @@ def cmd_ingest(args):
 
 
 def _parse_csv_map(pairs):
+    from .ingest import check_csv_mapping
+
     mapping = {}
     for pair in pairs:
         field, eq, column = pair.partition("=")
         field, column = field.strip(), column.strip()
         if not eq or not field or not column:
             raise UsageError("", f"--csv-map expects FIELD=COLUMN, got {pair!r}")
+        if field in mapping:
+            raise UsageError("", f"--csv-map: field '{field}' is mapped more than once")
         mapping[field] = column
     try:
         check_csv_mapping(mapping)
@@ -306,6 +311,8 @@ def cmd_top(args):
 
 
 def cmd_catalog(args):
+    from .trends import load_catalog_stages
+
     _load("ngrams", "trends")
     # build_catalog would load its stages itself; loading them before the
     # table is read keeps what importing them briefly allocates (compiling,

@@ -13,19 +13,10 @@ import os
 from pathlib import Path
 from typing import NamedTuple
 
-from . import _lazy
+from . import _bind, _module_getattr
 from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS
 from .errors import SlopeError
 from .ngrams import _most_frequent, _ngram_totals
-
-# The names only `build_catalog` uses. They are bound as globals of this
-# module on first use, so ranking trends loads neither stage. They stay
-# patchable as `trendgram.trends.<name>` before any catalog is built:
-# bench/tracing.py wraps `evaluate` and `render_plot` here.
-_CATALOG_STAGES = {
-    "frequency": ("Query", "QuerySeries", "evaluate"),
-    "plotting": ("escape", "render_plot"),
-}
 
 # A catalog page is opened for writing without truncating it, created
 # with the mode `open(path, "wb")` gives a new file.
@@ -33,12 +24,14 @@ _PAGE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def load_catalog_stages():
-    """Bind `_CATALOG_STAGES` here; a name already set, such as a wrapper
-    patched in, is kept."""
-    _lazy.bind(globals(), _CATALOG_STAGES)
+    """Bind here the names of the stages only `build_catalog` uses, so
+    ranking trends loads neither. They resolve as `trendgram.trends.<name>`
+    before any catalog is built: bench/tracing.py wraps `evaluate` and
+    `render_plot` here, and a wrapper patched in is kept."""
+    _bind(globals(), "frequency", "plotting")
 
 
-__getattr__ = _lazy.module_getattr(globals(), _CATALOG_STAGES)
+__getattr__ = _module_getattr(globals())
 
 
 class TrendEntry(NamedTuple):
@@ -158,6 +151,8 @@ def _write_page(path, data):
 
 
 def _index_html(index):
+    from .plotting import escape
+
     rows = "\n".join(
         f'<tr><td>{escape(ngram)}</td><td>{total}</td>'
         f'<td><a href="{filename}">{filename}</a></td></tr>'

@@ -3,8 +3,11 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,17 @@ def test_ingest_incomplete_csv_map_is_usage_error(pairs, missing, demo_dir, tmp_
     assert run(argv) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: --csv-map: CSV mapping must include '{missing}'"]
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_ingest_csv_map_naming_a_field_twice_is_usage_error(demo_dir, tmp_path, capsys):
+    # Checked once, before any export is read: the second file does not exist.
+    argv = ["ingest", "--csv", str(demo_dir / "demo.csv"), "--csv", str(tmp_path / "absent.csv"),
+            "--csv-map", "title=Document Title", "--csv-map", "title=Abstract",
+            "--csv-map", "year=Publication Year", "-o", str(tmp_path / "c.csv")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --csv-map: field 'title' is mapped more than once"]
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -367,6 +381,13 @@ def test_a_wrapper_patched_before_the_first_command_is_called(
     argv = [arg.format(demo=demo_dir, tmp=records_csv.parent) for arg in argv]
     assert fresh_cli.run(argv) == 0
     assert calls and getattr(fresh_cli, name) is wrapper
+
+
+@pytest.mark.parametrize("module", ["trendgram", "trendgram.cli", "trendgram.trends"])
+def test_an_unknown_name_is_an_attribute_error_naming_its_module(module):
+    message = f"module '{module}' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+        getattr(importlib.import_module(module), "no_such_name")
 
 
 # Every name `trendgram/__init__.py` exported when it imported each stage up front.
@@ -696,6 +717,45 @@ def test_ctrl_c_ends_main_with_130_and_keeps_the_old_output(records_csv, tmp_pat
         trendgram.cli.main()
     assert raised.type is SystemExit and raised.value.code == 130
     assert capsys.readouterr().err == "error: interrupted\n"
+    assert records_csv.read_bytes() == old
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_sigterm_ends_main_with_143_and_keeps_the_old_output(records_csv, tmp_path):
+    # The child touches a marker file once the records' temporary file is
+    # open, then waits there for the signal.
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    old = records_csv.read_bytes()
+    marker = tmp_path / "writing"
+    child = "\n".join([
+        "import time",
+        "import trendgram.ngrams as ngrams",
+        "from trendgram.cli import main",
+        "quoted_rows = ngrams._quoted_rows",
+        "def writing(*args):",
+        f"    open({str(marker)!r}, 'w').close()",
+        "    time.sleep(60)",
+        "    return quoted_rows(*args)",
+        "ngrams._quoted_rows = writing",
+        "main()",
+    ])
+    argv = ["extract", "-i", str(tmp_path / "corpus.csv"), "-o", str(records_csv)]
+    process = subprocess.Popen([sys.executable, "-c", child, *argv], stdout=subprocess.DEVNULL,
+                               stderr=subprocess.PIPE, text=True,
+                               env={**os.environ, "PYTHONPATH": src})
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert process.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        process.send_signal(signal.SIGTERM)
+        _, err = process.communicate(timeout=60)
+    finally:
+        process.kill()
+        process.wait()
+    assert process.returncode == 143
+    assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: terminated"]
+    assert "Traceback" not in err
     assert records_csv.read_bytes() == old
     assert not list(tmp_path.glob(".*.tmp"))
 

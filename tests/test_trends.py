@@ -212,6 +212,13 @@ def test_build_catalog_index_html_lists_all(tmp_path):
         assert f'href="{filename}"' in html_text
 
 
+def test_build_catalog_index_html_escapes_ngrams(tmp_path):
+    build_catalog(build_table({(1, "o'brien", 2000): 2, (1, "o'brien", 2001): 1}), 1, tmp_path)
+    html_text = (tmp_path / "index.html").read_text()
+    assert "<td>o&#x27;brien</td>" in html_text
+    assert "o'brien" not in html_text
+
+
 def test_build_catalog_deterministic(tmp_path):
     table = catalog_table()
     build_catalog(table, 2, tmp_path / "one")
