@@ -19,8 +19,8 @@ _MODULES = {
                "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
                "write_corpus"),
     "ngrams": ("FrequencyTable", "NgramRecord", "Stoplist", "build_table", "count_ngrams",
-               "ngrams_of", "passes_stopword_rule", "read_records", "read_table", "top_ngrams",
-               "write_records"),
+               "ngrams_of", "passes_stopword_rule", "read_records", "read_table", "token_runs",
+               "top_ngrams", "write_records"),
     "plotting": ("render_plot",),
     "textprep": ("Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize"),
     "trends": ("TrendEntry", "build_catalog", "rank_trends", "trend_slope"),

@@ -255,10 +255,12 @@ def _load_stoplist(path_argument):
 def cmd_extract(args):
     _load("ingest", "ngrams", "textprep")
     stoplist = _load_stoplist(args.stoplist)
-    entries = read_corpus(args.input)
-    sentences = (sentence for entry in entries for sentence in entry_sentences(entry))
-    table = count_ngrams(sentences, stoplist, 1, args.nmax)
-    write_records(table, sys.stdout if args.output == "-" else args.output)
+    # The corpus's entries are let go once their tokens are prepared, and
+    # each length is counted only after the one before it is written.
+    runs = token_runs(sentence for entry in read_corpus(args.input)
+                      for sentence in entry_sentences(entry))
+    tables = (count_ngrams(runs, stoplist, n, n) for n in range(1, args.nmax + 1))
+    write_records(tables, sys.stdout if args.output == "-" else args.output)
     return 0
 
 

@@ -10,9 +10,10 @@ discarded.
 
 `ngrams_of` and `passes_stopword_rule` define the windows and the rule.
 `count_ngrams` does not call them: it counts whole batches of sentences
-in C iterator pipelines, and `write_records` joins and writes rows in
-chunks the same way, so neither runs Python code per window or per row.
-The tests hold both against those definitions and against naive oracles.
+(see `token_runs`) one n-gram length at a time in C iterator pipelines,
+and `write_records` joins and writes rows in chunks the same way, so
+neither runs Python code per window or per row. The tests hold both
+against those definitions and against naive oracles.
 
 `read_table` keeps a sidecar index beside a records file it reads by
 path, `RECORDS.idx`, holding the table it built the last time it fully
@@ -26,7 +27,6 @@ index, and `write_records` does not write one.
 
 from __future__ import annotations
 
-import heapq
 import marshal
 import os
 import stat
@@ -233,53 +233,96 @@ def passes_stopword_rule(ngram, stoplist):
     return 2 * stop < len(ngram)
 
 
+class TokenRuns(list):
+    """The `(year, tokens)` batches `token_runs` prepares, which
+    `count_ngrams` counts as they are."""
+
+    __slots__ = ()
+
+
+def token_runs(sentences):
+    """The tokens of `sentences`, prepared once to be counted by
+    `count_ngrams` any number of times: up to _BATCH consecutive
+    sentences of one year at a time, as a `(year, tokens)` batch whose
+    tokens are the sentences' concatenated with `_BOUNDARY` after each
+    sentence. Equal tokens are one shared string, so the batches cost a
+    pointer per token over the corpus's vocabulary, and nothing else of
+    the sentences is kept."""
+    vocabulary: dict[str, str] = {}
+    shared = vocabulary.setdefault
+    runs = TokenRuns()
+    for year, run in groupby(sentences, attrgetter("year")):
+        while True:
+            tokens = []
+            for sentence in islice(run, _BATCH):
+                tokens += map(shared, sentence.tokens, sentence.tokens)
+                tokens.append(_BOUNDARY)
+            if not tokens:
+                break
+            runs.append((year, tokens))
+    return runs
+
+
 def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     """Count surviving n-gram occurrences per (n, ngram, year).
 
     Repeated occurrences within one sentence all count. Returns a
     `FrequencyTable`; counts of separately counted shards sum to the
-    counts of the whole corpus. `stoplist` is a `Stoplist` or a set of
-    words.
+    counts of the whole corpus. `sentences` are `Sentence`s, or the
+    batches `token_runs` made of them, which can be counted again, such
+    as one length at a time, without being prepared again. `stoplist`
+    is a `Stoplist` or a set of words.
 
     The windows and the rule are those of `ngrams_of` and
-    `passes_stopword_rule`, applied a batch at a time: up to _BATCH
-    consecutive sentences of one year, their tokens concatenated with
-    `_BOUNDARY` after each sentence. `stops[i]` is the weight of the
-    first i tokens, a stopword weighing 1 and `_BOUNDARY` NGRAM_MAX, so
-    a window's stopword count is one subtraction, and a window that
-    crosses a sentence boundary weighs too much to be kept. The n-gram
-    text is built only for windows that are kept, and each is counted
-    in the dict of its (n, year), all inside C iterators.
+    `passes_stopword_rule`, applied a batch at a time and a length at a
+    time (see `_count_length`).
     """
     _check_bounds(n_min, n_max)
+    runs = sentences if isinstance(sentences, TokenRuns) else token_runs(sentences)
     weight = dict.fromkeys(getattr(stoplist, "words", stoplist), 1)
     weight[_BOUNDARY] = NGRAM_MAX
-    weigh = weight.get
-    lengths = range(n_min, n_max + 1)
-    by_year: dict[int, list[dict[str, int]]] = {}
-    for year, run in groupby(sentences, attrgetter("year")):
-        cells = by_year.get(year)
-        if cells is None:
-            cells = by_year[year] = [{} for _ in lengths]
-        while True:
-            tokens = []
-            for sentence in islice(run, _BATCH):
-                tokens += sentence.tokens
-                tokens.append(_BOUNDARY)
-            if not tokens:
-                break
-            stops = list(accumulate(map(weigh, tokens, repeat(0)), initial=0))
-            for n, cell in zip(lengths, cells):
-                kept = map(((n + 1) // 2).__gt__, map(sub, islice(stops, n, None), stops))
-                windows = zip(*[islice(tokens, start, None) for start in range(n)])
-                _count_elements(cell, map(" ".join, compress(windows, kept)))
-    years = sorted(by_year)
-    return FrequencyTable({(n, year): by_year[year][index] for index, n in enumerate(lengths)
-                           for year in years if by_year[year][index]})
+    cells: dict[tuple[int, int], dict[str, int]] = {}
+    for n in range(n_min, n_max + 1):
+        cells.update(_count_length(runs, weight.get, n))
+    return FrequencyTable(cells)
 
 
-def write_records(table, dest):
-    """Write the table's rows as `n,ngram,year,count` in key order.
+def _count_length(runs, weigh, n):
+    """The non-empty `{ngram: count}` cells of length `n` in `runs`, by
+    `(n, year)` in ascending years. A token weighs `weigh(token, 0)`: a
+    stopword 1 and `_BOUNDARY` NGRAM_MAX. For each batch, `stops[i]` is
+    the weight of its first i tokens, so a window's stopword count is
+    one subtraction, and a window that crosses a sentence boundary
+    weighs too much to be kept; a unigram is its token, kept when it
+    weighs nothing. The n-gram text is built only for windows that are
+    kept, and each is counted in its year's dict, all inside C
+    iterators."""
+    keep = ((n + 1) // 2).__gt__
+    by_year: dict[int, dict[str, int]] = {}
+    for year, tokens in runs:
+        cell = by_year.get(year)
+        if cell is None:
+            cell = by_year[year] = {}
+        weights = map(weigh, tokens, repeat(0))
+        if n == 1:
+            grams = compress(tokens, map(keep, weights))
+        else:
+            stops = list(accumulate(weights, initial=0))
+            kept = map(keep, map(sub, islice(stops, n, None), stops))
+            windows = zip(*[islice(tokens, start, None) for start in range(n)])
+            grams = map(" ".join, compress(windows, kept))
+        _count_elements(cell, grams)
+    return {(n, year): by_year[year] for year in sorted(by_year) if by_year[year]}
+
+
+def write_records(tables, dest):
+    """Write the rows of `tables`, a `FrequencyTable` or an iterable of
+    them in ascending n-gram lengths, as `n,ngram,year,count` in key
+    order. An iterable is read one table at a time, and a table is let
+    go once its rows are written, before the next one is taken: tables
+    made lazily, such as one `count_ngrams` per length, are then never
+    alive together. Each table's lengths must all follow those of the
+    tables before it, which is not checked.
 
     The n-gram cell is quoted, with its quotes doubled, only if it
     contains a comma, a quote, `\n` or `\r` (token rules make all four
@@ -292,15 +335,18 @@ def write_records(table, dest):
     Only the joining iterator holds the rows, so they are freed before
     the next length's rows are listed.
     """
-    cells = table.cells
+    if isinstance(tables, FrequencyTable):
+        tables = (tables,)
     with open_for_write(dest) as fh:
         write = fh.write
         write(",".join(RECORDS_HEADER) + "\n")
-        for n in sorted({n for n, _ in cells}):
-            prefix = f"{n},"
-            lines = map("".join, _quoted_rows(cells, n))
-            while chunk := prefix.join(islice(lines, _WRITE_CHUNK)):
-                write(prefix + chunk)
+        for table in tables:
+            for n in sorted({n for n, _ in table.cells}):
+                prefix = f"{n},"
+                lines = map("".join, _quoted_rows(table.cells, n))
+                while chunk := prefix.join(islice(lines, _WRITE_CHUNK)):
+                    write(prefix + chunk)
+            del table  # before the next one is taken
 
 
 def _quoted_rows(cells, n):
@@ -530,8 +576,12 @@ def _ngram_totals(cells):
 def _most_frequent(cells, k):
     """The k `(ngram, total)` pairs of `cells` with the highest totals
     (see `_ngram_totals`), sorted by total descending, ties broken
-    lexicographically."""
-    return heapq.nsmallest(k, _ngram_totals(cells).items(), key=lambda item: (-item[1], item[0]))
+    lexicographically: a sort of the n-grams, then a stable one by
+    total, both keyed in C."""
+    totals = _ngram_totals(cells)
+    ranked = sorted(totals)
+    ranked.sort(key=totals.__getitem__, reverse=True)
+    return [(ngram, totals[ngram]) for ngram in ranked[:k]]
 
 
 def top_ngrams(table, n, k):

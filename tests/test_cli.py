@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import importlib
+import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import time
+import weakref
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -16,12 +20,13 @@ import trendgram
 import trendgram.cli
 
 from make_goldens import TEXT_GOLDENS
+from support import STOPPY_WORDS, WORDS, make_entry
 from trendgram._io import open_for_write
 from trendgram.cli import DEMO_QUERIES, run
 from trendgram.frequency import evaluate, parse_query, write_series_csv
 from trendgram.ingest import (merge_dedup, parse_bibtex, parse_csv,
                               parse_endnote, read_corpus, write_corpus)
-from trendgram.ngrams import Stoplist, build_table, count_ngrams, read_records
+from trendgram.ngrams import _BATCH, Stoplist, build_table, count_ngrams, read_records, write_records
 from trendgram.textprep import entry_sentences
 
 BIB = (
@@ -390,7 +395,8 @@ def test_an_unknown_name_is_an_attribute_error_naming_its_module(module):
         getattr(importlib.import_module(module), "no_such_name")
 
 
-# Every name `trendgram/__init__.py` exported when it imported each stage up front.
+# Every public name: those `trendgram/__init__.py` exported when it imported each
+# stage up front, and `token_runs`.
 PACKAGE_EXPORTS = (
     "IngestError", "QueryError", "RecordsError", "SlopeError", "TrendgramError",
     "FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq", "freq_list",
@@ -399,7 +405,8 @@ PACKAGE_EXPORTS = (
     "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
     "write_corpus",
     "FrequencyTable", "NgramRecord", "Stoplist", "build_table", "count_ngrams", "ngrams_of",
-    "passes_stopword_rule", "read_records", "read_table", "top_ngrams", "write_records",
+    "passes_stopword_rule", "read_records", "read_table", "token_runs", "top_ngrams",
+    "write_records",
     "render_plot",
     "Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize",
     "TrendEntry", "build_catalog", "rank_trends", "trend_slope",
@@ -420,6 +427,65 @@ def test_extract_matches_library_pipeline(tmp_path, records_csv):
     sentences = [s for e in entries for s in entry_sentences(e)]
     expected = count_ngrams(sentences, Stoplist.default())
     assert build_table(read_records(records_csv)) == expected
+
+
+def batch_crossing_corpus(path):
+    """Write a corpus whose sentences come in same-year runs longer than
+    one counting batch, with the years interleaved; return its sentences."""
+    rng = random.Random(11)
+
+    def words(count):
+        return " ".join(rng.choice(WORDS + STOPPY_WORDS) for _ in range(count))
+
+    entries = []
+    for year, count in ((2001, 100), (2000, 3), (2001, 120), (2000, 70), (2002, 1)):
+        for _ in range(count):  # four sentences each
+            entries.append(make_entry(id=f"bibtex:{len(entries) + 1}", title=words(5),
+                                      abstract=f"{words(9)}. {words(6)}.",
+                                      keywords=[words(2)], year=year))
+    write_corpus(entries, path)
+    sentences = [s for entry in read_corpus(path) for s in entry_sentences(entry)]
+    runs = [(year, len(list(run))) for year, run in groupby(s.year for s in sentences)]
+    assert max(size for _, size in runs) > _BATCH and len(runs) > len(dict(runs))
+    return sentences
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["path", "stdout"])
+@pytest.mark.parametrize("nmax", [1, 2, 3, 4])
+def test_extract_writes_what_the_library_writes(tmp_path, capsys, stoplist, nmax, to_stdout):
+    corpus = tmp_path / "corpus.csv"
+    sentences = batch_crossing_corpus(corpus)
+    expected = io.StringIO()
+    write_records(count_ngrams(sentences, stoplist, 1, nmax), expected)
+    records = tmp_path / "records.csv"
+    argv = ["extract", "-i", str(corpus), "-o", "-" if to_stdout else str(records),
+            "--nmax", str(nmax)]
+    assert run(argv) == 0
+    written = capsys.readouterr().out if to_stdout else records.read_text(encoding="utf-8")
+    assert written == expected.getvalue()
+
+
+@pytest.mark.parametrize("nmax", [2, 4])
+def test_extract_holds_one_length_at_a_time(tmp_path, monkeypatch, nmax):
+    corpus = tmp_path / "corpus.csv"
+    batch_crossing_corpus(corpus)
+    counted = trendgram.cli.count_ngrams
+    calls, tables = [], []
+
+    def counting(runs, stoplist, n_min, n_max):
+        assert all(table() is None for table in tables)  # every earlier length is freed
+        calls.append((runs, n_min, n_max))
+        table = counted(runs, stoplist, n_min, n_max)
+        assert table.cells
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(trendgram.cli, "count_ngrams", counting)
+    argv = ["extract", "-i", str(corpus), "-o", str(tmp_path / "records.csv"),
+            "--nmax", str(nmax)]
+    assert run(argv) == 0
+    assert [(n_min, n_max) for _, n_min, n_max in calls] == [(n, n) for n in range(1, nmax + 1)]
+    assert all(runs is calls[0][0] for runs, _, _ in calls)  # the tokens are prepared once
 
 
 def test_extract_nmax_validated(tmp_path, capsys):

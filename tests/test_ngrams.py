@@ -26,7 +26,7 @@ from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
 from trendgram.ngrams import (NgramRecord, Stoplist, build_table,
                               count_ngrams, ngrams_of, passes_stopword_rule,
-                              read_records, read_table, top_ngrams, write_records)
+                              read_records, read_table, token_runs, top_ngrams, write_records)
 from trendgram.textprep import Sentence
 
 
@@ -211,6 +211,29 @@ def test_count_ngrams_agrees_with_naive_oracle_across_batches(stoplist, runs):
             assert table.counts == naive_ngram_counts(sentences, words, n_min, n_max)
 
 
+@pytest.mark.parametrize("runs", [
+    [(2000, 600), (2001, 257), (2002, 1)],
+    [(2001, 300), (2000, 2), (2001, 513), (2000, 256), (2001, 1)],
+], ids=["sorted", "interleaved"])
+def test_counting_prepared_runs_equals_counting_sentences(stoplist, runs):
+    sentences = year_runs(random.Random(len(runs)), runs)
+    prepared = token_runs(iter(sentences))
+    assert len(prepared) > len({year for year, _ in runs})  # some year spans batches
+    tokens = [token for _, batch in prepared for token in batch if isinstance(token, str)]
+    assert tokens == [token for sentence in sentences for token in sentence.tokens]
+    shared = {}
+    assert all(shared.setdefault(token, token) is token for token in tokens)
+    for n_min in range(1, 5):
+        for n_max in range(n_min, 5):
+            table = count_ngrams(prepared, stoplist, n_min, n_max)
+            assert table == count_ngrams(iter(sentences), stoplist, n_min, n_max)
+            assert table.counts == naive_ngram_counts(sentences, stoplist, n_min, n_max)
+            assert all(table.cells.values())
+    per_length = [count_ngrams(prepared, stoplist, n, n) for n in range(1, 5)]
+    assert build_table({key: count for table in per_length
+                        for key, count in table.counts.items()}) == count_ngrams(sentences, stoplist)
+
+
 def assert_table_contract(table, expected):
     """What a table promises its readers, `bench/tracing.py` among them,
     for a table whose counts are the `(n, ngram, year) -> count` dict
@@ -381,6 +404,19 @@ def test_write_records_matches_oracle_writer(tmp_path_factory, counts):
     path = tmp_path_factory.mktemp("oracle") / "records.csv"
     write_records(build_table(counts), path)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.dictionaries(WRITER_KEYS, st.integers(1, 10**12), max_size=40))
+def test_write_records_of_one_table_per_length_equals_the_whole_table(counts):
+    whole = io.StringIO()
+    write_records(build_table(counts), whole)
+    # Lazily made, ascending, with tables holding no counts among them.
+    tables = (build_table({key: count for key, count in counts.items() if key[0] == n})
+              for n in [None, *sorted({n for n, _, _ in counts}), None])
+    per_length = io.StringIO()
+    write_records(tables, per_length)
+    assert per_length.getvalue() == whole.getvalue()
 
 
 @pytest.mark.parametrize("counts", [
@@ -1062,6 +1098,20 @@ def test_top_ngrams_matches_its_definition(counts, n, k):
             totals[ngram] += count
     expected = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:k]
     assert top_ngrams(build_table(counts), n, k) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.dictionaries(st.text("ab", min_size=1, max_size=3), st.integers(1, 3),
+                                      max_size=12), max_size=5),
+       k=st.integers(1, 20))
+def test_most_frequent_matches_its_definition(cells, k):
+    # 14 possible n-grams with small counts over several cells: totals tie
+    # often, and k falls both below and above the number of n-grams.
+    totals = Counter()
+    for cell in cells:
+        totals.update(cell)
+    expected = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:k]
+    assert ngrams._most_frequent(cells, k) == expected
 
 
 def test_top_ngrams_single_record():
