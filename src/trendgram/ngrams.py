@@ -270,8 +270,9 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     `FrequencyTable`; counts of separately counted shards sum to the
     counts of the whole corpus. `sentences` are `Sentence`s, or the
     batches `token_runs` made of them, which can be counted again, such
-    as one length at a time, without being prepared again. `stoplist`
-    is a `Stoplist` or a set of words.
+    as one length at a time, without being prepared again; sentences
+    are prepared first, so all of their tokens are held until the table
+    is built. `stoplist` is a `Stoplist` or a set of words.
 
     The windows and the rule are those of `ngrams_of` and
     `passes_stopword_rule`, applied a batch at a time and a length at a
@@ -293,25 +294,19 @@ def _count_length(runs, weigh, n):
     stopword 1 and `_BOUNDARY` NGRAM_MAX. For each batch, `stops[i]` is
     the weight of its first i tokens, so a window's stopword count is
     one subtraction, and a window that crosses a sentence boundary
-    weighs too much to be kept; a unigram is its token, kept when it
-    weighs nothing. The n-gram text is built only for windows that are
-    kept, and each is counted in its year's dict, all inside C
-    iterators."""
+    weighs too much to be kept. The n-gram text is built only for
+    windows that are kept, and each is counted in its year's dict, all
+    inside C iterators."""
     keep = ((n + 1) // 2).__gt__
     by_year: dict[int, dict[str, int]] = {}
     for year, tokens in runs:
         cell = by_year.get(year)
         if cell is None:
             cell = by_year[year] = {}
-        weights = map(weigh, tokens, repeat(0))
-        if n == 1:
-            grams = compress(tokens, map(keep, weights))
-        else:
-            stops = list(accumulate(weights, initial=0))
-            kept = map(keep, map(sub, islice(stops, n, None), stops))
-            windows = zip(*[islice(tokens, start, None) for start in range(n)])
-            grams = map(" ".join, compress(windows, kept))
-        _count_elements(cell, grams)
+        stops = list(accumulate(map(weigh, tokens, repeat(0)), initial=0))
+        kept = map(keep, map(sub, islice(stops, n, None), stops))
+        windows = zip(*[islice(tokens, start, None) for start in range(n)])
+        _count_elements(cell, map(" ".join, compress(windows, kept)))
     return {(n, year): by_year[year] for year in sorted(by_year) if by_year[year]}
 
 
@@ -322,7 +317,8 @@ def write_records(tables, dest):
     go once its rows are written, before the next one is taken: tables
     made lazily, such as one `count_ngrams` per length, are then never
     alive together. Each table's lengths must all follow those of the
-    tables before it, which is not checked.
+    tables before it, or `ValueError` is raised and a file at `dest` is
+    left as it was.
 
     The n-gram cell is quoted, with its quotes doubled, only if it
     contains a comma, a quote, `\n` or `\r` (token rules make all four
@@ -337,11 +333,16 @@ def write_records(tables, dest):
     """
     if isinstance(tables, FrequencyTable):
         tables = (tables,)
+    last = None  # the length written last
     with open_for_write(dest) as fh:
         write = fh.write
         write(",".join(RECORDS_HEADER) + "\n")
         for table in tables:
             for n in sorted({n for n, _ in table.cells}):
+                if last is not None and n <= last:
+                    raise ValueError(f"a table of n-gram length {n} follows one of length "
+                                     f"{last}; tables must come in ascending lengths")
+                last = n
                 prefix = f"{n},"
                 lines = map("".join, _quoted_rows(table.cells, n))
                 while chunk := prefix.join(islice(lines, _WRITE_CHUNK)):

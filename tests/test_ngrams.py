@@ -419,6 +419,18 @@ def test_write_records_of_one_table_per_length_equals_the_whole_table(counts):
     assert per_length.getvalue() == whole.getvalue()
 
 
+@pytest.mark.parametrize("lengths", [[2, 1], [2, 2], [1, 3, 2]], ids=["descending", "repeated", "late"])
+def test_write_records_refuses_tables_out_of_length_order(tmp_path, lengths):
+    dest = tmp_path / "records.csv"
+    write_records(build_table({(1, "code", 2000): 3}), dest)
+    old = dest.read_bytes()
+    tables = (build_table({(n, " ".join(["x"] * n), 2000): 1}) for n in lengths)
+    with pytest.raises(ValueError, match="ascending lengths"):
+        write_records(tables, dest)
+    assert dest.read_bytes() == old
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["records.csv"]
+
+
 @pytest.mark.parametrize("counts", [
     # only one year's cell of length 1 and of length 2 needs quoting
     {(1, "alpha", 2000): 1, (1, "alpha", 2001): 2, (1, "a,b", 2001): 3, (1, 'say "x"', 2001): 4,
