@@ -11,7 +11,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _MODULES = {
-    "errors": ("IngestError", "QueryError", "RecordsError", "SlopeError", "TrendgramError"),
+    "errors": ("IngestError", "QueryError", "RecordsError", "TrendgramError"),
     "frequency": ("FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq",
                   "freq_list", "parse_query", "query_lengths", "write_series_csv",
                   "write_series_json"),
@@ -19,11 +19,10 @@ _MODULES = {
                "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
                "write_corpus"),
     "ngrams": ("FrequencyTable", "NgramRecord", "Stoplist", "build_table", "count_ngrams",
-               "ngrams_of", "passes_stopword_rule", "read_records", "read_table", "token_runs",
-               "top_ngrams", "write_records"),
+               "read_records", "read_table", "token_runs", "top_ngrams", "write_records"),
     "plotting": ("render_plot",),
     "textprep": ("Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize"),
-    "trends": ("TrendEntry", "build_catalog", "rank_trends", "trend_slope"),
+    "trends": ("TrendEntry", "build_catalog", "rank_trends"),
 }
 __all__ = sorted(name for names in _MODULES.values() for name in names)
 

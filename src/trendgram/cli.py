@@ -303,9 +303,9 @@ def cmd_query(args):
 
 
 def cmd_top(args):
-    _load("ngrams")
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
+    _load("ngrams")
     table = read_table(args.input, (args.n,))
     for rank, (ngram, total) in enumerate(top_ngrams(table, args.n, args.k), 1):
         print(f"{rank}. {ngram} {total}")
@@ -313,6 +313,8 @@ def cmd_top(args):
 
 
 def cmd_catalog(args):
+    if args.limit < 1:
+        raise UsageError("", "--limit must be at least 1")
     from .trends import load_catalog_stages
 
     _load("ngrams", "trends")
@@ -320,8 +322,6 @@ def cmd_catalog(args):
     # table is read keeps what importing them briefly allocates (compiling,
     # without a bytecode cache) off the top of the table.
     load_catalog_stages()
-    if args.limit < 1:
-        raise UsageError("", "--limit must be at least 1")
     table = read_table(args.input)
     if not table.cells:
         raise TrendgramError("records file has no records to catalog")
@@ -331,9 +331,9 @@ def cmd_catalog(args):
 
 
 def cmd_trends(args):
-    _load("ngrams", "trends")
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
+    _load("ngrams", "trends")
     table = read_table(args.input, (args.n,))
     ranked = rank_trends(table, args.n, args.direction, args.k,
                          min_support=args.min_support, min_years=args.min_years)

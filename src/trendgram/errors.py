@@ -25,7 +25,3 @@ class RecordsError(TrendgramError):
 
 class QueryError(TrendgramError):
     """Malformed trend query string."""
-
-
-class SlopeError(TrendgramError):
-    """Slope requested for a series with fewer than two data points."""

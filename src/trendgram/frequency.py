@@ -65,8 +65,12 @@ def parse_query(text):
     Each phrase is tokenized and article-stripped with the extraction
     rules; the series label is the original comma-separated fragment,
     trimmed. Empty fragments and phrases longer than four tokens are
-    errors.
+    errors, as is text that is not UTF-8 (lone surrogates from argv).
     """
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise QueryError(f"query is not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     if not text.strip():
         raise QueryError("empty query")
     series = []

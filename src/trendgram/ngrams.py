@@ -3,17 +3,18 @@ records file format.
 
 The tabular model is one record per (n, ngram, year) with an occurrence
 count. A `FrequencyTable` holds them as one `{ngram: count}` dict per
-(n, year), the unit every frequency is taken over. An n-gram is
+(n, year), the unit every frequency is taken over. A sentence of t
+tokens has max(t - n + 1, 0) n-grams of length n, its windows of n
+consecutive tokens, so none crosses a sentence boundary. An n-gram is
 discarded when at least half of its tokens are stopwords; the comparison
 is exact integer arithmetic, so a bigram with exactly one stopword is
 discarded.
 
-`ngrams_of` and `passes_stopword_rule` define the windows and the rule.
-`count_ngrams` does not call them: it counts whole batches of sentences
-(see `token_runs`) one n-gram length at a time in C iterator pipelines,
-and `write_records` joins and writes rows in chunks the same way, so
-neither runs Python code per window or per row. The tests hold both
-against those definitions and against naive oracles.
+`count_ngrams` applies both rules to whole batches of sentences (see
+`token_runs`) one n-gram length at a time in C iterator pipelines, and
+`write_records` joins and writes rows in chunks the same way, so neither
+runs Python code per window or per row. The tests hold both against the
+naive oracles of `tests/oracle.py`.
 
 `read_table` keeps a sidecar index beside a records file it reads by
 path, `RECORDS.idx`, holding the table it built the last time it fully
@@ -209,30 +210,6 @@ class Stoplist:
         return cls.from_file(Path(__file__).with_name("data") / "stopwords.txt")
 
 
-def ngrams_of(tokens, n_min=1, n_max=NGRAM_MAX):
-    """All contiguous token windows of each length in [n_min, n_max].
-
-    A sentence of t tokens yields max(t - n + 1, 0) windows of length n.
-    """
-    _check_bounds(n_min, n_max)
-    grams = []
-    for n in range(n_min, n_max + 1):
-        for start in range(len(tokens) - n + 1):
-            grams.append(tuple(tokens[start:start + n]))
-    return grams
-
-
-def _check_bounds(n_min, n_max):
-    if not 1 <= n_min <= n_max <= NGRAM_MAX:
-        raise ValueError(f"bad n-gram bounds {n_min}..{n_max}")
-
-
-def passes_stopword_rule(ngram, stoplist):
-    """True when strictly less than half of the tokens are stopwords."""
-    stop = sum(1 for token in ngram if token in stoplist)
-    return 2 * stop < len(ngram)
-
-
 class TokenRuns(list):
     """The `(year, tokens)` batches `token_runs` prepares, which
     `count_ngrams` counts as they are."""
@@ -264,21 +241,22 @@ def token_runs(sentences):
 
 
 def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
-    """Count surviving n-gram occurrences per (n, ngram, year).
+    """Count surviving n-gram occurrences per (n, ngram, year): for each
+    length n from `n_min` to `n_max`, every window of n consecutive
+    tokens of a sentence of which strictly fewer than half are in
+    `stoplist`, a `Stoplist` or a set of words. Repeated occurrences
+    within one sentence all count. Bounds outside `1 <= n_min <= n_max
+    <= NGRAM_MAX` raise `ValueError`.
 
-    Repeated occurrences within one sentence all count. Returns a
-    `FrequencyTable`; counts of separately counted shards sum to the
-    counts of the whole corpus. `sentences` are `Sentence`s, or the
-    batches `token_runs` made of them, which can be counted again, such
-    as one length at a time, without being prepared again; sentences
-    are prepared first, so all of their tokens are held until the table
-    is built. `stoplist` is a `Stoplist` or a set of words.
-
-    The windows and the rule are those of `ngrams_of` and
-    `passes_stopword_rule`, applied a batch at a time and a length at a
-    time (see `_count_length`).
+    Returns a `FrequencyTable`; counts of separately counted shards sum
+    to the counts of the whole corpus. `sentences` are `Sentence`s, or
+    the batches `token_runs` made of them, which can be counted again,
+    such as one length at a time, without being prepared again;
+    sentences are prepared first, so all of their tokens are held until
+    the table is built. `_count_length` applies the rules.
     """
-    _check_bounds(n_min, n_max)
+    if not 1 <= n_min <= n_max <= NGRAM_MAX:
+        raise ValueError(f"bad n-gram bounds {n_min}..{n_max}")
     runs = sentences if isinstance(sentences, TokenRuns) else token_runs(sentences)
     weight = dict.fromkeys(getattr(stoplist, "words", stoplist), 1)
     weight[_BOUNDARY] = NGRAM_MAX

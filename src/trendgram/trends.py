@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from . import _bind, _module_getattr
 from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS
-from .errors import SlopeError
 from .ngrams import _most_frequent, _ngram_totals
 
 # A catalog page is opened for writing without truncating it, created
@@ -41,17 +40,6 @@ class TrendEntry(NamedTuple):
     n: int
     slope: float
     total_count: int
-
-
-def trend_slope(series):
-    """OLS slope of frequency against year over the has-data points.
-
-    Fewer than two data points raise `SlopeError`.
-    """
-    years = [year for year, point in sorted(series.points.items()) if point.has_data]
-    if len(years) < 2:
-        raise SlopeError(f"series {series.label!r} has {len(years)} data points; need at least 2")
-    return _slope(years, [series.points[year].frequency for year in years])
 
 
 def _slope(years, values):

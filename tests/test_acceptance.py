@@ -17,9 +17,8 @@ from support import make_entry, random_counts, random_sentences
 from trendgram.cli import DEMO_QUERIES, run
 from trendgram.frequency import evaluate, freq, parse_query
 from trendgram.ingest import merge_dedup
-from trendgram.ngrams import (build_table, count_ngrams, ngrams_of,
-                              passes_stopword_rule, read_records, write_records)
-from trendgram.textprep import entry_sentences
+from trendgram.ngrams import NgramRecord, build_table, count_ngrams, read_records, write_records
+from trendgram.textprep import Sentence, entry_sentences
 from trendgram.trends import rank_trends
 
 
@@ -40,13 +39,23 @@ def test_criterion_01_sentence_boundary_guard(stoplist):
     print(f"criterion 1 (sentence-boundary guard, {elapsed:.3f}s): PASS")
 
 
+def _counted(tokens, stoplist, n_min, n_max, year=2000):
+    """`count_ngrams` of one sentence of `tokens`."""
+    return count_ngrams([Sentence(list(tokens), "abstract", "x:1", year)], stoplist, n_min, n_max)
+
+
+def _kept(tokens, stoplist):
+    """The n-grams kept of `tokens` at their full length: all of them, or none."""
+    return [record.ngram for record in _counted(tokens, stoplist, len(tokens), len(tokens))]
+
+
 def test_criterion_02_stopword_rule(stoplist):
-    assert not passes_stopword_rule(("any", "of", "programs"), stoplist)
-    assert passes_stopword_rule(("comprehension", "of", "programs"), stoplist)
+    assert _kept(("any", "of", "programs"), stoplist) == []
+    assert _kept(("comprehension", "of", "programs"), stoplist) == ["comprehension of programs"]
     # boundary: every bigram with exactly one stopword is excluded
     for stop in sorted(stoplist.words):
-        assert not passes_stopword_rule((stop, "program"), stoplist)
-        assert not passes_stopword_rule(("comprehension", stop), stoplist)
+        assert _kept((stop, "program"), stoplist) == []
+        assert _kept(("comprehension", stop), stoplist) == []
     print("criterion 2 (stopword rule): PASS")
 
 
@@ -133,13 +142,16 @@ def test_criterion_06_query_algebra():
 
 
 def test_criterion_07_ngram_enumeration():
-    grams = ngrams_of(["here", "you", "are"], 1, 3)
-    assert grams == [
-        ("here",), ("you",), ("are",),
-        ("here", "you"), ("you", "are"),
-        ("here", "you", "are"),
+    table = _counted(("here", "you", "are"), set(), 1, 3, year=2005)
+    assert list(table) == [
+        NgramRecord(1, "are", 2005, 1),
+        NgramRecord(1, "here", 2005, 1),
+        NgramRecord(1, "you", 2005, 1),
+        NgramRecord(2, "here you", 2005, 1),
+        NgramRecord(2, "you are", 2005, 1),
+        NgramRecord(3, "here you are", 2005, 1),
     ]
-    assert len(grams) == 6
+    assert len(table) == 6
     print("criterion 7 (n-gram enumeration): PASS")
 
 

@@ -6,12 +6,14 @@ import json
 import os
 import random
 import re
+import shlex
+import shutil
 import signal
 import subprocess
 import sys
 import time
 import weakref
-from itertools import groupby
+from itertools import groupby, takewhile
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from support import STOPPY_WORDS, WORDS, make_entry
 from trendgram._io import open_for_write
 from trendgram.cli import DEMO_QUERIES, run
 from trendgram.frequency import evaluate, parse_query, write_series_csv
-from trendgram.ingest import (merge_dedup, parse_bibtex, parse_csv,
+from trendgram.ingest import (DEFAULT_CSV_MAPPING, merge_dedup, parse_bibtex, parse_csv,
                               parse_endnote, read_corpus, write_corpus)
 from trendgram.ngrams import _BATCH, Stoplist, build_table, count_ngrams, read_records, write_records
 from trendgram.textprep import entry_sentences
@@ -110,6 +112,35 @@ def test_ingest_csv_map_naming_a_field_twice_is_usage_error(demo_dir, tmp_path, 
     assert capsys.readouterr().err.splitlines() == [
         "error: --csv-map: field 'title' is mapped more than once"]
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_ingest_csv_map_without_a_column_is_usage_error(demo_dir, tmp_path, capsys):
+    assert run(["ingest", "--csv", str(demo_dir / "demo.csv"), "--csv-map", "title",
+                "-o", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --csv-map expects FIELD=COLUMN, got 'title'"]
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_ingest_csv_map_reads_renamed_columns(demo_dir, tmp_path):
+    renamed = {"Document Title": "Name", "Authors": "Writers", "Publication Year": "Yr",
+               "Abstract": "Summary", "Author Keywords": "Tags"}
+    header, rest = (demo_dir / "demo.csv").read_bytes().split(b"\n", 1)
+    columns = header.decode().split(",")
+    assert set(renamed) == set(DEFAULT_CSV_MAPPING.values()) <= set(columns)
+    export = tmp_path / "renamed" / "demo.csv"
+    export.parent.mkdir()
+    export.write_bytes(",".join(renamed.get(column, column) for column in columns).encode()
+                       + b"\n" + rest)
+    assert run(["ingest", "--csv", str(demo_dir / "demo.csv"),
+                "-o", str(tmp_path / "default.csv")]) == 0
+    argv = ["ingest", "--csv", str(export), "-o", str(tmp_path / "mapped.csv")]
+    for field, column in DEFAULT_CSV_MAPPING.items():
+        argv += ["--csv-map", f"{field}={renamed[column]}"]
+    assert run(argv) == 0
+    corpus = (tmp_path / "default.csv").read_bytes()
+    assert corpus.count(b"\n") > 1
+    assert (tmp_path / "mapped.csv").read_bytes() == corpus
 
 
 def test_ingest_missing_file_is_data_error(tmp_path, capsys):
@@ -266,6 +297,9 @@ def test_cli_import_skips_unused_stdlib_chains():
     assert loaded == []
 
 
+STAGES = ("ingest", "textprep", "ngrams", "frequency", "plotting", "trends")
+
+
 def _modules_after(code, *argv, cwd=None):
     """The `trendgram.*` modules and `json` that a fresh interpreter holds
     after running `code`, which may set `status`; and that status."""
@@ -316,6 +350,18 @@ def test_each_command_loads_only_its_stages(records_csv, demo_dir, argv, loaded,
     assert {f"trendgram.{stage}" for stage in loaded} <= modules
     assert modules.isdisjoint(name if name == "json" else f"trendgram.{name}"
                               for name in unloaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["top", "-i", "records.csv", "-k", "0"],
+    ["trends", "-i", "records.csv", "-k", "0"],
+    ["catalog", "-i", "records.csv", "-o", "catalog", "--limit", "0"],
+], ids=["top", "trends", "catalog"])
+def test_a_count_below_one_loads_no_stage(records_csv, argv):
+    status, modules = _modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
+                                     *argv, cwd=records_csv.parent)
+    assert status == "1"
+    assert modules.isdisjoint(f"trendgram.{stage}" for stage in STAGES)
 
 
 @pytest.fixture()
@@ -396,20 +442,20 @@ def test_an_unknown_name_is_an_attribute_error_naming_its_module(module):
 
 
 # Every public name: those `trendgram/__init__.py` exported when it imported each
-# stage up front, and `token_runs`.
+# stage up front, and `token_runs`, less the second definitions of the window and
+# stopword rule and of the trend slope (and its error), which CHANGES.md names.
 PACKAGE_EXPORTS = (
-    "IngestError", "QueryError", "RecordsError", "SlopeError", "TrendgramError",
+    "IngestError", "QueryError", "RecordsError", "TrendgramError",
     "FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq", "freq_list",
     "parse_query", "query_lengths", "write_series_csv", "write_series_json",
     "Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
     "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
     "write_corpus",
-    "FrequencyTable", "NgramRecord", "Stoplist", "build_table", "count_ngrams", "ngrams_of",
-    "passes_stopword_rule", "read_records", "read_table", "token_runs", "top_ngrams",
-    "write_records",
+    "FrequencyTable", "NgramRecord", "Stoplist", "build_table", "count_ngrams", "read_records",
+    "read_table", "token_runs", "top_ngrams", "write_records",
     "render_plot",
     "Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize",
-    "TrendEntry", "build_catalog", "rank_trends", "trend_slope",
+    "TrendEntry", "build_catalog", "rank_trends",
 )
 
 
@@ -620,6 +666,50 @@ def test_query_bad_query_is_data_error(records_csv, capsys):
     assert "empty phrase" in capsys.readouterr().err
 
 
+def test_query_that_is_not_utf8_is_data_error(records_csv, tmp_path, capsys):
+    # On a UTF-8 locale, the argument byte 0xff arrives as a lone surrogate.
+    series, svg = tmp_path / "s.csv", tmp_path / "p.svg"
+    assert run(["query", "-i", str(records_csv), "program\udcff", "-o", str(series),
+                "--svg", str(svg)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: query is not UTF-8 text (byte 0xff)"]
+    assert not series.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["query", "-i", "{records}", "code", "-o", "{tmp}/s.csv"],
+     "records file has no years; pass --from and --to"),
+    (["catalog", "-i", "{records}", "-o", "{tmp}/catalog"],
+     "records file has no records to catalog"),
+], ids=["query", "catalog"])
+def test_records_with_only_a_header_is_data_error(argv, message, tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("n,ngram,year,count\n")
+    assert run([arg.format(records=records, tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "catalog").exists()
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("corpus", ["extract", "-i", "{bad}", "-o", "{tmp}/r.csv"]),
+    ("records", ["top", "-i", "{bad}"]),
+])
+def test_empty_file_is_data_error(kind, argv, tmp_path, capsys):
+    bad = tmp_path / f"{kind}.csv"
+    bad.write_bytes(b"")
+    assert run([arg.format(bad=bad, tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {kind} file is empty"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_extract_corpus_row_with_six_columns_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "corpus.csv"
+    bad.write_text("id,source,year,title,abstract,keywords,authors\nx,csv,2000,T,A,\n")
+    assert run(["extract", "-i", str(bad), "-o", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:2: expected 7 columns, got 6"]
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_query_corrupt_records_is_data_error(tmp_path, capsys):
     bad = tmp_path / "records.csv"
     bad.write_text("n,ngram,year,count\n1,two words,2000,3\n")
@@ -681,6 +771,25 @@ def test_demo_writes_five_svgs(records_csv, tmp_path):
         matching = [f for f in files if f.startswith(f"demo-{number}-")]
         assert len(matching) == 1
         assert text in (out / matching[0]).read_text()
+
+
+def test_readme_quick_start_runs(demo_dir, tmp_path, monkeypatch, capsys):
+    readme = (demo_dir.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("trendgram ")]
+    assert [argv[0] for argv in commands] == [
+        "ingest", "extract", "top", "query", "trends", "catalog", "demo"]
+    after = lines[lines.index("# stderr:") + 1:]
+    report = [line.lstrip("#").strip() for line in takewhile(lambda line: line.startswith("#"), after)]
+    assert report
+    shutil.copytree(demo_dir, tmp_path / "demo")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv) == 0, argv
+        err = capsys.readouterr().err
+        if argv[0] == "ingest":
+            assert err.splitlines() == report
 
 
 def test_full_pipeline_matches_golden_directory(demo_dir, golden_dir, tmp_path, capsys):

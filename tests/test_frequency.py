@@ -157,6 +157,7 @@ def test_parse_query_strips_articles():
 def test_parse_query_uses_extraction_tokenization():
     query = parse_query("Open-Source Systems")
     assert query.series[0].phrases == [("open-source", "systems")]
+    assert parse_query("Café Analysis").series[0].phrases == [("café", "analysis")]
 
 
 @pytest.mark.parametrize("bad, fragment", [
@@ -166,6 +167,9 @@ def test_parse_query_uses_extraction_tokenization():
     ("x++y", "empty phrase"),
     ("the", "no searchable tokens"),
     ("one two three four five", "longer than 4"),
+    # undecodable argument bytes arrive as lone surrogates
+    ("program\udcff", "query is not UTF-8 text (byte 0xff)"),
+    ("static analysis, caf\udce9", "query is not UTF-8 text (byte 0xe9)"),
 ])
 def test_parse_query_errors_name_offender(bad, fragment):
     with pytest.raises(QueryError) as err:

@@ -24,9 +24,8 @@ from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
 from trendgram import ngrams
 from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
-from trendgram.ngrams import (NgramRecord, Stoplist, build_table,
-                              count_ngrams, ngrams_of, passes_stopword_rule,
-                              read_records, read_table, token_runs, top_ngrams, write_records)
+from trendgram.ngrams import (NgramRecord, Stoplist, build_table, count_ngrams, read_records,
+                              read_table, token_runs, top_ngrams, write_records)
 from trendgram.textprep import Sentence
 
 
@@ -34,32 +33,46 @@ def sentence(tokens, year=2008):
     return Sentence(list(tokens), "abstract", "x:1", year)
 
 
+def kept(tokens, stoplist):
+    """The n-grams `count_ngrams` keeps of a sentence of `tokens` at their
+    full length: the sentence's one window, or nothing."""
+    n = len(tokens)
+    return [record.ngram for record in count_ngrams([sentence(tokens)], stoplist, n, n)]
+
+
 # ---------------------------------------------------------------------------
 # Window enumeration
 
 
-def test_ngrams_of_three_tokens():
-    assert ngrams_of(["here", "you", "are"], 1, 3) == [
-        ("here",), ("you",), ("are",),
-        ("here", "you"), ("you", "are"),
-        ("here", "you", "are"),
+def test_count_ngrams_windows_of_three_tokens():
+    assert list(count_ngrams([sentence(["here", "you", "are"], 2010)], set(), 1, 3)) == [
+        NgramRecord(1, "are", 2010, 1),
+        NgramRecord(1, "here", 2010, 1),
+        NgramRecord(1, "you", 2010, 1),
+        NgramRecord(2, "here you", 2010, 1),
+        NgramRecord(2, "you are", 2010, 1),
+        NgramRecord(3, "here you are", 2010, 1),
     ]
 
 
-def test_ngrams_of_empty():
-    assert ngrams_of([], 1, 4) == []
+def test_count_ngrams_over_an_empty_sentence():
+    table = count_ngrams([sentence([])], set(), 1, 4)
+    assert table.cells == {} and list(table) == []
 
 
-def test_ngrams_of_window_arithmetic():
-    grams = ngrams_of(list("abcde"), 1, 4)
-    assert len(grams) == 5 + 4 + 3 + 2
+def test_count_ngrams_window_arithmetic():
+    table = count_ngrams([sentence(list("abcde"))], set(), 1, 4)
+    assert len(table) == 5 + 4 + 3 + 2
+    assert {n: sum(cell.values()) for (n, _), cell in table.cells.items()} == {
+        1: 5, 2: 4, 3: 3, 4: 2}
 
 
-def test_ngrams_of_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        ngrams_of(["x"], 0, 2)
-    with pytest.raises(ValueError):
-        ngrams_of(["x"], 3, 2)
+def test_count_ngrams_rejects_bad_bounds_for_prepared_runs(stoplist):
+    runs = token_runs([sentence(["x"])])
+    with pytest.raises(ValueError, match="bad n-gram bounds 0..2"):
+        count_ngrams(runs, stoplist, 0, 2)
+    with pytest.raises(ValueError, match="bad n-gram bounds 3..2"):
+        count_ngrams(runs, stoplist, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -67,27 +80,27 @@ def test_ngrams_of_rejects_bad_bounds():
 
 
 def test_stopword_rule_excludes_majority_stopwords(stoplist):
-    assert not passes_stopword_rule(("any", "of", "programs"), stoplist)
+    assert kept(("any", "of", "programs"), stoplist) == []
 
 
 def test_stopword_rule_retains_minority_stopwords(stoplist):
-    assert passes_stopword_rule(("comprehension", "of", "programs"), stoplist)
+    assert kept(("comprehension", "of", "programs"), stoplist) == ["comprehension of programs"]
 
 
 def test_stopword_rule_single_stopword_unigram(stoplist):
-    assert not passes_stopword_rule(("of",), stoplist)
+    assert kept(("of",), stoplist) == []
 
 
 def test_stopword_rule_half_is_excluded(stoplist):
     # exactly 50% stopwords meets the "at least 50%" bar
-    assert not passes_stopword_rule(("of", "programs"), stoplist)
-    assert not passes_stopword_rule(("comprehension", "of"), stoplist)
+    assert kept(("of", "programs"), stoplist) == []
+    assert kept(("comprehension", "of"), stoplist) == []
 
 
 def test_stopword_rule_every_one_stopword_bigram_excluded(stoplist):
     for stop in ("of", "the", "with", "very"):
-        assert not passes_stopword_rule((stop, "program"), stoplist)
-        assert not passes_stopword_rule(("program", stop), stoplist)
+        assert kept((stop, "program"), stoplist) == []
+        assert kept(("program", stop), stoplist) == []
 
 
 def test_stoplist_parsing():
@@ -286,14 +299,15 @@ def test_ngram_lengths_stop_at_ngram_max(stoplist):
     with pytest.raises(ValueError, match="bad n-gram bounds 1..5"):
         count_ngrams([sentence(["a", "b", "c", "d", "e"])], stoplist, 1, 5)
     with pytest.raises(ValueError, match="bad n-gram bounds 5..5"):
-        ngrams_of(["a", "b", "c", "d", "e"], 5, 5)
+        count_ngrams([sentence(["a", "b", "c", "d", "e"])], stoplist, 5, 5)
 
 
 def test_count_ngrams_stored_ngrams_pass_their_own_rule(stoplist):
     rng = random.Random(3)
     records = count_ngrams(random_sentences(rng, 40), stoplist)
     for record in records:
-        assert passes_stopword_rule(tuple(record.ngram.split(" ")), stoplist)
+        tokens = record.ngram.split(" ")
+        assert 2 * sum(token in stoplist for token in tokens) < len(tokens)
         assert record.count >= 1
         assert len(record.ngram.split(" ")) == record.n
 

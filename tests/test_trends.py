@@ -9,16 +9,16 @@ import pytest
 
 from oracle import exact_ols_slope
 from trendgram.cli import run
-from trendgram.errors import SlopeError
-from trendgram.frequency import FrequencySeries, Query, QuerySeries, SeriesPoint, evaluate
+from trendgram.frequency import Query, QuerySeries, evaluate
 from trendgram.ngrams import build_table, read_table, write_records
 from trendgram.plotting import render_plot
-from trendgram.trends import build_catalog, rank_trends, trend_slope
+from trendgram.trends import _slope, build_catalog, rank_trends
 
 
-def series_of(points, label="s"):
-    return FrequencySeries(label, {year: SeriesPoint(value, True)
-                                   for year, value in points.items()})
+def slope_of(points):
+    """`_slope` of a `{year: value}` dict."""
+    years = sorted(points)
+    return _slope(years, [points[year] for year in years])
 
 
 # ---------------------------------------------------------------------------
@@ -26,39 +26,43 @@ def series_of(points, label="s"):
 
 
 def test_slope_of_constant_series_is_zero():
-    assert trend_slope(series_of({2000: 0.1, 2001: 0.1, 2002: 0.1})) == 0.0
+    assert slope_of({2000: 0.1, 2001: 0.1, 2002: 0.1}) == 0.0
 
 
 def test_slope_of_exact_line():
-    slope = trend_slope(series_of({2000: 0.0, 2001: 0.1, 2002: 0.2}))
+    slope = slope_of({2000: 0.0, 2001: 0.1, 2002: 0.2})
     assert slope == pytest.approx(0.1, abs=1e-15)
 
 
 def test_slope_needs_two_data_points():
-    with pytest.raises(SlopeError):
-        trend_slope(series_of({2000: 0.5}))
-    sparse = FrequencySeries("s", {
-        2000: SeriesPoint(0.5, True),
-        2001: SeriesPoint(0.0, False),
-    })
-    with pytest.raises(SlopeError):
-        trend_slope(sparse)
+    # One bigram data year: no slope, so no candidate, even at min_years=1.
+    table = build_table({(2, "aa bb", 2000): 4, (1, "aa", 2001): 4, (1, "bb", 2002): 4})
+    assert rank_trends(table, 2, "rising", 5, min_support=1, min_years=1) == []
 
 
 def test_slope_ignores_no_data_points():
-    gappy = FrequencySeries("s", {
-        2000: SeriesPoint(0.0, True),
-        2001: SeriesPoint(9.9, False),
-        2002: SeriesPoint(0.2, True),
+    # Bigrams have data in 2000 and 2002 only; the unigrams' 2001 and 2003
+    # are no-data years for length 2, not zeros.
+    table = build_table({
+        (2, "aa bb", 2000): 1, (2, "cc dd", 2000): 3,
+        (2, "aa bb", 2002): 3, (2, "cc dd", 2002): 1,
+        (1, "aa", 2001): 5, (1, "bb", 2003): 5,
     })
-    assert trend_slope(gappy) == pytest.approx(0.1, abs=1e-15)
+    ranked = rank_trends(table, 2, "rising", 5, min_support=1, min_years=2)
+    assert [entry.ngram for entry in ranked] == ["aa bb", "cc dd"]
+    for entry in ranked:
+        points = [(year, table.cells[2, year][entry.ngram] / table.totals[2, year])
+                  for year in (2000, 2002)]
+        assert entry.slope == float(exact_ols_slope(points))
+    assert [entry.slope for entry in ranked] == [0.25, -0.25]
+    assert rank_trends(table, 2, "rising", 5, min_support=1, min_years=3) == []
 
 
 def test_slope_matches_exact_rational_oracle():
     rng = random.Random(17)
     for _ in range(50):
         points = {2000 + i: rng.random() for i in range(rng.randint(2, 12))}
-        got = trend_slope(series_of(points))
+        got = slope_of(points)
         want = float(exact_ols_slope(sorted(points.items())))
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -66,9 +70,9 @@ def test_slope_matches_exact_rational_oracle():
 def test_slope_invariance_under_shift_and_scale():
     rng = random.Random(19)
     points = {2000 + i: rng.random() for i in range(8)}
-    base = trend_slope(series_of(points))
-    shifted = trend_slope(series_of({y: v + 0.37 for y, v in points.items()}))
-    scaled = trend_slope(series_of({y: v * 5.0 for y, v in points.items()}))
+    base = slope_of(points)
+    shifted = slope_of({y: v + 0.37 for y, v in points.items()})
+    scaled = slope_of({y: v * 5.0 for y, v in points.items()})
     assert abs(shifted - base) <= 1e-12
     assert abs(scaled - 5.0 * base) <= 1e-12
 
