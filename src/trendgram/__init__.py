@@ -18,8 +18,9 @@ _MODULES = {
     "ingest": ("Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
                "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
                "write_corpus"),
-    "ngrams": ("FrequencyTable", "NgramRecord", "Stoplist", "build_table", "count_ngrams",
-               "read_records", "read_table", "token_runs", "top_ngrams", "write_records"),
+    "ngrams": ("FrequencyTable", "NgramRecord", "Prefix", "Stoplist", "build_table",
+               "count_ngrams", "read_records", "read_table", "token_runs", "top_ngrams",
+               "write_records"),
     "plotting": ("render_plot",),
     "textprep": ("Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize"),
     "trends": ("TrendEntry", "build_catalog", "rank_trends"),

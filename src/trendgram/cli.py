@@ -306,7 +306,7 @@ def cmd_top(args):
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
     _load("ngrams")
-    table = read_table(args.input, (args.n,))
+    table = read_table(args.input, (args.n,), Prefix(first=args.k))
     for rank, (ngram, total) in enumerate(top_ngrams(table, args.n, args.k), 1):
         print(f"{rank}. {ngram} {total}")
     return 0
@@ -322,7 +322,7 @@ def cmd_catalog(args):
     # table is read keeps what importing them briefly allocates (compiling,
     # without a bytecode cache) off the top of the table.
     load_catalog_stages()
-    table = read_table(args.input)
+    table = read_table(args.input, prefix=Prefix(first=args.limit))
     if not table.cells:
         raise TrendgramError("records file has no records to catalog")
     index = build_catalog(table, args.limit, args.output, _year_range_for(args, table))
@@ -334,7 +334,7 @@ def cmd_trends(args):
     if args.k < 1:
         raise UsageError("", "-k must be at least 1")
     _load("ngrams", "trends")
-    table = read_table(args.input, (args.n,))
+    table = read_table(args.input, (args.n,), Prefix(min_total=args.min_support))
     ranked = rank_trends(table, args.n, args.direction, args.k,
                          min_support=args.min_support, min_years=args.min_years)
     print("rank,ngram,slope,total_count")

@@ -65,10 +65,14 @@ def parse_query(text):
     Each phrase is tokenized and article-stripped with the extraction
     rules; the series label is the original comma-separated fragment,
     trimmed. Empty fragments and phrases longer than four tokens are
-    errors, as is text that is not UTF-8 (lone surrogates from argv).
+    errors, as is text that is not UTF-8: a lone surrogate, from an
+    undecodable argv byte or not.
     """
     try:
         text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate that stands for no byte
+        raise QueryError(f"query is not UTF-8 text "
+                         f"(character U+{ord(exc.object[exc.start]):04X})") from None
     except UnicodeDecodeError as exc:
         raise QueryError(f"query is not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     if not text.strip():
@@ -105,8 +109,9 @@ _ZERO_POINTS = {True: SeriesPoint(0.0, True), False: SeriesPoint(0.0, False)}
 
 def evaluate(table, query, year_range):
     """One FrequencySeries per query series over every year in the
-    inclusive range, in query order. A table that did not load the
-    length of one of the phrases raises `ValueError`.
+    inclusive range, in query order. A table that did not load one of
+    the phrases, or the length of one, raises `ValueError` (see
+    `FrequencyTable.require`).
 
     A year's point is `freq_list` of the series' phrases, flagged as
     data when any phrase's length has data that year (`has_data`). A
@@ -121,10 +126,10 @@ def evaluate(table, query, year_range):
     lo, hi = year_range
     if lo > hi:
         raise ValueError(f"empty year range {lo}..{hi}")
-    lengths = query_lengths(query)
-    table.require(lengths)
+    phrases = [phrase for qs in query.series for phrase in qs.phrases]
+    table.require({len(phrase) for phrase in phrases}, ngrams=map(" ".join, phrases))
     years = range(lo, hi + 1)
-    cells, totals = table.cells, table.totals
+    cell_of, totals, no_counts = table.cells.get, table.totals, {}
     no_data, zero = _ZERO_POINTS[False], _ZERO_POINTS[True]
     result = []
     for qs in query.series:
@@ -132,7 +137,7 @@ def evaluate(table, query, year_range):
             (phrase,) = qs.phrases
             n, ngram = len(phrase), " ".join(phrase)
             points = {year: (SeriesPoint(count / total, True)
-                             if (count := cells[n, year].get(ngram, 0)) else zero)
+                             if (count := cell_of((n, year), no_counts).get(ngram, 0)) else zero)
                       if (total := totals.get((n, year))) else no_data
                       for year in years}
         else:

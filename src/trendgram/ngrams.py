@@ -18,12 +18,13 @@ naive oracles of `tests/oracle.py`.
 
 `read_table` keeps a sidecar index beside a records file it reads by
 path, `RECORDS.idx`, holding the table it built the last time it fully
-validated that exact file, one section per (n, year), and loads the
-sections of the lengths it is asked for again while the file's size and
-crc32 still match (see `_read_index`). A missing, stale or damaged index
-only means the CSV is parsed and checked again, after which the index is
-rewritten; failing to write it is not an error. Streams never use an
-index, and `write_records` does not write one.
+validated that exact file, one section per (n, year) and then each
+length's n-grams in ranking order, and loads again the sections of the
+lengths it is asked for, or the heads of their rankings, while the
+file's size and crc32 still match (see `_read_index`). A missing, stale
+or damaged index only means the CSV is parsed and checked again, after
+which the index is rewritten; failing to write it is not an error.
+Streams never use an index, and `write_records` does not write one.
 """
 
 from __future__ import annotations
@@ -33,15 +34,16 @@ import os
 import stat
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from collections import _count_elements
 from functools import cached_property
 from itertools import accumulate, compress, groupby, islice, repeat
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, itemgetter, neg, sub
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from ._io import checked_csv, open_for_write, read_text, replacing
+from ._io import checked_csv, open_for_write, read_text
 from ._limits import NGRAM_MAX
 from .errors import RecordsError, TrendgramError
 
@@ -61,6 +63,17 @@ class NgramRecord(NamedTuple):
     count: int
 
 
+class Prefix(NamedTuple):
+    """The head of each n-gram length's ranking, by total descending,
+    ties broken lexicographically (the order of `top_ngrams`) that
+    `read_table` loads, or that a question needs (see
+    `FrequencyTable.require`): the first `first` n-grams (with no limit
+    when None) of those whose total is at least `min_total`."""
+
+    first: int | None = None
+    min_total: int = 1
+
+
 class FrequencyTable:
     """N-gram counts as `cells`, one `{ngram: count}` dict per (n, year)
     that has any, plus the per-(n, year) totals used as frequency
@@ -73,7 +86,15 @@ class FrequencyTable:
     unless it was loaded for some only (see `read_table`). Such a table's
     `cells` hold only those lengths, while its `totals` and `years`
     still cover every length; `evaluate`, `top_ngrams` and `rank_trends`
-    refuse it any other length (see `require`).
+    refuse it any other length, and `build_catalog` refuses it (see
+    `require`).
+
+    `cuts` maps each length of which the table holds only the head of
+    the ranking (see `Prefix`) to `(loaded, next_total)`: it holds that
+    length's first `loaded` n-grams in ranking order, each with all of
+    its counts, and the next one has a total of `next_total`. It then
+    refuses any question about that length that the head cannot answer
+    exactly, so that an n-gram it did not load never reads as zero.
 
     Iterating yields one `NgramRecord` per count in (n, ngram, year)
     order; `len` is the number of such rows. Build one from a flat
@@ -83,9 +104,10 @@ class FrequencyTable:
     __hash__ = None
 
     def __init__(self, cells: dict[tuple[int, int], dict[str, int]], totals=None,
-                 lengths=_ALL_LENGTHS):
+                 lengths=_ALL_LENGTHS, cuts=None):
         self.cells = cells
         self.lengths = frozenset(lengths)
+        self.cuts = cuts or {}
         if totals is not None:
             self.totals = totals
 
@@ -117,14 +139,30 @@ class FrequencyTable:
     def __iter__(self):
         return map(NgramRecord._make, _records(self.cells))
 
-    def require(self, lengths):
-        """Raise `ValueError` unless the table holds every n-gram length
-        in `lengths`: counts of a length it did not load would read as
-        zeros over a non-zero total."""
-        missing = set(lengths) - self.lengths
-        if missing:
-            raise ValueError(f"n-gram length {min(missing)} was not loaded; the table holds "
-                             f"{', '.join(map(str, sorted(self.lengths)))}")
+    def require(self, lengths, prefix=None, ngrams=()):
+        """Raise `ValueError` unless the table can answer exactly about
+        the n-gram `lengths`: it loaded each of them, holds the whole
+        `prefix` (a `Prefix`) of each one's ranking, if one is given,
+        and holds each n-gram of `ngrams`, strings of those lengths.
+        Counts it did not load would read as zeros over a non-zero
+        total."""
+        if not self.lengths.issuperset(lengths):
+            raise ValueError(f"n-gram length {min(set(lengths) - self.lengths)} was not loaded; "
+                             f"the table holds {', '.join(map(str, sorted(self.lengths)))}")
+        if not self.cuts:
+            return
+        for n in sorted(self.cuts.keys() & lengths) if prefix is not None else ():
+            loaded, next_total = self.cuts[n]
+            if (prefix.first is None or prefix.first > loaded) and prefix.min_total <= next_total:
+                raise ValueError(f"{_head(n, loaded, next_total)}: too few for {prefix}")
+        for ngram in ngrams:
+            if ngram not in self._held and (n := ngram.count(" ") + 1) in self.cuts:
+                raise ValueError(f"n-gram {ngram!r} was not loaded: {_head(n, *self.cuts[n])}")
+
+    @cached_property
+    def _held(self):
+        """The n-grams the table holds of the lengths in `cuts`."""
+        return set().union(*(cell for (n, _), cell in self.cells.items() if n in self.cuts))
 
     def has_data(self, n, year):
         return self.totals.get((n, year), 0) > 0
@@ -133,6 +171,11 @@ class FrequencyTable:
         if not self.years:
             return None
         return self.years[0], self.years[-1]
+
+
+def _head(n, loaded, next_total):
+    return (f"the table holds only the {loaded} most frequent length-{n} n-grams, "
+            f"and the next has a total of {next_total}")
 
 
 def build_table(counts):
@@ -350,11 +393,14 @@ def _needs_quotes(text):
     return "," in text or '"' in text or "\n" in text or "\r" in text
 
 
-def read_table(source, lengths=None):
+def read_table(source, lengths=None, prefix=None):
     """Read a records CSV into a `FrequencyTable` holding the cells of
     the n-gram `lengths` only (default: all), enforcing every record
-    invariant on the whole file. Its `totals` and `years` are those of
-    the whole file, whatever `lengths` it holds.
+    invariant on the whole file. With a `prefix` (a `Prefix`), it holds
+    of each of those lengths only the n-grams of that head of the
+    length's ranking, each with all of its counts, and notes in its
+    `cuts` where it stopped. Its `totals` and `years` are those of the
+    whole file, whatever it holds.
 
     This file is machine-produced, so any malformed row is corruption
     and raises `RecordsError` naming the file (when `source` is a path)
@@ -362,26 +408,47 @@ def read_table(source, lengths=None):
 
     For a path to a regular file, the table comes from the sidecar index
     `f"{source}.idx"` when that index was written for a file of the
-    same size and crc32; only the sections of `lengths` are loaded.
-    Otherwise the CSV is parsed, and if the file did not change while it
-    was parsed, the index is (re)written.
+    same size and crc32; only the sections of `lengths`, or the heads of
+    their rankings, are loaded. Otherwise the CSV is parsed, and if the
+    file did not change while it was parsed, the index is (re)written,
+    and the heads are read from it. A stream, or a file whose index was
+    not written, has its heads ranked in memory.
     """
     wanted = _ALL_LENGTHS if lengths is None else frozenset(lengths)
     if not wanted or not wanted <= _ALL_LENGTHS:
         raise ValueError(f"lengths must be a non-empty subset of 1..{NGRAM_MAX}, "
                          f"got {sorted(wanted)}")
+    if prefix is not None and prefix.first is not None and prefix.first < 1:
+        raise ValueError(f"a prefix must hold at least 1 n-gram, got {prefix.first}")
     fingerprint = None if hasattr(source, "read") else _fingerprint(source)
     if fingerprint is not None:
-        table = _read_index(f"{source}.idx", fingerprint, wanted)
+        table = _read_index(f"{source}.idx", fingerprint, wanted, prefix)
         if table is not None:
             return table
     table = FrequencyTable(_parse_records(source))
+    from ._index_writer import ranked_chunks, write_index  # only a parse loads the writer
     if fingerprint is not None and _fingerprint(source) == fingerprint:
-        _write_index(f"{source}.idx", fingerprint, table)
+        write_index(f"{source}.idx", fingerprint, table)
+        # reading heads back from the index costs less than ranking again
+        head = None if prefix is None else _read_index(f"{source}.idx", fingerprint, wanted,
+                                                       prefix)
+        if head is not None:
+            return head
+    if prefix is not None:
+        cells, cuts = _read_heads(wanted, prefix, lambda n: ranked_chunks(table.cells, n))
+        return FrequencyTable(cells, table.totals, wanted, cuts)
     if wanted == _ALL_LENGTHS:
         return table
     cells = {key: cell for key, cell in table.cells.items() if key[0] in wanted}
     return FrequencyTable(cells, table.totals, wanted)
+
+
+def _taken(totals, prefix, taken):
+    """How many n-grams of the `totals` that follow the first `taken`
+    of a ranking, a sequence in descending order, the head `prefix`
+    takes."""
+    size = bisect_right(totals, -prefix.min_total, key=neg)
+    return size if prefix.first is None else min(size, prefix.first - taken)
 
 
 def read_records(source):
@@ -422,14 +489,19 @@ def _parse_records(source):
 # The sidecar index: a header; a chunk holding the per-(n, year) totals
 # and the layout, one `(n, year, entries)` per cell in (n, year) order;
 # then each cell's `{ngram: count}` dict in that order, in chunks of at
-# most _INDEX_CHUNK entries. A chunk is a length, its crc32 and a
-# `marshal` (version 2, which writes no back-references, so the bytes do
-# not depend on reference counts): the `(totals, layout)` tuple, then a
-# dict per chunk.
-_INDEX_MAGIC = b"trendgram records index 3\n"
-_INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQ")  # magic, crc32, size, entries
+# most _INDEX_CHUNK entries; then the ranked section of each length, in
+# chunks of _RANKED_CHUNK n-grams (see `_index_writer.ranked_chunks`),
+# which starts at the offset the header gives for it. A chunk is a
+# length, its crc32 and a `marshal` (version 2, which writes no
+# back-references, so the bytes do not depend on reference counts): the
+# `(totals, layout)` tuple, a dict per cell chunk, a tuple per ranked
+# chunk. `trendgram._index_writer` writes it.
+_INDEX_MAGIC = b"trendgram records index 4\n"
+# magic, crc32, size, entries, the offset of each length's ranked section
+_INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQ{NGRAM_MAX}Q")
 _INDEX_CHUNK_HEADER = struct.Struct("<II")  # length, crc32
 _INDEX_CHUNK = 4096
+_RANKED_CHUNK = 256  # n-grams per ranked chunk, so that a place in one fits a byte
 _BLOCK = 1 << 16
 
 
@@ -446,55 +518,121 @@ def _fingerprint(path):
     return crc, size
 
 
-def _read_index(path, fingerprint, lengths):
+def _read_index(path, fingerprint, lengths, prefix):
     """The table stored in the index at `path` for a records file with
-    this fingerprint, holding `lengths` only, or None if the index is
-    missing, was written for other content, or is damaged where it was
-    read: a wrong magic, a damaged chunk (see `_read_chunk`), one
-    `marshal` rejects, cell sizes that disagree with the header or with
-    what the cells hold, or loaded cells other than those the totals
-    name. Cells of lengths after the last of
-    `lengths` are not read, and other unloaded ones are passed over by
-    their chunk lengths alone; only a read that reaches the last cell
-    checks that nothing follows it."""
+    this fingerprint, holding `lengths` only, or only the head `prefix`
+    of each one's ranking, or None if the index is missing, was written
+    for other content, or is damaged where it was read: a wrong magic, a
+    damaged chunk (see `_read_chunk`), one `marshal` rejects or that
+    does not hold what it should, cell sizes that disagree with the
+    header or with what the cells hold (see `_read_cells`), or loaded
+    cells other than those the totals name. A head is read from the
+    start of its length's ranked section (see `_read_head`), and then
+    no cell is read."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(_INDEX_HEADER.size)
             if len(header) != _INDEX_HEADER.size:
                 return None
-            magic, crc, size, entries = _INDEX_HEADER.unpack(header)
+            magic, crc, size, entries, *offsets = _INDEX_HEADER.unpack(header)
             if magic != _INDEX_MAGIC or (crc, size) != fingerprint:
                 return None
             end = os.fstat(fh.fileno()).st_size
             totals, layout = marshal.loads(_read_chunk(fh, end))
             if type(totals) is not dict or sum(size for _, _, size in layout) != entries:
                 return None
-            cells = {}
-            last = max(lengths)
-            for n, year, size in layout:
-                if n > last:
-                    break
-                chunks = -(-size // _INDEX_CHUNK)
-                if n not in lengths:
-                    for _ in range(chunks):
-                        _read_chunk(fh, end, skip=True)
-                    continue
-                cell = marshal.loads(_read_chunk(fh, end))
-                if type(cell) is not dict:
+            if prefix is None:
+                cells, cuts = _read_cells(fh, end, layout, lengths, offsets), {}
+                if cells is None:
                     return None
-                for _ in range(chunks - 1):
-                    cell.update(marshal.loads(_read_chunk(fh, end)))
-                if len(cell) != size:
-                    return None
-                cells[n, year] = cell
             else:
-                if fh.read(1):
-                    return None
-            if cells.keys() != {key for key in totals if key[0] in lengths}:
+                cells, cuts = _read_heads(lengths, prefix,
+                                          lambda n: _chunks_at(fh, end, offsets[n - 1]))
+            whole = lengths - cuts.keys()
+            if not {key for key in totals if key[0] in whole} <= cells.keys() <= totals.keys():
                 return None
-            return FrequencyTable(cells, totals, lengths)
-    except (OSError, ValueError, EOFError, TypeError):
+            return FrequencyTable(cells, totals, lengths, cuts)
+    except (OSError, ValueError, EOFError, TypeError, AttributeError, LookupError):
         return None
+
+
+def _read_cells(fh, end, layout, lengths, offsets):
+    """The cells of `lengths` in the chunks that follow the `(totals,
+    layout)` chunk at `fh`, or None if one is not a dict or holds other
+    than its size in `layout`. Cells of lengths after the last of
+    `lengths` are not read, and other unloaded ones are passed over by
+    their chunk lengths alone. A read that reaches the last cell checks
+    that the ranked sections start where it ends, at `offsets[0]`; only
+    a read of every length, which loads the whole table, checks every
+    ranked chunk, each section's offset and that nothing follows the
+    last chunk."""
+    cells = {}
+    last = max(lengths)
+    for n, year, size in layout:
+        if n > last:
+            return cells
+        chunks = -(-size // _INDEX_CHUNK)
+        if n not in lengths:
+            for _ in range(chunks):
+                _read_chunk(fh, end, skip=True)
+            continue
+        cell = marshal.loads(_read_chunk(fh, end))
+        if type(cell) is not dict:
+            return None
+        for _ in range(chunks - 1):
+            cell.update(marshal.loads(_read_chunk(fh, end)))
+        if len(cell) != size:
+            return None
+        cells[n, year] = cell
+    if fh.tell() != offsets[0]:
+        return None
+    if lengths == _ALL_LENGTHS:
+        for start, stop in zip(offsets, (*offsets[1:], end)):
+            if fh.tell() != start:
+                return None
+            while fh.tell() < stop:
+                _read_chunk(fh, end)
+    return cells
+
+
+def _chunks_at(fh, end, offset):
+    """The values of the chunks of `fh` from `offset` on, read as they
+    are taken."""
+    fh.seek(offset)
+    return iter(lambda: marshal.loads(_read_chunk(fh, end)), None)
+
+
+def _read_heads(lengths, prefix, sections):
+    """The cells and cuts of a table that holds the head `prefix` of
+    the ranking of each of `lengths`, read from `sections(n)`, the
+    chunks of length n's ranked section."""
+    cells, cuts = {}, {}
+    for n in sorted(lengths):
+        loaded, next_total = _read_head(sections(n), n, prefix, cells)
+        if next_total:
+            cuts[n] = loaded, next_total
+    return cells, cuts
+
+
+def _read_head(chunks, n, prefix, cells):
+    """Load into `cells` the head `prefix` of length `n`'s ranking from
+    `chunks`, the chunks of its ranked section, taking only those that
+    hold some of it, and return `(loaded, next_total)`: how many n-grams
+    it holds, and the total of the next one, 0 if there is none."""
+    loaded = 0
+    for ngrams, totals, by_year, next_total in chunks:
+        size = _taken(totals, prefix, loaded)
+        for year, (places, counts) in by_year.items():
+            kept = bisect_left(places, size)
+            if kept:
+                cells.setdefault((n, year), {}).update(
+                    zip(map(ngrams.__getitem__, places[:kept]), counts[:kept]))
+        if size < len(ngrams):
+            next_total = totals[size]
+        loaded += size
+        if (size < len(ngrams) or not next_total or loaded == prefix.first
+                or next_total < prefix.min_total):
+            return loaded, next_total
 
 
 def _read_chunk(fh, end, skip=False):
@@ -518,30 +656,6 @@ def _read_chunk(fh, end, skip=False):
     return chunk
 
 
-def _write_index(path, fingerprint, table):
-    """Store the full `table` as the index at `path` for a records file
-    with this fingerprint, replacing it atomically; an `OSError` (such
-    as a read-only directory) leaves things as they were."""
-    cells = table.cells
-    layout = tuple((n, year, len(cells[n, year])) for n, year in sorted(cells))
-    try:
-        with replacing(path, binary=True) as fh:
-            fh.write(_INDEX_HEADER.pack(_INDEX_MAGIC, *fingerprint, len(table)))
-            _write_chunk(fh, (table.totals, layout))
-            for n, year, _ in layout:
-                items = iter(cells[n, year].items())
-                while part := dict(islice(items, _INDEX_CHUNK)):
-                    _write_chunk(fh, part)
-    except OSError:
-        pass
-
-
-def _write_chunk(fh, value):
-    chunk = marshal.dumps(value, 2)
-    fh.write(_INDEX_CHUNK_HEADER.pack(len(chunk), zlib.crc32(chunk)))
-    fh.write(chunk)
-
-
 def _ngram_totals(cells):
     """Each n-gram's count summed over `cells`, `{ngram: count}` dicts."""
     totals: dict[str, int] = {}
@@ -552,14 +666,20 @@ def _ngram_totals(cells):
     return totals
 
 
-def _most_frequent(cells, k):
-    """The k `(ngram, total)` pairs of `cells` with the highest totals
-    (see `_ngram_totals`), sorted by total descending, ties broken
-    lexicographically: a sort of the n-grams, then a stable one by
-    total, both keyed in C."""
+def _ranked(cells):
+    """The n-grams of `cells` sorted by total (see `_ngram_totals`)
+    descending, ties broken lexicographically, and the totals: a sort of
+    the n-grams, then a stable one by total, both keyed in C."""
     totals = _ngram_totals(cells)
     ranked = sorted(totals)
     ranked.sort(key=totals.__getitem__, reverse=True)
+    return ranked, totals
+
+
+def _most_frequent(cells, k):
+    """The k `(ngram, total)` pairs of `cells` with the highest totals,
+    in `_ranked` order."""
+    ranked, totals = _ranked(cells)
     return [(ngram, totals[ngram]) for ngram in ranked[:k]]
 
 
@@ -570,5 +690,5 @@ def top_ngrams(table, n, k):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    table.require((n,))
+    table.require((n,), Prefix(first=k))
     return _most_frequent((cell for (length, _), cell in table.cells.items() if length == n), k)

@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import _bind, _module_getattr
-from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS
-from .ngrams import _most_frequent, _ngram_totals
+from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS, NGRAM_MAX
+from .ngrams import Prefix, _most_frequent, _ngram_totals
 
 # A catalog page is opened for writing without truncating it, created
 # with the mode `open(path, "wb")` gives a new file.
@@ -59,18 +59,19 @@ def rank_trends(table, n, direction, k, min_support=DEFAULT_MIN_SUPPORT,
     Candidates need `total_count >= min_support` and at least
     `min_years` years with length-n data. Sorting is by slope
     (descending for rising, ascending for falling); ties go to the
-    higher total count, then lexicographic order.
+    higher total count, then lexicographic order. A table that holds
+    only a head of the length's ranking must hold every candidate.
     """
     if direction not in ("rising", "falling"):
         raise ValueError(f"direction must be 'rising' or 'falling', got {direction!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    table.require((n,))
+    table.require((n,), Prefix(min_total=min_support))
     data_years = [year for year in table.years if table.has_data(n, year)]
     if len(data_years) < max(min_years, 2):
         return []
 
-    cells = [table.cells[n, year] for year in data_years]
+    cells = [table.cells.get((n, year), {}) for year in data_years]
     year_totals = [table.totals[(n, year)] for year in data_years]
     entries = []
     for ngram, total in _ngram_totals(cells).items():
@@ -90,12 +91,15 @@ def build_catalog(table, limit, out_dir, year_range=None):
     The `limit` most frequent n-grams across all lengths are selected by
     total count, ties broken lexicographically; pages are numbered in
     that order. Plots span `year_range`, by default the table's own
-    years. Returns the index as a list of (ngram, total, filename).
+    years. Returns the index as a list of (ngram, total, filename). The
+    table must hold every length, and of a length it holds only a head
+    of, the `limit` most frequent n-grams at least.
     """
     if limit < 1:
         raise ValueError("catalog limit must be at least 1")
     if not table.cells:
         raise ValueError("cannot build a catalog from an empty table")
+    table.require(range(1, NGRAM_MAX + 1), Prefix(first=limit))
     year_range = year_range or table.year_span()
     load_catalog_stages()
 

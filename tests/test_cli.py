@@ -442,8 +442,9 @@ def test_an_unknown_name_is_an_attribute_error_naming_its_module(module):
 
 
 # Every public name: those `trendgram/__init__.py` exported when it imported each
-# stage up front, and `token_runs`, less the second definitions of the window and
-# stopword rule and of the trend slope (and its error), which CHANGES.md names.
+# stage up front, `token_runs` and `Prefix`, less the second definitions of the
+# window and stopword rule and of the trend slope (and its error), which
+# CHANGES.md names.
 PACKAGE_EXPORTS = (
     "IngestError", "QueryError", "RecordsError", "TrendgramError",
     "FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq", "freq_list",
@@ -451,8 +452,8 @@ PACKAGE_EXPORTS = (
     "Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
     "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
     "write_corpus",
-    "FrequencyTable", "NgramRecord", "Stoplist", "build_table", "count_ngrams", "read_records",
-    "read_table", "token_runs", "top_ngrams", "write_records",
+    "FrequencyTable", "NgramRecord", "Prefix", "Stoplist", "build_table", "count_ngrams",
+    "read_records", "read_table", "token_runs", "top_ngrams", "write_records",
     "render_plot",
     "Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize",
     "TrendEntry", "build_catalog", "rank_trends",

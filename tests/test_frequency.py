@@ -170,6 +170,9 @@ def test_parse_query_uses_extraction_tokenization():
     # undecodable argument bytes arrive as lone surrogates
     ("program\udcff", "query is not UTF-8 text (byte 0xff)"),
     ("static analysis, caf\udce9", "query is not UTF-8 text (byte 0xe9)"),
+    # lone surrogates no undecodable byte gives (outside U+DC80-U+DCFF)
+    ("program\ud800", "query is not UTF-8 text (character U+D800)"),
+    ("program\udc41", "query is not UTF-8 text (character U+DC41)"),
 ])
 def test_parse_query_errors_name_offender(bad, fragment):
     with pytest.raises(QueryError) as err:

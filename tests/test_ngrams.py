@@ -24,9 +24,11 @@ from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
 from trendgram import ngrams
 from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
-from trendgram.ngrams import (NgramRecord, Stoplist, build_table, count_ngrams, read_records,
-                              read_table, token_runs, top_ngrams, write_records)
+from trendgram.frequency import Query, QuerySeries, evaluate
+from trendgram.ngrams import (NgramRecord, Prefix, Stoplist, build_table, count_ngrams,
+                              read_records, read_table, token_runs, top_ngrams, write_records)
 from trendgram.textprep import Sentence
+from trendgram.trends import build_catalog, rank_trends
 
 
 def sentence(tokens, year=2008):
@@ -605,8 +607,55 @@ def test_records_index_round_trip(tmp_path_factory, counts):
     layout = [(n, year, len(cell)) for (n, year), cell in sorted(parsed.cells.items())]
     data = index_of(path).read_bytes()
     assert index_chunk(data, 0) == (parsed.totals, tuple(layout))
-    assert len(chunk_starts(data)) == 1 + sum(-(-size // ngrams._INDEX_CHUNK)
-                                              for _, _, size in layout)
+    cell_chunks = sum(-(-size // ngrams._INDEX_CHUNK) for _, _, size in layout)
+    sections = [ranked_section(counts, n) for n in range(1, 5)]
+    starts = chunk_starts(data)
+    assert len(starts) == 1 + cell_chunks + sum(map(len, sections))
+    assert ranked_offsets(data) == tuple(starts[1 + cell_chunks + sum(map(len, sections[:n]))]
+                                         for n in range(4))
+    assert [in_order(index_chunk(data, chunk)) for chunk in range(1 + cell_chunks, len(starts))] \
+        == [in_order(chunk) for section in sections for chunk in section]
+
+
+def ranked_section(counts, n):
+    """The chunks of the ranked section of length `n` of the index of
+    `counts`, an `(n, ngram, year) -> count` dict, by their definition:
+    the n-grams by total descending, then n-gram, 256 at a time, with
+    their totals; for each year with counts, in ascending years, the
+    places in the chunk of the n-grams counted that year, as bytes, and
+    their counts; and the total of the n-gram after the chunk, or 0. A
+    length without n-grams has one empty chunk."""
+    totals = Counter()
+    for (length, ngram, _), count in counts.items():
+        if length == n:
+            totals[ngram] += count
+    ranked = sorted(totals, key=lambda ngram: (-totals[ngram], ngram))
+    years = sorted({year for length, _, year in counts if length == n})
+    chunks = []
+    for at in range(0, max(len(ranked), 1), 256):
+        names = ranked[at:at + 256]
+        by_year = {}
+        for year in years:
+            places = [place for place, ngram in enumerate(names) if (n, ngram, year) in counts]
+            if places:
+                by_year[year] = (bytes(places),
+                                 tuple(counts[n, names[place], year] for place in places))
+        chunks.append((tuple(names), tuple(totals[ngram] for ngram in names), by_year,
+                       totals[ranked[at + 256]] if at + 256 < len(ranked) else 0))
+    return chunks
+
+
+def in_order(chunk):
+    """A ranked chunk with its dict as a list of items, so that comparing
+    two compares their order too."""
+    ngrams_, totals, by_year, next_total = chunk
+    return ngrams_, totals, list(by_year.items()), next_total
+
+
+def ranked_offsets(data):
+    """The offsets of the ranked sections that the header of the index
+    `data` gives."""
+    return ngrams._INDEX_HEADER.unpack_from(data)[4:]
 
 
 # Cells of more entries than fit in one chunk of the index, one of exactly
@@ -624,10 +673,18 @@ def test_records_index_spans_several_chunks(tmp_path):
     assert indexed == counts
     assert list(indexed) == list(read_stream(path)) == sorted(counts)
     data = index_of(path).read_bytes()
-    # the totals; 2 + 2 chunks of the unigram cells; 1 + 2 of the bigram ones
-    assert len(chunk_starts(data)) == 1 + 2 + 2 + 1 + 2
+    # the totals; 2 + 2 chunks of the unigram cells; 1 + 2 of the bigram ones;
+    # then the ranked sections: 10,000 unigrams in 40 chunks, 8,193 bigrams
+    # in 33, and one empty chunk for each of lengths 3 and 4
+    starts = chunk_starts(data)
+    assert len(starts) == 1 + 2 + 2 + 1 + 2 + 40 + 33 + 1 + 1
     assert [len(index_chunk(data, chunk)) for chunk in range(1, 8)] == [
         4096, 904, 4096, 904, 4096, 4096, 1]
+    assert ranked_offsets(data) == (starts[8], starts[48], starts[81], starts[82])
+    ranked = [index_chunk(data, chunk) for chunk in range(8, 83)]
+    assert [len(chunk[0]) for chunk in ranked] == [256] * 39 + [16] + [256] * 32 + [1, 0, 0]
+    assert [in_order(chunk) for chunk in ranked] == [
+        in_order(chunk) for n in range(1, 5) for chunk in ranked_section(counts, n)]
     assert table_from_index(path, {2}) == build_table(restrict(counts, {2}))
 
 
@@ -771,35 +828,44 @@ def test_extract_writes_no_index(tmp_path, demo_dir):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "records.csv"]
 
 
+# Many n-grams of each length with equal totals, spread over the years in
+# different ways, so that their ranking is decided by the n-grams alone.
+TIED = {(n, f"t{index}" + " x" * (n - 1), 2000 + (index + year) % 4):
+        (1 + (index + year) % 2) * (1 + index % 2)
+        for n in range(1, 5) for index in range(600) for year in range(2)}
+
+
 def test_index_bytes_do_not_depend_on_hash_seed(tmp_path):
-    path = tmp_path / "records.csv"
-    write_records(build_table(MANY), path)
     src = str(Path(trendgram.__file__).resolve().parent.parent)
-    written = []
-    for seed in ("1", "2"):
-        index_of(path).unlink(missing_ok=True)
-        subprocess.run([sys.executable, "-c", f"from trendgram.ngrams import read_records; "
-                        f"read_records({str(path)!r})"], check=True,
-                       env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
-        written.append(index_of(path).read_bytes())
-    assert written[0] == written[1]
-    index_of(path).unlink()
-    read_records(path)
-    assert index_of(path).read_bytes() == written[0]
+    for name, counts in (("many", MANY), ("tied", TIED)):
+        path = tmp_path / name / "records.csv"
+        path.parent.mkdir()
+        write_records(build_table(counts), path)
+        written = []
+        for seed in ("1", "2"):
+            index_of(path).unlink(missing_ok=True)
+            subprocess.run([sys.executable, "-c", f"from trendgram.ngrams import read_records; "
+                            f"read_records({str(path)!r})"], check=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            written.append(index_of(path).read_bytes())
+        assert written[0] == written[1]
+        index_of(path).unlink()
+        read_records(path)
+        assert index_of(path).read_bytes() == written[0]
 
 
 # ---------------------------------------------------------------------------
 # Partial loads: read_table(path, lengths) and index sections
 
 
-def table_from_index(path, lengths):
-    """`read_table(path, lengths)` with CSV parsing made to fail, so that
-    the table must come from the index."""
+def table_from_index(path, lengths, prefix=None):
+    """`read_table(path, lengths, prefix)` with CSV parsing made to fail,
+    so that the table must come from the index."""
     def refuse(source):
         raise AssertionError(f"{source} was parsed")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ngrams, "_parse_records", refuse)
-        return read_table(path, lengths)
+        return read_table(path, lengths, prefix)
 
 
 def read_counting_parses(path, lengths=None):
@@ -889,7 +955,8 @@ def test_top_ngrams_refuses_a_length_the_table_did_not_load(tmp_path):
 
 
 # One chunk per cell: chunk 0 holds the totals and the layout, then come
-# the cells of length 1 to 4, three years each.
+# the cells of length 1 to 4, three years each, then one ranked chunk per
+# length.
 SECTIONED = {(n, " ".join(f"w{i}" for i in range(n)), 2000 + year): n + year
              for n in range(1, 5) for year in range(3)}
 
@@ -949,16 +1016,27 @@ UNSEEN_BY_A_BIGRAM_LOAD = {
 }
 
 
+def ranked_chunk(n):
+    """The number of the chunk that holds SECTIONED's ranked section of length n."""
+    return 1 + 4 * 3 + n - 1
+
+
 def test_sectioned_table_has_one_chunk_per_section(tmp_path):
     path = tmp_path / "records.csv"
     write_indexed(path, SECTIONED)
     data = index_of(path).read_bytes()
-    assert len(chunk_starts(data)) == 1 + 4 * 3
+    starts = chunk_starts(data)
+    assert len(starts) == 1 + 4 * 3 + 4
     totals, layout = index_chunk(data, 0)
     assert totals == build_table(SECTIONED).totals
     assert layout == tuple((n, year, 1) for n in range(1, 5) for year in range(2000, 2003))
     for (n, ngram, year), count in SECTIONED.items():
         assert index_chunk(data, cell_chunk(n, year)) == {ngram: count}
+    assert ranked_offsets(data) == tuple(starts[ranked_chunk(n)] for n in range(1, 5))
+    for n in range(1, 5):
+        ngram = " ".join(f"w{i}" for i in range(n))
+        assert in_order(index_chunk(data, ranked_chunk(n))) == in_order(
+            ((ngram,), (3 * n + 3,), {2000 + year: (b"\0", (n + year,)) for year in range(3)}, 0))
 
 
 def test_a_unigram_top_reads_no_chunk_past_length_1(tmp_path, capsys):
@@ -971,14 +1049,50 @@ def test_a_unigram_top_reads_no_chunk_past_length_1(tmp_path, capsys):
         read.append(fh.tell())
         return read_chunk(fh, end, skip)
     data = index_of(path).read_bytes()
-    # everything past the unigram cells cut off, which a load must not notice
-    index_of(path).write_bytes(data[:chunk_starts(data)[cell_chunk(2, 2000)]])
+    starts = chunk_starts(data)
+    # every cell's payload damaged and everything past the unigram ranked
+    # chunk cut off, which a load must not notice
+    for chunk in range(1, ranked_chunk(1)):
+        data = flip_payload(data, starts[chunk])
+    index_of(path).write_bytes(data[:starts[ranked_chunk(2)]])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ngrams, "_parse_records", None)
         patch.setattr(ngrams, "_read_chunk", recording)
         assert run(["top", "-i", str(path), "-n", "1"]) == 0
-    assert read == chunk_starts(data)[:cell_chunk(2, 2000)]
+    assert read == [starts[0], starts[ranked_chunk(1)]]
     assert capsys.readouterr().out == "1. w0 6\n"
+
+
+@pytest.mark.parametrize("lengths, prefix, chunks, cut", [
+    ({1}, Prefix(first=1), 1, (1, 9999)),
+    ({1}, Prefix(first=256), 1, (256, 9744)),
+    ({1}, Prefix(first=257), 2, (257, 9743)),
+    ({1}, Prefix(min_total=9745), 1, (256, 9744)),
+    ({1}, Prefix(min_total=9744), 2, (257, 9743)),
+    ({1}, Prefix(min_total=10_001), 1, (0, 10_000)),
+    ({2}, Prefix(min_total=2), 17, (4097, 1)),
+    ({2}, Prefix(min_total=3), 1, (0, 2)),
+    ({2}, Prefix(first=4097, min_total=2), 17, (4097, 1)),
+    ({2}, Prefix(min_total=1), 33, None),
+])
+def test_a_prefix_reads_only_the_ranked_chunks_that_hold_it(tmp_path, lengths, prefix, chunks,
+                                                            cut):
+    path = tmp_path / "records.csv"
+    write_indexed(path, MANY)
+    data = index_of(path).read_bytes()
+    starts = chunk_starts(data)
+    first = starts.index(ranked_offsets(data)[min(lengths) - 1])
+    read = []
+    read_chunk = ngrams._read_chunk
+
+    def recording(fh, end, skip=False):
+        read.append(fh.tell())
+        return read_chunk(fh, end, skip)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngrams, "_read_chunk", recording)
+        table = table_from_index(path, lengths, prefix)
+    assert read == [starts[0], *starts[first:first + chunks]]
+    assert table.cuts == ({} if cut is None else {min(lengths): cut})
 
 
 @pytest.mark.parametrize("damage", SEEN_BY_A_BIGRAM_LOAD.values(),
@@ -1035,6 +1149,30 @@ def version_2_index(path):
     return out
 
 
+def version_3_index(path):
+    """The index the previous version wrote for the records file at
+    `path`: a header without section offsets; a chunk with the totals
+    and the layout; then each (n, year)'s `{ngram: count}` dict, in
+    chunks of 4096 entries, and no ranked sections."""
+    cells = {}
+    for (n, ngram, year), count in read_stream(path).items():
+        cells.setdefault((n, year), {})[ngram] = count
+    data = path.read_bytes()
+    magic = b"trendgram records index 3\n"
+    layout = tuple((n, year, len(cells[n, year])) for n, year in sorted(cells))
+    totals = {key: sum(cell.values()) for key, cell in sorted(cells.items())}
+    chunks = [(totals, layout)]
+    for n, year, _ in layout:
+        items = list(cells[n, year].items())
+        chunks += [dict(items[at:at + 4096]) for at in range(0, len(items), 4096)]
+    out = struct.pack(f"<{len(magic)}sIQQ", magic, zlib.crc32(data), len(data),
+                      sum(size for _, _, size in layout))
+    for chunk in chunks:
+        payload = marshal.dumps(chunk, 2)
+        out += struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+    return out
+
+
 def command_outputs(records, out_dir):
     """stdout and files of the commands that read `records`, run in turn."""
     outputs = []
@@ -1067,6 +1205,24 @@ def test_version_2_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
             == index_of(fresh / "records.csv").read_bytes())
 
 
+def test_version_3_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
+    table = count_ngrams(random_sentences(random.Random(29), 300), stoplist)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    for where in (fresh, old):
+        where.mkdir()
+        write_records(table, where / "records.csv")
+    index_of(old / "records.csv").write_bytes(version_3_index(old / "records.csv"))
+    assert ngrams._read_index(f"{old / 'records.csv'}.idx", ngrams._fingerprint(
+        old / "records.csv"), frozenset({2}), None) is None
+    assert read_counting_parses(old / "records.csv", {2})[1] == 1
+    assert index_of(old / "records.csv").read_bytes().startswith(ngrams._INDEX_MAGIC)
+    assert read_counting_parses(old / "records.csv")[1] == 0
+    assert command_outputs(old / "records.csv", old / "out") == command_outputs(
+        fresh / "records.csv", fresh / "out")
+    assert (index_of(old / "records.csv").read_bytes()
+            == index_of(fresh / "records.csv").read_bytes())
+
+
 def test_version_1_index_is_replaced_on_first_read(tmp_path):
     counts = {(1, "code", 2000): 3, (2, "code tools", 2001): 4}
     path = tmp_path / "records.csv"
@@ -1083,6 +1239,225 @@ def test_version_1_index_is_replaced_on_first_read(tmp_path):
     assert index_of(path).read_bytes().startswith(ngrams._INDEX_MAGIC)
     assert ngrams._INDEX_MAGIC != magic
     assert read_from_index(path) == counts
+
+
+# ---------------------------------------------------------------------------
+# Prefix loads: read_table(path, lengths, prefix) and the ranked sections
+
+
+# Damage that `top -n 2` must notice: it falls back to the CSV.
+SEEN_BY_A_BIGRAM_TOP = {
+    "ranked-section-payload": in_chunk(ranked_chunk(2), flip_payload),
+    "ranked-section-length": in_chunk(ranked_chunk(2), flip_length),
+    "ranked-section-cut-short": in_chunk(ranked_chunk(2), cut_before_end),
+    "ranked-section-offset": flip(CRC_AT + 20 + 8),
+    "totals-chunk-payload": in_chunk(0, flip_payload),
+}
+
+# Damage only in chunks `top -n 2` does not read.
+UNSEEN_BY_A_BIGRAM_TOP = {
+    "cell-payload": in_chunk(cell_chunk(2, 2001), flip_payload),
+    "cell-length": in_chunk(cell_chunk(1, 2000), flip_length),
+    "unigram-ranked-payload": in_chunk(ranked_chunk(1), flip_payload),
+    "trigram-ranked-length": in_chunk(ranked_chunk(3), flip_length),
+    "unigram-section-offset": flip(CRC_AT + 20),
+    "truncated-payload": lambda data: data[:-1],
+    "appended": lambda data: data + b"\0",
+}
+
+
+def top_counting_parses(path, capsys):
+    """The output of `top -n 2` on `path` and the number of times it parsed the CSV."""
+    parses = []
+    parse = ngrams._parse_records
+
+    def counting(source):
+        parses.append(source)
+        return parse(source)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngrams, "_parse_records", counting)
+        assert run(["top", "-i", str(path), "-n", "2"]) == 0
+    return capsys.readouterr().out, len(parses)
+
+
+@pytest.mark.parametrize("damage", SEEN_BY_A_BIGRAM_TOP.values(), ids=SEEN_BY_A_BIGRAM_TOP.keys())
+def test_damage_a_bigram_top_reads_falls_back_to_the_csv(tmp_path, capsys, damage):
+    path = tmp_path / "records.csv"
+    write_indexed(path, SECTIONED)
+    good = index_of(path).read_bytes()
+    index_of(path).write_bytes(damage(good))
+    assert top_counting_parses(path, capsys) == ("1. w0 w1 9\n", 1)
+    assert index_of(path).read_bytes() == good
+
+
+@pytest.mark.parametrize("damage", UNSEEN_BY_A_BIGRAM_TOP.values(),
+                         ids=UNSEEN_BY_A_BIGRAM_TOP.keys())
+def test_damage_outside_a_bigram_top_waits_for_a_read_of_it(tmp_path, capsys, damage):
+    path = tmp_path / "records.csv"
+    write_indexed(path, SECTIONED)
+    good = index_of(path).read_bytes()
+    index_of(path).write_bytes(damage(good))
+    assert top_counting_parses(path, capsys) == ("1. w0 w1 9\n", 0)
+    assert index_of(path).read_bytes() == damage(good)
+    table, parses = read_counting_parses(path)
+    assert parses == 1
+    assert table == build_table(SECTIONED)
+    assert index_of(path).read_bytes() == good
+
+
+def heads(counts):
+    """Each length's `(ngram, total)` pairs, in ranking order."""
+    full = build_table(counts)
+    return {n: top_ngrams(full, n, len(counts)) if any(key[0] == n for key in counts) else []
+            for n in range(1, 5)}
+
+
+def prefixes(ranked):
+    """The first k n-grams for k from 1 to one past their number, and
+    thresholds at and around each of their totals."""
+    totals = {total for _, total in ranked}
+    return ([Prefix(first=k) for k in range(1, len(ranked) + 2)]
+            + [Prefix(min_total=m) for m in sorted({t + d for t in totals for d in (-1, 0, 1)})])
+
+
+def taken(ranked, prefix):
+    """How many n-grams of a ranking the head `prefix` holds, by its definition."""
+    size = sum(1 for _, total in ranked if total >= prefix.min_total)
+    return size if prefix.first is None else min(size, prefix.first)
+
+
+def single(ngram):
+    return Query([QuerySeries(ngram, [tuple(ngram.split(" "))])])
+
+
+# Few tokens, few years and small counts: many n-grams share a total.
+TIED_KEYS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sampled_from(["a", "b", "c", "dé"]), min_size=n, max_size=n)
+    .map(" ".join), st.integers(2000, 2003)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(counts=st.dictionaries(TIED_KEYS, st.integers(1, 3), min_size=8, max_size=40))
+def test_prefix_tables_answer_as_the_full_table_or_refuse(tmp_path_factory, counts):
+    path = tmp_path_factory.mktemp("prefix") / "records.csv"
+    write_indexed(path, counts)
+    text = path.read_text(encoding="utf-8")
+    full = build_table(counts)
+    span = full.year_span()
+    trends = {}  # (n, direction, min_support) -> the full table's ranking
+    for n, ranked in heads(counts).items():
+        for prefix in prefixes(ranked):
+            size = taken(ranked, prefix)
+            held = {ngram for ngram, _ in ranked[:size]}
+            expected = build_table({key: count for key, count in counts.items()
+                                    if key[0] == n and key[1] in held})
+            cut = {n: (size, ranked[size][1])} if size < len(ranked) else {}
+            with io.StringIO(text) as stream:
+                tables = (table_from_index(path, {n}, prefix), read_table(stream, {n}, prefix))
+            for table in tables:
+                assert table == expected and table.cuts == cut and table.lengths == {n}
+                assert table.totals == full.totals and table.years == full.years
+                for k in range(1, size + 1):
+                    assert top_ngrams(table, n, k) == top_ngrams(full, n, k)
+                floor = cut[n][1] + 1 if cut else 0
+                for key in itertools.product([n], ("rising", "falling"), (floor, floor + 1)):
+                    if key not in trends:
+                        trends[key] = rank_trends(full, *key[:2], 50, key[2], 1)
+                    assert rank_trends(table, *key[:2], 50, key[2], 1) == trends[key]
+                for ngram in held:
+                    assert evaluate(table, single(ngram), span) == evaluate(full, single(ngram),
+                                                                            span)
+                if cut:
+                    with pytest.raises(ValueError, match="most frequent"):
+                        top_ngrams(table, n, size + 1)
+                    with pytest.raises(ValueError, match="most frequent"):
+                        rank_trends(table, n, "rising", 50, cut[n][1], 1)
+                    with pytest.raises(ValueError, match="was not loaded"):
+                        evaluate(table, single(ranked[size][0]), span)
+    # A catalog's page i does not depend on its limit, so each catalog of a
+    # prefix table is compared with the pages of one catalog of the full table.
+    out = tmp_path_factory.mktemp("catalog")
+    most = max(map(len, heads(counts).values())) + 1
+    index = build_catalog(full, most, out / "full")
+    for k in range(1, most + 1):
+        table = table_from_index(path, None, Prefix(first=k))
+        assert build_catalog(table, k, out / f"{k}") == index[:k]
+        for _, _, page in index[:k]:
+            assert (out / f"{k}" / page).read_bytes() == (out / "full" / page).read_bytes()
+        if table.cuts:
+            with pytest.raises(ValueError, match="most frequent"):
+                build_catalog(table, k + 1, out / "refused")
+
+
+def test_read_table_rejects_an_empty_prefix(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(build_table({(1, "code", 2000): 3}), path)
+    with pytest.raises(ValueError, match="at least 1 n-gram"):
+        read_table(path, [1], Prefix(first=0))
+
+
+def test_build_catalog_refuses_a_table_without_every_length(tmp_path):
+    path = tmp_path / "records.csv"
+    write_indexed(path, {(1, "code", 2000): 5, (2, "source code", 2000): 3})
+    with pytest.raises(ValueError, match="length 1 was not loaded; the table holds 2"):
+        build_catalog(table_from_index(path, {2}), 5, tmp_path / "catalog")
+
+
+# Every command shape the benchmark's explore and render workloads run,
+# and some with more permissive thresholds.
+COMMAND_SHAPES = (
+    ["query", "static analysis, dynamic analysis"],
+    ["query", "review+survey, case study+experiment", "-o", "series.json"],
+    ["query", "program comprehension, code", "-o", "planted.csv", "--svg", "planted.svg"],
+    *(["top", "-n", str(n), "-k", "20"] for n in range(1, 5)),
+    ["top", "-n", "2"],
+    *(["trends", "-n", "2", "--direction", direction, "-k", "10"]
+      for direction in ("rising", "falling")),
+    ["trends", "-n", "1", "--min-support", "3", "--min-years", "2"],
+    ["trends", "-n", "2", "--min-support", "8", "--min-years", "3"],
+    ["trends", "-n", "3", "--min-support", "0", "--min-years", "1", "--direction", "falling"],
+    ["demo", "-o", "demo"],
+    ["catalog", "-o", "catalog", "--limit", "60"],
+    ["catalog", "-o", "catalog-all", "--limit", "100000"],
+)
+
+
+def shape_outputs(records, out_dir, index):
+    """stdout, stderr and files of each of COMMAND_SHAPES run on
+    `records` in `out_dir`, with the records' index "kept", "deleted"
+    before each command, or "unwritable" (a directory in its place)."""
+    outputs = []
+    out_dir.mkdir()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(out_dir)
+        for argv in COMMAND_SHAPES:
+            if index == "kept":
+                assert index_of(records).is_file()
+            elif index == "deleted":
+                index_of(records).unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = run([argv[0], "-i", str(records), *argv[1:]])
+            outputs.append((argv, status, stdout.getvalue(), stderr.getvalue()))
+    outputs.append({p.relative_to(out_dir).as_posix(): p.read_bytes()
+                    for p in sorted(out_dir.rglob("*")) if p.is_file()})
+    return outputs
+
+
+def test_commands_answer_alike_with_and_without_the_index(stoplist, tmp_path):
+    rng = random.Random(31)
+    vocabulary = WORDS + STOPPY_WORDS + ("static", "analysis", "case", "study", "survey")
+    sentences = random_sentences(rng, 400, years=tuple(range(2000, 2008)),
+                                 vocab=vocabulary, max_tokens=10)
+    records = tmp_path / "records.csv"
+    write_records(count_ngrams(sentences, stoplist), records)
+    read_records(records)
+    kept = shape_outputs(records, tmp_path / "kept", "kept")
+    assert all(status == 0 for _, status, _, _ in kept[:-1])
+    assert shape_outputs(records, tmp_path / "deleted", "deleted") == kept
+    index_of(records).unlink()
+    index_of(records).mkdir()  # heads are then ranked in memory
+    assert shape_outputs(records, tmp_path / "unwritable", "unwritable") == kept
 
 
 # ---------------------------------------------------------------------------
