@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 _MODULES = {
     "errors": ("IngestError", "QueryError", "RecordsError", "TrendgramError"),
     "frequency": ("FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq",
-                  "freq_list", "parse_query", "query_lengths", "write_series_csv",
-                  "write_series_json"),
+                  "freq_list", "parse_query", "query_lengths", "query_ngrams",
+                  "write_series_csv", "write_series_json"),
     "ingest": ("Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
                "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
                "write_corpus"),

@@ -289,7 +289,7 @@ def cmd_query(args):
     if args.svg:
         _load("plotting")
     query = parse_query(args.query)
-    table = read_table(args.input, query_lengths(query))
+    table = read_table(args.input, ngrams=query_ngrams(query))
     series = evaluate(table, query, _year_range_for(args, table))
     if args.output is None or args.output == "-":
         write_series_csv(series, sys.stdout)
@@ -346,7 +346,7 @@ def cmd_trends(args):
 def cmd_demo(args):
     _load("frequency", "ngrams", "plotting")
     queries = [parse_query(text) for text in DEMO_QUERIES]
-    table = read_table(args.input, set().union(*map(query_lengths, queries)))
+    table = read_table(args.input, ngrams=set().union(*map(query_ngrams, queries)))
     year_range = _year_range_for(args, table)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)

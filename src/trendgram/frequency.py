@@ -102,6 +102,13 @@ def query_lengths(query):
     return {len(phrase) for qs in query.series for phrase in qs.phrases}
 
 
+def query_ngrams(query):
+    """The set of the query's phrases as records hold them: each
+    phrase's tokens joined by single spaces. `read_table(path,
+    ngrams=query_ngrams(query))` loads only what `evaluate` needs."""
+    return {" ".join(phrase) for qs in query.series for phrase in qs.phrases}
+
+
 # The points of zero frequency, with and without data, shared by every
 # series: they are most of a catalog's points.
 _ZERO_POINTS = {True: SeriesPoint(0.0, True), False: SeriesPoint(0.0, False)}

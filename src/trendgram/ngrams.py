@@ -18,13 +18,13 @@ naive oracles of `tests/oracle.py`.
 
 `read_table` keeps a sidecar index beside a records file it reads by
 path, `RECORDS.idx`, holding the table it built the last time it fully
-validated that exact file, one section per (n, year) and then each
-length's n-grams in ranking order, and loads again the sections of the
-lengths it is asked for, or the heads of their rankings, while the
-file's size and crc32 still match (see `_read_index`). A missing, stale
-or damaged index only means the CSV is parsed and checked again, after
-which the index is rewritten; failing to write it is not an error.
-Streams never use an index, and `write_records` does not write one.
+validated that exact file, each length's n-grams once in key order and
+once in ranking order, and loads again the lengths it is asked for, the
+heads of their rankings, or only some n-grams, while the file's size
+and crc32 still match (see `_read_index`). A missing, stale or damaged
+index only means the CSV is parsed and checked again, after which the
+index is rewritten; failing to write it is not an error. Streams never
+use an index, and `write_records` does not write one.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from ._io import checked_csv, open_for_write, read_text
+from ._io import open_for_write, read_text
 from ._limits import NGRAM_MAX
-from .errors import RecordsError, TrendgramError
+from .errors import TrendgramError
 
 RECORDS_HEADER = ("n", "ngram", "year", "count")
 
@@ -96,6 +96,11 @@ class FrequencyTable:
     refuses any question about that length that the head cannot answer
     exactly, so that an n-gram it did not load never reads as zero.
 
+    `ngrams`, unless None, is the set of n-grams the table was loaded
+    for (see `read_table`): it holds each of them with all of its
+    counts, none if it has none, and nothing else, so it refuses any
+    other n-gram and every ranking.
+
     Iterating yields one `NgramRecord` per count in (n, ngram, year)
     order; `len` is the number of such rows. Build one from a flat
     `(n, ngram, year) -> count` dict with `build_table`.
@@ -104,10 +109,11 @@ class FrequencyTable:
     __hash__ = None
 
     def __init__(self, cells: dict[tuple[int, int], dict[str, int]], totals=None,
-                 lengths=_ALL_LENGTHS, cuts=None):
+                 lengths=_ALL_LENGTHS, cuts=None, ngrams=None):
         self.cells = cells
         self.lengths = frozenset(lengths)
         self.cuts = cuts or {}
+        self.ngrams = None if ngrams is None else frozenset(ngrams)
         if totals is not None:
             self.totals = totals
 
@@ -149,6 +155,14 @@ class FrequencyTable:
         if not self.lengths.issuperset(lengths):
             raise ValueError(f"n-gram length {min(set(lengths) - self.lengths)} was not loaded; "
                              f"the table holds {', '.join(map(str, sorted(self.lengths)))}")
+        if self.ngrams is not None:
+            asked = f"the table holds only the {len(self.ngrams)} n-grams it was loaded for"
+            if prefix is not None:
+                raise ValueError(f"{asked}: it holds no ranking, so not {prefix}")
+            for ngram in ngrams:
+                if ngram not in self.ngrams:
+                    raise ValueError(f"n-gram {ngram!r} was not loaded: {asked}")
+            return
         if not self.cuts:
             return
         for n in sorted(self.cuts.keys() & lengths) if prefix is not None else ():
@@ -156,7 +170,7 @@ class FrequencyTable:
             if (prefix.first is None or prefix.first > loaded) and prefix.min_total <= next_total:
                 raise ValueError(f"{_head(n, loaded, next_total)}: too few for {prefix}")
         for ngram in ngrams:
-            if ngram not in self._held and (n := ngram.count(" ") + 1) in self.cuts:
+            if ngram not in self._held and (n := _length(ngram)) in self.cuts:
                 raise ValueError(f"n-gram {ngram!r} was not loaded: {_head(n, *self.cuts[n])}")
 
     @cached_property
@@ -393,14 +407,19 @@ def _needs_quotes(text):
     return "," in text or '"' in text or "\n" in text or "\r" in text
 
 
-def read_table(source, lengths=None, prefix=None):
+def read_table(source, lengths=None, prefix=None, ngrams=None):
     """Read a records CSV into a `FrequencyTable` holding the cells of
     the n-gram `lengths` only (default: all), enforcing every record
     invariant on the whole file. With a `prefix` (a `Prefix`), it holds
     of each of those lengths only the n-grams of that head of the
     length's ranking, each with all of its counts, and notes in its
-    `cuts` where it stopped. Its `totals` and `years` are those of the
-    whole file, whatever it holds.
+    `cuts` where it stopped. With `ngrams`, a non-empty collection of
+    n-gram strings (1 to NGRAM_MAX non-empty tokens joined by single
+    spaces), it holds those n-grams only, each with all of its counts,
+    and answers for nothing else (see `FrequencyTable.ngrams`); the
+    lengths are then theirs, and `lengths`, if given, must be the same.
+    Its `totals` and `years` are those of the whole file, whatever it
+    holds. Bad arguments raise `ValueError` before the file is opened.
 
     This file is machine-produced, so any malformed row is corruption
     and raises `RecordsError` naming the file (when `source` is a path)
@@ -408,11 +427,12 @@ def read_table(source, lengths=None, prefix=None):
 
     For a path to a regular file, the table comes from the sidecar index
     `f"{source}.idx"` when that index was written for a file of the
-    same size and crc32; only the sections of `lengths`, or the heads of
-    their rankings, are loaded. Otherwise the CSV is parsed, and if the
-    file did not change while it was parsed, the index is (re)written,
-    and the heads are read from it. A stream, or a file whose index was
-    not written, has its heads ranked in memory.
+    same size and crc32; only the sections of `lengths`, the heads of
+    their rankings, or the chunks that can hold `ngrams` are loaded.
+    Otherwise the CSV is parsed, and if the file did not change while
+    it was parsed, the index is (re)written, and the heads are read from
+    it. A stream, or a file whose index was not written, has its heads
+    ranked in memory.
     """
     wanted = _ALL_LENGTHS if lengths is None else frozenset(lengths)
     if not wanted or not wanted <= _ALL_LENGTHS:
@@ -420,27 +440,44 @@ def read_table(source, lengths=None, prefix=None):
                          f"got {sorted(wanted)}")
     if prefix is not None and prefix.first is not None and prefix.first < 1:
         raise ValueError(f"a prefix must hold at least 1 n-gram, got {prefix.first}")
+    if ngrams is not None:
+        ngrams = _checked_ngrams(ngrams)
+        if prefix is not None:
+            raise ValueError("give a prefix or n-grams, not both")
+        asked = frozenset(map(_length, ngrams))
+        if lengths is not None and wanted != asked:
+            raise ValueError(f"lengths {sorted(wanted)} are not those of the n-grams, "
+                             f"{sorted(asked)}")
+        wanted = asked
     fingerprint = None if hasattr(source, "read") else _fingerprint(source)
     if fingerprint is not None:
-        table = _read_index(f"{source}.idx", fingerprint, wanted, prefix)
+        table = _read_index(f"{source}.idx", fingerprint, wanted, prefix, ngrams)
         if table is not None:
             return table
-    table = FrequencyTable(_parse_records(source))
-    from ._index_writer import ranked_chunks, write_index  # only a parse loads the writer
-    if fingerprint is not None and _fingerprint(source) == fingerprint:
-        write_index(f"{source}.idx", fingerprint, table)
-        # reading heads back from the index costs less than ranking again
-        head = None if prefix is None else _read_index(f"{source}.idx", fingerprint, wanted,
-                                                       prefix)
-        if head is not None:
-            return head
-    if prefix is not None:
-        cells, cuts = _read_heads(wanted, prefix, lambda n: ranked_chunks(table.cells, n))
-        return FrequencyTable(cells, table.totals, wanted, cuts)
-    if wanted == _ALL_LENGTHS:
-        return table
-    cells = {key: cell for key, cell in table.cells.items() if key[0] in wanted}
-    return FrequencyTable(cells, table.totals, wanted)
+    from ._whole import read_parsed  # only a miss loads the parser and the writer
+
+    return read_parsed(source, fingerprint, wanted, prefix, ngrams)
+
+
+def _checked_ngrams(ngrams):
+    """`ngrams` as a sorted list, or `ValueError` if it is one string,
+    empty, or holds other than n-gram strings."""
+    if isinstance(ngrams, str):
+        raise ValueError(f"n-grams must be a collection of strings, not the string {ngrams!r}")
+    ngrams = list(ngrams)
+    if not ngrams:
+        raise ValueError("n-grams must not be empty")
+    for ngram in ngrams:
+        tokens = ngram.split(" ") if isinstance(ngram, str) else ()
+        if not 1 <= len(tokens) <= NGRAM_MAX or not all(tokens):
+            raise ValueError(f"{ngram!r} is not 1 to {NGRAM_MAX} non-empty tokens joined by "
+                             f"single spaces")
+    return sorted(set(ngrams))
+
+
+def _length(ngram):
+    """The number of tokens of an n-gram string."""
+    return ngram.count(" ") + 1
 
 
 def _taken(totals, prefix, taken):
@@ -457,50 +494,28 @@ def read_records(source):
     return read_table(source).counts
 
 
-def _parse_records(source):
-    """`read_table` without the index: parse and check every row into
-    the cells of a table."""
-    cells: dict[tuple[int, int], dict[str, int]] = {}
-    with checked_csv(source, RECORDS_HEADER, RecordsError, "records") as reader:
-        for row in reader:
-            if len(row) != len(RECORDS_HEADER):
-                raise RecordsError(f"expected {len(RECORDS_HEADER)} columns, got {len(row)}")
-            n_text, ngram, year_text, count_text = row
-            try:
-                n, year, count = int(n_text), int(year_text), int(count_text)
-            except ValueError:
-                raise RecordsError("non-numeric n, year, or count") from None
-            if not 1 <= n <= NGRAM_MAX:
-                raise RecordsError(f"n={n} outside 1..{NGRAM_MAX}")
-            if count < 1:
-                raise RecordsError(f"count must be positive, got {count}")
-            tokens = ngram.split(" ")
-            if len(tokens) != n or not all(tokens):
-                raise RecordsError(f"ngram {ngram!r} is not {n} tokens")
-            cell = cells.get((n, year))
-            if cell is None:
-                cell = cells[n, year] = {}
-            elif ngram in cell:
-                raise RecordsError(f"duplicate record for {ngram!r} in {year}")
-            cell[ngram] = count
-    return cells
-
-
-# The sidecar index: a header; a chunk holding the per-(n, year) totals
-# and the layout, one `(n, year, entries)` per cell in (n, year) order;
-# then each cell's `{ngram: count}` dict in that order, in chunks of at
-# most _INDEX_CHUNK entries; then the ranked section of each length, in
-# chunks of _RANKED_CHUNK n-grams (see `_index_writer.ranked_chunks`),
-# which starts at the offset the header gives for it. A chunk is a
-# length, its crc32 and a `marshal` (version 2, which writes no
-# back-references, so the bytes do not depend on reference counts): the
-# `(totals, layout)` tuple, a dict per cell chunk, a tuple per ranked
-# chunk. `trendgram._index_writer` writes it.
-_INDEX_MAGIC = b"trendgram records index 4\n"
-# magic, crc32, size, entries, the offset of each length's ranked section
-_INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQ{NGRAM_MAX}Q")
+# The sidecar index: a header; then for each length from 1 to NGRAM_MAX
+# its keyed section and its ranked section; then a chunk holding the
+# per-(n, year) totals and the number of records of each length. The
+# header gives the offset of that chunk and of every section. A keyed
+# section is a directory chunk, `(firsts, offsets)`, then the length's
+# n-grams in lexicographic order, _KEYED_CHUNK consecutive ones per chunk
+# (the last may hold fewer), each chunk a `{year: {ngram: count}}` dict
+# in ascending years and n-grams; `firsts` holds each chunk's first
+# n-gram, and `offsets` the offset of each chunk as little-endian 8-byte
+# integers. A ranked section holds the length's n-grams in ranking order,
+# in chunks of _RANKED_CHUNK n-grams (see `_whole.ranked_chunks`).
+# A chunk is a length, its crc32 and a `marshal` (version 2, which writes
+# no back-references, so the bytes do not depend on reference counts).
+# Each length's sections are built from its own cells, and the totals
+# chunk and the header are written last. `trendgram._whole` writes
+# it.
+_INDEX_MAGIC = b"trendgram records index 5\n"
+# magic, crc32, size, entries, the offset of the totals chunk, then of each
+# length's keyed section, then of each length's ranked section
+_INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQQ{2 * NGRAM_MAX}Q")
 _INDEX_CHUNK_HEADER = struct.Struct("<II")  # length, crc32
-_INDEX_CHUNK = 4096
+_KEYED_CHUNK = 256  # n-grams per keyed chunk
 _RANKED_CHUNK = 256  # n-grams per ranked chunk, so that a place in one fits a byte
 _BLOCK = 1 << 16
 
@@ -518,80 +533,76 @@ def _fingerprint(path):
     return crc, size
 
 
-def _read_index(path, fingerprint, lengths, prefix):
+def _read_index(path, fingerprint, lengths, prefix=None, ngrams=None):
     """The table stored in the index at `path` for a records file with
-    this fingerprint, holding `lengths` only, or only the head `prefix`
-    of each one's ranking, or None if the index is missing, was written
-    for other content, or is damaged where it was read: a wrong magic, a
-    damaged chunk (see `_read_chunk`), one `marshal` rejects or that
-    does not hold what it should, cell sizes that disagree with the
-    header or with what the cells hold (see `_read_cells`), or loaded
-    cells other than those the totals name. A head is read from the
-    start of its length's ranked section (see `_read_head`), and then
-    no cell is read."""
+    this fingerprint, holding `lengths` only, the head `prefix` of each
+    one's ranking, or the sorted `ngrams` only, or None if the index is
+    missing, was written for other content, or is damaged where it was
+    read: a wrong magic, a damaged chunk (see `_read_chunk`), one
+    `marshal` rejects or that does not hold what it should, a totals
+    chunk that is not the last or whose sizes disagree with the header,
+    chunks or sections that are not where the header and directories
+    say (see `_whole.read_lengths`), or loaded cells other than those the
+    totals name. A head is read from the start of its length's ranked
+    section (see `_read_head`), and n-grams from the chunks of the keyed
+    sections that can hold them (see `_read_keyed`)."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(_INDEX_HEADER.size)
             if len(header) != _INDEX_HEADER.size:
                 return None
-            magic, crc, size, entries, *offsets = _INDEX_HEADER.unpack(header)
+            magic, crc, size, entries, totals_at, *offsets = _INDEX_HEADER.unpack(header)
             if magic != _INDEX_MAGIC or (crc, size) != fingerprint:
                 return None
             end = os.fstat(fh.fileno()).st_size
-            totals, layout = marshal.loads(_read_chunk(fh, end))
-            if type(totals) is not dict or sum(size for _, _, size in layout) != entries:
+            fh.seek(totals_at)
+            totals, sizes = marshal.loads(_read_chunk(fh, end))
+            if type(totals) is not dict or sum(sizes) != entries or fh.tell() != end:
                 return None
-            if prefix is None:
-                cells, cuts = _read_cells(fh, end, layout, lengths, offsets), {}
-                if cells is None:
-                    return None
-            else:
+            keyed, ranked = offsets[:NGRAM_MAX], offsets[NGRAM_MAX:]
+            cuts = {}
+            if prefix is not None:
                 cells, cuts = _read_heads(lengths, prefix,
-                                          lambda n: _chunks_at(fh, end, offsets[n - 1]))
-            whole = lengths - cuts.keys()
+                                          lambda n: _chunks_at(fh, end, ranked[n - 1]))
+            elif ngrams is not None:
+                cells = _read_keyed(fh, end, keyed, ngrams)
+            else:
+                from ._whole import read_lengths  # no command loads whole lengths
+
+                bounds = [*(at for pair in zip(keyed, ranked) for at in pair), totals_at]
+                cells = read_lengths(fh, end, lengths, bounds, sizes)
+            whole = () if ngrams is not None else lengths - cuts.keys()
             if not {key for key in totals if key[0] in whole} <= cells.keys() <= totals.keys():
                 return None
-            return FrequencyTable(cells, totals, lengths, cuts)
-    except (OSError, ValueError, EOFError, TypeError, AttributeError, LookupError):
+            return FrequencyTable(cells, totals, lengths, cuts, ngrams)
+    except (OSError, ValueError, EOFError, TypeError, AttributeError, LookupError, struct.error):
         return None
 
 
-def _read_cells(fh, end, layout, lengths, offsets):
-    """The cells of `lengths` in the chunks that follow the `(totals,
-    layout)` chunk at `fh`, or None if one is not a dict or holds other
-    than its size in `layout`. Cells of lengths after the last of
-    `lengths` are not read, and other unloaded ones are passed over by
-    their chunk lengths alone. A read that reaches the last cell checks
-    that the ranked sections start where it ends, at `offsets[0]`; only
-    a read of every length, which loads the whole table, checks every
-    ranked chunk, each section's offset and that nothing follows the
-    last chunk."""
+def _read_directory(fh, end, offset):
+    """The first n-gram and the offset of each chunk of the keyed
+    section at `offset`, from its directory chunk."""
+    fh.seek(offset)
+    firsts, offsets = marshal.loads(_read_chunk(fh, end))
+    return firsts, struct.unpack(f"<{len(firsts)}Q", offsets)
+
+
+def _read_keyed(fh, end, keyed, ngrams):
+    """The cells of the sorted `ngrams`, from the keyed sections that
+    start at the offsets `keyed`: of each of their lengths, the
+    directory and then only the chunks whose key range can hold one of
+    them, found by bisection, each read once."""
     cells = {}
-    last = max(lengths)
-    for n, year, size in layout:
-        if n > last:
-            return cells
-        chunks = -(-size // _INDEX_CHUNK)
-        if n not in lengths:
-            for _ in range(chunks):
-                _read_chunk(fh, end, skip=True)
-            continue
-        cell = marshal.loads(_read_chunk(fh, end))
-        if type(cell) is not dict:
-            return None
-        for _ in range(chunks - 1):
-            cell.update(marshal.loads(_read_chunk(fh, end)))
-        if len(cell) != size:
-            return None
-        cells[n, year] = cell
-    if fh.tell() != offsets[0]:
-        return None
-    if lengths == _ALL_LENGTHS:
-        for start, stop in zip(offsets, (*offsets[1:], end)):
-            if fh.tell() != start:
-                return None
-            while fh.tell() < stop:
-                _read_chunk(fh, end)
+    for n in sorted(set(map(_length, ngrams))):
+        asked = [ngram for ngram in ngrams if _length(ngram) == n]
+        firsts, offsets = _read_directory(fh, end, keyed[n - 1])
+        for chunk in sorted({bisect_right(firsts, ngram) - 1 for ngram in asked} - {-1}):
+            fh.seek(offsets[chunk])
+            for year, part in marshal.loads(_read_chunk(fh, end)).items():
+                if type(part) is not dict:
+                    raise ValueError("keyed chunk damaged")
+                if counts := {ngram: part[ngram] for ngram in asked if ngram in part}:
+                    cells.setdefault((n, year), {}).update(counts)
     return cells
 
 
@@ -635,21 +646,17 @@ def _read_head(chunks, n, prefix, cells):
             return loaded, next_total
 
 
-def _read_chunk(fh, end, skip=False):
-    """The payload of the next chunk in `fh`, checked against its crc32,
-    or with `skip` None, passing over the payload unread. A chunk cut
-    short, a crc32 mismatch, or a length that runs past `end`, the size
-    of the file (checked before anything is allocated), raise
-    `ValueError`."""
+def _read_chunk(fh, end):
+    """The payload of the next chunk in `fh`, checked against its crc32.
+    A chunk cut short, a crc32 mismatch, or a length that runs past
+    `end`, the size of the file (checked before anything is allocated),
+    raise `ValueError`."""
     header = fh.read(_INDEX_CHUNK_HEADER.size)
     if len(header) != _INDEX_CHUNK_HEADER.size:
         raise ValueError("index chunk header cut short")
     length, crc = _INDEX_CHUNK_HEADER.unpack(header)
     if length > end - fh.tell():
         raise ValueError("index chunk runs past the end of the file")
-    if skip:
-        fh.seek(length, os.SEEK_CUR)
-        return None
     chunk = fh.read(length)
     if len(chunk) != length or zlib.crc32(chunk) != crc:
         raise ValueError("index chunk damaged")
@@ -668,12 +675,17 @@ def _ngram_totals(cells):
 
 def _ranked(cells):
     """The n-grams of `cells` sorted by total (see `_ngram_totals`)
-    descending, ties broken lexicographically, and the totals: a sort of
-    the n-grams, then a stable one by total, both keyed in C."""
+    descending, ties broken lexicographically, and the totals."""
     totals = _ngram_totals(cells)
-    ranked = sorted(totals)
-    ranked.sort(key=totals.__getitem__, reverse=True)
-    return ranked, totals
+    return _by_total(sorted(totals), totals), totals
+
+
+def _by_total(ngrams, totals):
+    """The list `ngrams`, sorted lexicographically, sorted in place by
+    their `totals` descending: a stable sort keyed in C, so ties stay in
+    lexicographic order."""
+    ngrams.sort(key=totals.__getitem__, reverse=True)
+    return ngrams
 
 
 def _most_frequent(cells, k):

@@ -6,8 +6,9 @@ Run from the repository root:
 
 It writes the demo pipeline's outputs, the demo plots, a 12-page
 catalog of the demo records (`tests/golden/demo/catalog/`), the `top`
-and `trends` listings of the demo records (`TEXT_GOLDENS`) and two
-renderer fixtures. The demo pipeline outputs are cross-checked against
+and `trends` listings of the demo records (`TEXT_GOLDENS`), the series
+of the paper's headline phrases (`HEADLINE_QUERY`, read through the
+records index) and two renderer fixtures. The demo pipeline outputs are cross-checked against
 the naive oracle before being written, so a regression in the real
 implementation cannot silently become the new golden truth. Regenerate
 only after verifying an intentional behavior change.
@@ -40,6 +41,11 @@ TEXT_GOLDENS = {
     "trends-falling.csv": ["trends", "-n", "2", "--direction", "falling", "-k", "5",
                            "--min-support", "3", "--min-years", "3"],
 }
+
+# The phrases of the paper's headline trends; `series-headline.csv` holds
+# their series on the demo records, queried once the records index exists,
+# so that it is read from the index's keyed sections.
+HEADLINE_QUERY = "feature location, open source, program slicing, legacy systems"
 
 
 def run_output(argv):
@@ -79,6 +85,9 @@ def main():
                 "--limit", "12"]) == 0
     for name, argv in TEXT_GOLDENS.items():
         (out / name).write_bytes(run_output([*argv, "-i", str(records)]).encode("utf-8"))
+    assert Path(f"{records}.idx").is_file()
+    assert run(["query", "-i", str(records), HEADLINE_QUERY,
+                "-o", str(out / "series-headline.csv")]) == 0
     # The reads above left the records index beside records.csv; it is a
     # cache, not a golden.
     Path(f"{records}.idx").unlink(missing_ok=True)

@@ -21,7 +21,7 @@ import pytest
 import trendgram
 import trendgram.cli
 
-from make_goldens import TEXT_GOLDENS
+from make_goldens import HEADLINE_QUERY, TEXT_GOLDENS
 from support import STOPPY_WORDS, WORDS, make_entry
 from trendgram._io import open_for_write
 from trendgram.cli import DEMO_QUERIES, run
@@ -442,13 +442,13 @@ def test_an_unknown_name_is_an_attribute_error_naming_its_module(module):
 
 
 # Every public name: those `trendgram/__init__.py` exported when it imported each
-# stage up front, `token_runs` and `Prefix`, less the second definitions of the
-# window and stopword rule and of the trend slope (and its error), which
-# CHANGES.md names.
+# stage up front, `token_runs`, `Prefix` and `query_ngrams`, less the second
+# definitions of the window and stopword rule and of the trend slope (and its
+# error), which CHANGES.md names.
 PACKAGE_EXPORTS = (
     "IngestError", "QueryError", "RecordsError", "TrendgramError",
     "FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq", "freq_list",
-    "parse_query", "query_lengths", "write_series_csv", "write_series_json",
+    "parse_query", "query_lengths", "query_ngrams", "write_series_csv", "write_series_json",
     "Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
     "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
     "write_corpus",
@@ -860,6 +860,17 @@ def test_top_and_trends_match_their_goldens(golden_dir, tmp_path, capsys, name):
     records.write_bytes((golden_dir / "demo" / "records.csv").read_bytes())
     assert run([*TEXT_GOLDENS[name], "-i", str(records)]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (golden_dir / "demo" / name).read_bytes()
+
+
+def test_headline_series_match_their_golden_with_and_without_the_index(golden_dir, tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_bytes((golden_dir / "demo" / "records.csv").read_bytes())
+    golden = (golden_dir / "demo" / "series-headline.csv").read_bytes()
+    for read in ("parsed", "indexed"):
+        series = tmp_path / f"{read}.csv"
+        assert run(["query", "-i", str(records), HEADLINE_QUERY, "-o", str(series)]) == 0
+        assert Path(f"{records}.idx").is_file()
+        assert series.read_bytes() == golden, read
 
 
 def test_demo_records_rank_the_papers_headline_trends(golden_dir, tmp_path, capsys):

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 import trendgram
 from oracle import naive_ngram_counts, naive_records_text
 from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
-from trendgram import ngrams
+from trendgram import _whole, ngrams
 from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
-from trendgram.frequency import Query, QuerySeries, evaluate
+from trendgram.frequency import Query, QuerySeries, evaluate, parse_query, write_series_csv
 from trendgram.ngrams import (NgramRecord, Prefix, Stoplist, build_table, count_ngrams,
                               read_records, read_table, token_runs, top_ngrams, write_records)
 from trendgram.textprep import Sentence
@@ -572,7 +572,7 @@ def read_from_index(path):
     def refuse(source):
         raise AssertionError(f"{source} was parsed")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ngrams, "_parse_records", refuse)
+        patch.setattr(_whole, "_parse_records", refuse)
         return read_records(path)
 
 
@@ -604,17 +604,70 @@ def test_records_index_round_trip(tmp_path_factory, counts):
     parsed, indexed = read_table(io.StringIO(path.read_text())), table_from_index(path, None)
     assert parsed.cells == indexed.cells and parsed.totals == indexed.totals
     assert_table_contract(indexed, counts)
-    layout = [(n, year, len(cell)) for (n, year), cell in sorted(parsed.cells.items())]
-    data = index_of(path).read_bytes()
-    assert index_chunk(data, 0) == (parsed.totals, tuple(layout))
-    cell_chunks = sum(-(-size // ngrams._INDEX_CHUNK) for _, _, size in layout)
-    sections = [ranked_section(counts, n) for n in range(1, 5)]
+    assert_index_layout(index_of(path).read_bytes(), counts)
+
+
+def assert_index_layout(data, counts):
+    """The index `data` of `counts` holds exactly, chunk by chunk and in
+    order, what the format defines: each length's keyed section (see
+    `keyed_section`) and ranked section (see `ranked_section`) at the
+    offsets its header gives, then the totals chunk, where the header
+    says, holding the totals of `build_table(counts)` and the number of
+    records of each length."""
     starts = chunk_starts(data)
-    assert len(starts) == 1 + cell_chunks + sum(map(len, sections))
-    assert ranked_offsets(data) == tuple(starts[1 + cell_chunks + sum(map(len, sections[:n]))]
-                                         for n in range(4))
-    assert [in_order(index_chunk(data, chunk)) for chunk in range(1 + cell_chunks, len(starts))] \
-        == [in_order(chunk) for section in sections for chunk in section]
+    totals_at, keyed, ranked = header_offsets(data)
+    chunk = 0
+    for n in range(1, 5):
+        chunks = keyed_section(counts, n)
+        held = range(chunk + 1, chunk + 1 + len(chunks))  # the keyed chunks after the directory
+        assert keyed[n - 1] == starts[chunk]
+        assert index_chunk(data, chunk) == directory(counts, n, [starts[at] for at in held])
+        assert [keyed_in_order(index_chunk(data, at)) for at in held] == list(
+            map(keyed_in_order, chunks))
+        chunk += 1 + len(chunks)
+        section = ranked_section(counts, n)
+        assert ranked[n - 1] == starts[chunk]
+        assert [in_order(index_chunk(data, at)) for at in range(chunk, chunk + len(section))] \
+            == list(map(in_order, section))
+        chunk += len(section)
+    assert totals_at == starts[chunk] and len(starts) == chunk + 1
+    sizes = tuple(sum(1 for key in counts if key[0] == n) for n in range(1, 5))
+    assert index_chunk(data, chunk) == (build_table(counts).totals, sizes)
+    assert ngrams._INDEX_HEADER.unpack_from(data)[3] == len(counts)
+
+
+def keyed_section(counts, n, size=256):
+    """The chunks after the directory of the keyed section of length `n`
+    of the index of `counts`, an `(n, ngram, year) -> count` dict, by
+    their definition: the n-grams in lexicographic order, `size` at a
+    time, each chunk mapping each year, ascending, in which some of
+    them have counts to those counts, in n-gram order."""
+    names = sorted({ngram for length, ngram, _ in counts if length == n})
+    years = sorted({year for length, _, year in counts if length == n})
+    chunks = []
+    for at in range(0, len(names), size):
+        chunk = {}
+        for year in years:
+            part = {ngram: counts[n, ngram, year] for ngram in names[at:at + size]
+                    if (n, ngram, year) in counts}
+            if part:
+                chunk[year] = part
+        chunks.append(chunk)
+    return chunks
+
+
+def directory(counts, n, offsets, size=256):
+    """The directory chunk of the keyed section of length `n` of the
+    index of `counts` whose chunks start at `offsets`: the first n-gram
+    of each chunk, and the offsets as little-endian 8-byte integers."""
+    names = sorted({ngram for length, ngram, _ in counts if length == n})
+    return tuple(names[::size]), struct.pack(f"<{len(offsets)}Q", *offsets)
+
+
+def keyed_in_order(chunk):
+    """A keyed chunk with its dicts as lists of items, so that comparing
+    two compares their order too."""
+    return [(year, list(part.items())) for year, part in chunk.items()]
 
 
 def ranked_section(counts, n):
@@ -652,10 +705,18 @@ def in_order(chunk):
     return ngrams_, totals, list(by_year.items()), next_total
 
 
+def header_offsets(data):
+    """The offsets that the header of the index `data` gives: of the
+    totals chunk, of each length's keyed section and of each length's
+    ranked section."""
+    fields = ngrams._INDEX_HEADER.unpack_from(data)[4:]
+    return fields[0], fields[1:5], fields[5:9]
+
+
 def ranked_offsets(data):
     """The offsets of the ranked sections that the header of the index
     `data` gives."""
-    return ngrams._INDEX_HEADER.unpack_from(data)[4:]
+    return header_offsets(data)[2]
 
 
 # Cells of more entries than fit in one chunk of the index, one of exactly
@@ -673,18 +734,22 @@ def test_records_index_spans_several_chunks(tmp_path):
     assert indexed == counts
     assert list(indexed) == list(read_stream(path)) == sorted(counts)
     data = index_of(path).read_bytes()
-    # the totals; 2 + 2 chunks of the unigram cells; 1 + 2 of the bigram ones;
-    # then the ranked sections: 10,000 unigrams in 40 chunks, 8,193 bigrams
-    # in 33, and one empty chunk for each of lengths 3 and 4
+    # 10,000 unigrams: a directory and 40 keyed chunks, then 40 ranked ones;
+    # 8,193 bigrams: a directory and 33 keyed chunks, then 33 ranked ones;
+    # lengths 3 and 4: an empty directory and one empty ranked chunk each;
+    # then the totals
     starts = chunk_starts(data)
-    assert len(starts) == 1 + 2 + 2 + 1 + 2 + 40 + 33 + 1 + 1
-    assert [len(index_chunk(data, chunk)) for chunk in range(1, 8)] == [
-        4096, 904, 4096, 904, 4096, 4096, 1]
-    assert ranked_offsets(data) == (starts[8], starts[48], starts[81], starts[82])
-    ranked = [index_chunk(data, chunk) for chunk in range(8, 83)]
+    assert len(starts) == 1 + 40 + 40 + 1 + 33 + 33 + 2 + 2 + 1
+    assert header_offsets(data) == (starts[-1], (starts[0], starts[81], starts[148], starts[150]),
+                                    (starts[41], starts[115], starts[149], starts[151]))
+    assert [sum(map(len, index_chunk(data, chunk).values())) for chunk in range(1, 41)] == (
+        [256] * 39 + [16])
+    assert [len({ngram for part in index_chunk(data, chunk).values() for ngram in part})
+            for chunk in range(82, 115)] == [256] * 32 + [1]
+    assert [index_chunk(data, chunk) for chunk in (148, 150)] == [((), b"")] * 2
+    ranked = [index_chunk(data, chunk) for chunk in [*range(41, 81), *range(115, 148), 149, 151]]
     assert [len(chunk[0]) for chunk in ranked] == [256] * 39 + [16] + [256] * 32 + [1, 0, 0]
-    assert [in_order(chunk) for chunk in ranked] == [
-        in_order(chunk) for n in range(1, 5) for chunk in ranked_section(counts, n)]
+    assert_index_layout(data, counts)
     assert table_from_index(path, {2}) == build_table(restrict(counts, {2}))
 
 
@@ -698,6 +763,17 @@ def test_rewritten_records_are_read_anew(tmp_path, count):
 
 HEADER_SIZE = ngrams._INDEX_HEADER.size
 CRC_AT = len(ngrams._INDEX_MAGIC)  # the records file's crc32, then its size and the entry count
+TOTALS_AT = CRC_AT + 20  # the offset of the totals chunk, then those of the sections
+
+
+def keyed_field(n):
+    """Where the header gives the offset of length n's keyed section."""
+    return TOTALS_AT + 8 * n
+
+
+def ranked_field(n):
+    """Where the header gives the offset of length n's ranked section."""
+    return TOTALS_AT + 8 * (4 + n)
 
 
 def flip(at):
@@ -710,27 +786,77 @@ def crc_valid_chunk(payload):
         len(payload), zlib.crc32(payload)) + payload)
 
 
-def with_first_chunk(change):
-    """The index with its first chunk, `(totals, layout)`, replaced by
-    `change(totals, layout)` under a matching crc32."""
+def with_chunk(chunk, change):
+    """The index with chunk number `chunk` replaced by `change(value)` of
+    its value, under a matching crc32. Chunks after it move unless the
+    new payload has the old one's size."""
     def damage(data):
-        rest = chunk_starts(data)[1]
-        payload = marshal.dumps(change(*index_chunk(data, 0)), 2)
-        return (data[:HEADER_SIZE] + ngrams._INDEX_CHUNK_HEADER.pack(
+        starts = chunk_starts(data)
+        rest = starts[chunk + 1] if chunk + 1 < len(starts) and chunk != -1 else len(data)
+        payload = marshal.dumps(change(index_chunk(data, chunk)), 2)
+        return (data[:starts[chunk]] + ngrams._INDEX_CHUNK_HEADER.pack(
             len(payload), zlib.crc32(payload)) + payload + data[rest:])
     return damage
 
 
+def with_totals_chunk(change):
+    """The index with its last chunk, `(totals, sizes)`, replaced by
+    `change(totals, sizes)` under a matching crc32."""
+    return with_chunk(-1, lambda value: change(*value))
+
+
 def moved_size(to, away):
-    """A change of the first chunk that moves one entry of the size of
-    cell number `away` in the layout to cell number `to`: the sizes
-    still add up to the header's entry count."""
-    def change(totals, layout):
-        layout = [list(cell) for cell in layout]
-        layout[to][2] += 1
-        layout[away][2] -= 1
-        return totals, tuple(map(tuple, layout))
+    """A change of the totals chunk that moves one record of the size of
+    length `away + 1` to length `to + 1`: the sizes still add up to the
+    header's entry count."""
+    def change(totals, sizes):
+        sizes = list(sizes)
+        sizes[to] += 1
+        sizes[away] -= 1
+        return totals, tuple(sizes)
     return change
+
+
+def same_size(make):
+    """A change of a chunk to `make(size)`, a value whose payload is
+    `size` bytes long, where `size` is the old payload's: nothing after
+    the chunk moves."""
+    return lambda value: make(len(marshal.dumps(value, 2)))
+
+
+def moved_chunks(by, chunks=slice(None)):
+    """A change of a directory that moves its `chunks` by `by` bytes."""
+    def change(value):
+        firsts, offsets = value
+        moved = list(struct.unpack(f"<{len(firsts)}Q", offsets))
+        moved[chunks] = [at + by for at in moved[chunks]]
+        return firsts, struct.pack(f"<{len(firsts)}Q", *moved)
+    return change
+
+
+moved_chunk = moved_chunks(1, slice(1))  # a directory's first chunk moved by one byte
+
+
+def part_not_a_dict(chunk):
+    """A keyed chunk whose first year's dict is a tuple of as many items,
+    with a payload of the same size: nothing after the chunk moves, and
+    the number of records holds."""
+    (year, part), *rest = chunk.items()
+    items = [b""] * len(part)
+    items[-1] = b"\0" * (len(marshal.dumps(part, 2)) - len(marshal.dumps(tuple(items), 2)))
+    return {year: tuple(items), **dict(rest)}
+
+
+def junk_after_header(data):
+    """The index with 8 zero bytes, which read as an empty chunk, after
+    its header, and every offset moved past them: only a read that
+    checks that the sections follow the header notices."""
+    fields = list(ngrams._INDEX_HEADER.unpack_from(data))
+    fields[4:] = [at + 8 for at in fields[4:]]
+    data = ngrams._INDEX_HEADER.pack(*fields) + bytes(8) + data[HEADER_SIZE:]
+    for at in header_offsets(data)[1]:
+        data = with_chunk(chunk_starts(data).index(at), moved_chunks(8))(data)
+    return data
 
 
 def index_chunk(data, chunk):
@@ -751,6 +877,8 @@ DAMAGE = {
     "flipped-crc": flip(CRC_AT),
     "flipped-size": flip(CRC_AT + 4),
     "flipped-entries": flip(CRC_AT + 12),
+    "flipped-totals-offset": flip(TOTALS_AT),
+    "flipped-section-offset": flip(keyed_field(1)),
     "flipped-chunk-length": flip(HEADER_SIZE),
     "huge-chunk-length": lambda data: (data[:HEADER_SIZE] + b"\xff\xff\xff\xff"
                                        + data[HEADER_SIZE + 4:]),
@@ -758,11 +886,13 @@ DAMAGE = {
     "flipped-payload": flip(-3),
     "bad-marshal": crc_valid_chunk(b"\xff" * 16),
     "not-a-dict": crc_valid_chunk(marshal.dumps(5, 2)),
-    "cell-not-a-dict": lambda data: data[:chunk_starts(data)[1]] + crc_valid_chunk(
-        marshal.dumps([1], 2))(b"\0" * HEADER_SIZE)[HEADER_SIZE:],
-    "cell-size-moved": with_first_chunk(moved_size(0, -1)),
-    "totals-of-a-missing-cell": with_first_chunk(
-        lambda totals, layout: ({**totals, (1, 1999): 5}, layout)),
+    "keyed-chunk-not-a-dict": with_chunk(1, same_size(lambda size: b"\0" * (size - 5))),
+    "cell-not-a-dict": with_chunk(1, part_not_a_dict),
+    "keyed-chunk-out-of-place": with_chunk(0, moved_chunk),
+    "junk-after-header": junk_after_header,
+    "cell-size-moved": with_totals_chunk(moved_size(0, -1)),
+    "totals-of-a-missing-cell": with_totals_chunk(
+        lambda totals, sizes: ({**totals, (1, 1999): 5}, sizes)),
 }
 
 
@@ -841,14 +971,24 @@ def test_index_bytes_do_not_depend_on_hash_seed(tmp_path):
         path = tmp_path / name / "records.csv"
         path.parent.mkdir()
         write_records(build_table(counts), path)
-        written = []
+        # n-grams spread over the keyed chunks of every length, and absent ones
+        asked = sorted({ngram for _, ngram, _ in counts})[::97] + ["zz", "zz zz"]
+        written, loaded = [], []
         for seed in ("1", "2"):
             index_of(path).unlink(missing_ok=True)
             subprocess.run([sys.executable, "-c", f"from trendgram.ngrams import read_records; "
                             f"read_records({str(path)!r})"], check=True,
                            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
             written.append(index_of(path).read_bytes())
+            loaded.append(subprocess.run(
+                [sys.executable, "-c", f"from trendgram.ngrams import read_table; "
+                 f"print(read_table({str(path)!r}, ngrams={asked!r}).cells)"],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout)
         assert written[0] == written[1]
+        assert loaded[0] == loaded[1]
+        assert_index_layout(written[0], counts)
+        assert len(index_chunk(written[0], 0)[0]) > 1  # several keyed chunks of unigrams
         index_of(path).unlink()
         read_records(path)
         assert index_of(path).read_bytes() == written[0]
@@ -858,27 +998,28 @@ def test_index_bytes_do_not_depend_on_hash_seed(tmp_path):
 # Partial loads: read_table(path, lengths) and index sections
 
 
-def table_from_index(path, lengths, prefix=None):
-    """`read_table(path, lengths, prefix)` with CSV parsing made to fail,
-    so that the table must come from the index."""
+def table_from_index(path, lengths, prefix=None, ngrams=None):
+    """`read_table(path, lengths, prefix, ngrams)` with CSV parsing made
+    to fail, so that the table must come from the index."""
     def refuse(source):
         raise AssertionError(f"{source} was parsed")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ngrams, "_parse_records", refuse)
-        return read_table(path, lengths, prefix)
+        patch.setattr(_whole, "_parse_records", refuse)
+        return read_table(path, lengths, prefix, ngrams)
 
 
-def read_counting_parses(path, lengths=None):
-    """`read_table(path, lengths)` and the number of times it parsed the CSV."""
+def read_counting_parses(path, lengths=None, ngrams=None):
+    """`read_table(path, lengths, ngrams=ngrams)` and the number of times
+    it parsed the CSV."""
     parses = []
-    parse = ngrams._parse_records
+    parse = _whole._parse_records
 
     def counting(source):
         parses.append(source)
         return parse(source)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ngrams, "_parse_records", counting)
-        return read_table(path, lengths), len(parses)
+        patch.setattr(_whole, "_parse_records", counting)
+        return read_table(path, lengths, ngrams=ngrams), len(parses)
 
 
 def restrict(counts, lengths):
@@ -954,16 +1095,27 @@ def test_top_ngrams_refuses_a_length_the_table_did_not_load(tmp_path):
         top_ngrams(table, 1, 5)
 
 
-# One chunk per cell: chunk 0 holds the totals and the layout, then come
-# the cells of length 1 to 4, three years each, then one ranked chunk per
-# length.
+# One n-gram per length, counted in three years: each length's keyed section
+# is a directory and one chunk, and its ranked section one chunk; the
+# totals chunk comes last.
 SECTIONED = {(n, " ".join(f"w{i}" for i in range(n)), 2000 + year): n + year
              for n in range(1, 5) for year in range(3)}
+TOTALS_CHUNK = 12  # the number of SECTIONED's totals chunk
 
 
-def cell_chunk(n, year):
-    """The number of the chunk that holds SECTIONED's cell (n, year)."""
-    return 1 + 3 * (n - 1) + year - 2000
+def directory_chunk(n):
+    """The number of the chunk that holds SECTIONED's keyed directory of length n."""
+    return 3 * (n - 1)
+
+
+def keyed_chunk(n):
+    """The number of the chunk that holds SECTIONED's keyed counts of length n."""
+    return 3 * (n - 1) + 1
+
+
+def ranked_chunk(n):
+    """The number of the chunk that holds SECTIONED's ranked section of length n."""
+    return 3 * (n - 1) + 2
 
 
 def chunk_starts(data):
@@ -993,32 +1145,34 @@ def cut_before_end(data, start):
 
 
 # Damage that a load of length 2 alone must notice: it falls back to the CSV.
+# The totals chunk is the last, so any change at the end of the file is seen.
 SEEN_BY_A_BIGRAM_LOAD = {
     "flipped-entries": flip(CRC_AT + 12),
-    "totals-chunk-payload": in_chunk(0, flip_payload),
-    "totals-chunk-length": in_chunk(0, flip_length),
-    "loaded-section-payload": in_chunk(cell_chunk(2, 2001), flip_payload),
-    "loaded-section-cut-short": in_chunk(cell_chunk(2, 2002), cut_before_end),
-    "skipped-section-length": in_chunk(cell_chunk(1, 2000), flip_length),
-    "loaded-cell-size-moved": with_first_chunk(
-        moved_size(cell_chunk(2, 2000) - 1, cell_chunk(2, 2001) - 1)),
-}
-
-# Damage only in sections a load of length 2 does not read.
-UNSEEN_BY_A_BIGRAM_LOAD = {
-    "skipped-section-payload": in_chunk(cell_chunk(1, 2001), flip_payload),
-    "later-section-payload": in_chunk(cell_chunk(3, 2000), flip_payload),
-    "later-section-length": in_chunk(cell_chunk(4, 2002), flip_length),
-    "unloaded-cell-size-moved": with_first_chunk(
-        moved_size(cell_chunk(1, 2000) - 1, cell_chunk(4, 2002) - 1)),
+    "totals-chunk-payload": in_chunk(TOTALS_CHUNK, flip_payload),
+    "totals-chunk-length": in_chunk(TOTALS_CHUNK, flip_length),
+    "totals-offset": flip(TOTALS_AT),
+    "loaded-section-payload": in_chunk(keyed_chunk(2), flip_payload),
+    "loaded-section-cut-short": in_chunk(keyed_chunk(2), cut_before_end),
+    "loaded-directory-length": in_chunk(directory_chunk(2), flip_length),
+    "loaded-section-offset": flip(keyed_field(2)),
+    "loaded-chunk-out-of-place": with_chunk(directory_chunk(2), moved_chunk),
+    "loaded-cell-size-moved": with_totals_chunk(moved_size(1, 0)),
     "truncated-payload": lambda data: data[:-1],
     "appended": lambda data: data + b"\0",
 }
 
-
-def ranked_chunk(n):
-    """The number of the chunk that holds SECTIONED's ranked section of length n."""
-    return 1 + 4 * 3 + n - 1
+# Damage only in sections a load of length 2 does not read.
+UNSEEN_BY_A_BIGRAM_LOAD = {
+    "skipped-section-payload": in_chunk(keyed_chunk(1), flip_payload),
+    "skipped-section-offset": flip(keyed_field(1)),
+    "skipped-section-length": in_chunk(keyed_chunk(1), flip_length),
+    "later-section-payload": in_chunk(keyed_chunk(3), flip_payload),
+    "later-section-length": in_chunk(keyed_chunk(4), flip_length),
+    "later-directory-length": in_chunk(directory_chunk(3), flip_length),
+    "ranked-section-payload": in_chunk(ranked_chunk(2), flip_payload),
+    "unloaded-cell-size-moved": with_totals_chunk(moved_size(0, 3)),
+    "junk-after-header": junk_after_header,
+}
 
 
 def test_sectioned_table_has_one_chunk_per_section(tmp_path):
@@ -1026,40 +1180,47 @@ def test_sectioned_table_has_one_chunk_per_section(tmp_path):
     write_indexed(path, SECTIONED)
     data = index_of(path).read_bytes()
     starts = chunk_starts(data)
-    assert len(starts) == 1 + 4 * 3 + 4
-    totals, layout = index_chunk(data, 0)
-    assert totals == build_table(SECTIONED).totals
-    assert layout == tuple((n, year, 1) for n in range(1, 5) for year in range(2000, 2003))
-    for (n, ngram, year), count in SECTIONED.items():
-        assert index_chunk(data, cell_chunk(n, year)) == {ngram: count}
-    assert ranked_offsets(data) == tuple(starts[ranked_chunk(n)] for n in range(1, 5))
+    assert len(starts) == 4 * 3 + 1
+    assert index_chunk(data, TOTALS_CHUNK) == (build_table(SECTIONED).totals, (3, 3, 3, 3))
+    assert header_offsets(data) == (starts[TOTALS_CHUNK],
+                                    tuple(starts[directory_chunk(n)] for n in range(1, 5)),
+                                    tuple(starts[ranked_chunk(n)] for n in range(1, 5)))
     for n in range(1, 5):
         ngram = " ".join(f"w{i}" for i in range(n))
+        assert index_chunk(data, directory_chunk(n)) == (
+            (ngram,), struct.pack("<Q", starts[keyed_chunk(n)]))
+        assert keyed_in_order(index_chunk(data, keyed_chunk(n))) == [
+            (2000 + year, [(ngram, n + year)]) for year in range(3)]
         assert in_order(index_chunk(data, ranked_chunk(n))) == in_order(
             ((ngram,), (3 * n + 3,), {2000 + year: (b"\0", (n + year,)) for year in range(3)}, 0))
+
+
+def recording_reads(read):
+    """A `_read_chunk` that appends to `read` the offset of each chunk it reads."""
+    read_chunk = ngrams._read_chunk
+
+    def recording(fh, end):
+        read.append(fh.tell())
+        return read_chunk(fh, end)
+    return recording
 
 
 def test_a_unigram_top_reads_no_chunk_past_length_1(tmp_path, capsys):
     path = tmp_path / "records.csv"
     write_indexed(path, SECTIONED)
     read = []
-    read_chunk = ngrams._read_chunk
-
-    def recording(fh, end, skip=False):
-        read.append(fh.tell())
-        return read_chunk(fh, end, skip)
     data = index_of(path).read_bytes()
     starts = chunk_starts(data)
-    # every cell's payload damaged and everything past the unigram ranked
-    # chunk cut off, which a load must not notice
-    for chunk in range(1, ranked_chunk(1)):
+    # every chunk but the unigram ranked one and the totals damaged, which a
+    # load must not notice
+    for chunk in set(range(TOTALS_CHUNK)) - {ranked_chunk(1)}:
         data = flip_payload(data, starts[chunk])
-    index_of(path).write_bytes(data[:starts[ranked_chunk(2)]])
+    index_of(path).write_bytes(data)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ngrams, "_parse_records", None)
-        patch.setattr(ngrams, "_read_chunk", recording)
+        patch.setattr(_whole, "_parse_records", None)
+        patch.setattr(ngrams, "_read_chunk", recording_reads(read))
         assert run(["top", "-i", str(path), "-n", "1"]) == 0
-    assert read == [starts[0], starts[ranked_chunk(1)]]
+    assert read == [starts[TOTALS_CHUNK], starts[ranked_chunk(1)]]
     assert capsys.readouterr().out == "1. w0 6\n"
 
 
@@ -1083,15 +1244,10 @@ def test_a_prefix_reads_only_the_ranked_chunks_that_hold_it(tmp_path, lengths, p
     starts = chunk_starts(data)
     first = starts.index(ranked_offsets(data)[min(lengths) - 1])
     read = []
-    read_chunk = ngrams._read_chunk
-
-    def recording(fh, end, skip=False):
-        read.append(fh.tell())
-        return read_chunk(fh, end, skip)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ngrams, "_read_chunk", recording)
+        patch.setattr(ngrams, "_read_chunk", recording_reads(read))
         table = table_from_index(path, lengths, prefix)
-    assert read == [starts[0], *starts[first:first + chunks]]
+    assert read == [starts[-1], *starts[first:first + chunks]]
     assert table.cuts == ({} if cut is None else {min(lengths): cut})
 
 
@@ -1150,27 +1306,50 @@ def version_2_index(path):
 
 
 def version_3_index(path):
-    """The index the previous version wrote for the records file at
-    `path`: a header without section offsets; a chunk with the totals
-    and the layout; then each (n, year)'s `{ngram: count}` dict, in
-    chunks of 4096 entries, and no ranked sections."""
+    """The index version 3 wrote for the records file at `path`: a header
+    without section offsets; a chunk with the totals and the layout;
+    then each (n, year)'s `{ngram: count}` dict, in chunks of 4096
+    entries, and no ranked sections."""
+    return cells_index(path, 3)
+
+
+def version_4_index(path):
+    """The index version 4 wrote for the records file at `path`: version
+    3's chunks, then each length's ranked section (see `ranked_section`),
+    whose offsets the header gives."""
+    return cells_index(path, 4)
+
+
+def cells_index(path, version):
+    """The index of `version` 3 or 4 for the records file at `path`."""
+    counts = dict(read_stream(path))
     cells = {}
-    for (n, ngram, year), count in read_stream(path).items():
+    for (n, ngram, year), count in counts.items():
         cells.setdefault((n, year), {})[ngram] = count
     data = path.read_bytes()
-    magic = b"trendgram records index 3\n"
+    magic = f"trendgram records index {version}\n".encode()
     layout = tuple((n, year, len(cells[n, year])) for n, year in sorted(cells))
-    totals = {key: sum(cell.values()) for key, cell in sorted(cells.items())}
+    totals = {key: sum(cell.values()) for key, cell in cells.items()}  # in the file's order
     chunks = [(totals, layout)]
     for n, year, _ in layout:
         items = list(cells[n, year].items())
         chunks += [dict(items[at:at + 4096]) for at in range(0, len(items), 4096)]
-    out = struct.pack(f"<{len(magic)}sIQQ", magic, zlib.crc32(data), len(data),
-                      sum(size for _, _, size in layout))
-    for chunk in chunks:
-        payload = marshal.dumps(chunk, 2)
-        out += struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
-    return out
+    header = struct.pack(f"<{len(magic)}sIQQ", magic, zlib.crc32(data), len(data),
+                         sum(size for _, _, size in layout))
+    out = b"".join(map(framed, chunks))
+    if version == 3:
+        return header + out
+    offsets = []
+    for n in range(1, 5):
+        offsets.append(len(header) + 32 + len(out))
+        out += b"".join(map(framed, ranked_section(counts, n)))
+    return header + struct.pack("<4Q", *offsets) + out
+
+
+def framed(chunk):
+    """`chunk` as an index chunk: its length, crc32 and `marshal` payload."""
+    payload = marshal.dumps(chunk, 2)
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
 
 
 def command_outputs(records, out_dir):
@@ -1223,6 +1402,26 @@ def test_version_3_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
             == index_of(fresh / "records.csv").read_bytes())
 
 
+def test_version_4_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
+    table = count_ngrams(random_sentences(random.Random(37), 300), stoplist)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    for where in (fresh, old):
+        where.mkdir()
+        write_records(table, where / "records.csv")
+    index_of(old / "records.csv").write_bytes(version_4_index(old / "records.csv"))
+    for lengths, prefix, asked in (({2}, None, None), ({2}, Prefix(first=5), None),
+                                   (None, None, ["code"])):
+        assert ngrams._read_index(f"{old / 'records.csv'}.idx", ngrams._fingerprint(
+            old / "records.csv"), frozenset(lengths or {1}), prefix, asked) is None
+    assert read_counting_parses(old / "records.csv", {2})[1] == 1
+    assert index_of(old / "records.csv").read_bytes().startswith(ngrams._INDEX_MAGIC)
+    assert read_counting_parses(old / "records.csv")[1] == 0
+    assert command_outputs(old / "records.csv", old / "out") == command_outputs(
+        fresh / "records.csv", fresh / "out")
+    assert (index_of(old / "records.csv").read_bytes()
+            == index_of(fresh / "records.csv").read_bytes())
+
+
 def test_version_1_index_is_replaced_on_first_read(tmp_path):
     counts = {(1, "code", 2000): 3, (2, "code tools", 2001): 4}
     path = tmp_path / "records.csv"
@@ -1250,32 +1449,34 @@ SEEN_BY_A_BIGRAM_TOP = {
     "ranked-section-payload": in_chunk(ranked_chunk(2), flip_payload),
     "ranked-section-length": in_chunk(ranked_chunk(2), flip_length),
     "ranked-section-cut-short": in_chunk(ranked_chunk(2), cut_before_end),
-    "ranked-section-offset": flip(CRC_AT + 20 + 8),
-    "totals-chunk-payload": in_chunk(0, flip_payload),
+    "ranked-section-offset": flip(ranked_field(2)),
+    "totals-chunk-payload": in_chunk(TOTALS_CHUNK, flip_payload),
+    "truncated-payload": lambda data: data[:-1],
+    "appended": lambda data: data + b"\0",
 }
 
 # Damage only in chunks `top -n 2` does not read.
 UNSEEN_BY_A_BIGRAM_TOP = {
-    "cell-payload": in_chunk(cell_chunk(2, 2001), flip_payload),
-    "cell-length": in_chunk(cell_chunk(1, 2000), flip_length),
+    "cell-payload": in_chunk(keyed_chunk(2), flip_payload),
+    "cell-length": in_chunk(keyed_chunk(1), flip_length),
+    "directory-payload": in_chunk(directory_chunk(2), flip_payload),
     "unigram-ranked-payload": in_chunk(ranked_chunk(1), flip_payload),
     "trigram-ranked-length": in_chunk(ranked_chunk(3), flip_length),
-    "unigram-section-offset": flip(CRC_AT + 20),
-    "truncated-payload": lambda data: data[:-1],
-    "appended": lambda data: data + b"\0",
+    "unigram-section-offset": flip(ranked_field(1)),
+    "keyed-section-offset": flip(keyed_field(2)),
 }
 
 
 def top_counting_parses(path, capsys):
     """The output of `top -n 2` on `path` and the number of times it parsed the CSV."""
     parses = []
-    parse = ngrams._parse_records
+    parse = _whole._parse_records
 
     def counting(source):
         parses.append(source)
         return parse(source)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ngrams, "_parse_records", counting)
+        patch.setattr(_whole, "_parse_records", counting)
         assert run(["top", "-i", str(path), "-n", "2"]) == 0
     return capsys.readouterr().out, len(parses)
 
@@ -1403,10 +1604,202 @@ def test_build_catalog_refuses_a_table_without_every_length(tmp_path):
         build_catalog(table_from_index(path, {2}), 5, tmp_path / "catalog")
 
 
+# ---------------------------------------------------------------------------
+# Keyed loads: read_table(path, ngrams=...) and the keyed sections
+
+
+def series_text(table, query):
+    """The series CSV of `query` (text) over `table`'s years."""
+    out = io.StringIO()
+    write_series_csv(evaluate(table, parse_query(query), table.year_span()), out)
+    return out.getvalue()
+
+
+# Damage that a keyed load of SECTIONED's bigram must notice: it falls back
+# to the CSV.
+SEEN_BY_A_KEYED_LOAD = {
+    "keyed-part-not-a-dict": with_chunk(keyed_chunk(2), part_not_a_dict),
+    "keyed-payload": in_chunk(keyed_chunk(2), flip_payload),
+    "keyed-chunk-out-of-place": with_chunk(directory_chunk(2), moved_chunk),
+    "directory-payload": in_chunk(directory_chunk(2), flip_payload),
+    "directory-not-a-directory": with_chunk(directory_chunk(2), lambda value: value[0]),
+    "keyed-section-offset": flip(keyed_field(2)),
+    "totals-chunk-payload": in_chunk(TOTALS_CHUNK, flip_payload),
+    "appended": lambda data: data + b"\0",
+}
+
+
+@pytest.mark.parametrize("damage", SEEN_BY_A_KEYED_LOAD.values(), ids=SEEN_BY_A_KEYED_LOAD.keys())
+def test_damage_a_keyed_load_reads_falls_back_to_the_csv(tmp_path, damage):
+    path = tmp_path / "records.csv"
+    write_indexed(path, SECTIONED)
+    good = index_of(path).read_bytes()
+    index_of(path).write_bytes(damage(good))
+    table, parses = read_counting_parses(path, ngrams=["w0 w1", "w0 w2"])
+    assert parses == 1
+    assert table == build_table(restrict(SECTIONED, {2}))
+    assert index_of(path).read_bytes() == good
+
+
+def test_a_two_bigram_query_reads_only_their_chunks(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    write_indexed(path, MANY)
+    query = "w0 x, w999 y"
+    data = index_of(path).read_bytes()
+    starts = chunk_starts(data)
+    bigrams = starts.index(header_offsets(data)[1][1])  # the bigram directory
+    names = sorted({ngram for n, ngram, _ in MANY if n == 2})
+    held = [bigrams + 1 + names.index(ngram) // 256 for ngram in ("w0 x", "w999 y")]
+    assert held[0] < held[1] < bigrams + 34
+    # every other chunk damaged, which the query must not notice
+    for chunk in set(range(len(starts) - 1)) - {bigrams, *held}:
+        data = flip_payload(data, starts[chunk])
+    index_of(path).write_bytes(data)
+    read = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_whole, "_parse_records", None)
+        patch.setattr(ngrams, "_read_chunk", recording_reads(read))
+        assert run(["query", "-i", str(path), query]) == 0
+    assert read == [starts[-1], starts[bigrams], starts[held[0]], starts[held[1]]]
+    assert capsys.readouterr().out == series_text(build_table(MANY), query)
+
+
+def test_demo_reads_nothing_of_lengths_3_and_4(golden_dir, tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_bytes((golden_dir / "demo" / "records.csv").read_bytes())
+    read_records(path)
+    data = index_of(path).read_bytes()
+    starts = chunk_starts(data)
+    trigrams = starts.index(header_offsets(data)[1][2])
+    unread = range(trigrams, len(starts) - 1)  # lengths 3 and 4, keyed and ranked
+    assert len(unread) >= 4
+    for chunk in unread:
+        data = flip_payload(data, starts[chunk])
+    index_of(path).write_bytes(data)
+    read = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_whole, "_parse_records", None)
+        patch.setattr(ngrams, "_read_chunk", recording_reads(read))
+        assert run(["demo", "-i", str(path), "-o", str(tmp_path / "demo")]) == 0
+    capsys.readouterr()
+    assert read[0] == starts[-1] and all(at < starts[trigrams] for at in read[1:])
+    for svg in sorted((golden_dir / "demo").glob("demo-*.svg")):
+        assert (tmp_path / "demo" / svg.name).read_bytes() == svg.read_bytes()
+
+
+@pytest.mark.parametrize("arguments, complaint", [
+    ({"ngrams": []}, "must not be empty"),
+    ({"ngrams": set()}, "must not be empty"),
+    ({"ngrams": "code"}, "not the string 'code'"),
+    ({"ngrams": [""]}, "'' is not 1 to 4 non-empty tokens"),
+    ({"ngrams": ["code  tools"]}, "'code  tools' is not"),
+    ({"ngrams": [" code"]}, "' code' is not"),
+    ({"ngrams": ["code", "tools "]}, "'tools ' is not"),
+    ({"ngrams": ["a b c d e"]}, "'a b c d e' is not"),
+    ({"ngrams": [("code",)]}, r"\('code',\) is not"),
+    ({"ngrams": [["code"]]}, r"\['code'\] is not"),
+    ({"ngrams": [5]}, "5 is not"),
+    ({"ngrams": ["code"], "prefix": Prefix(first=3)}, "a prefix or n-grams, not both"),
+    ({"ngrams": ["code tools"], "lengths": [1]}, r"lengths \[1\] are not those of the n-grams"),
+    ({"ngrams": ["code", "code tools"], "lengths": [2]}, r"\[2\] are not those"),
+    ({"ngrams": ["code"], "lengths": [1, 2]}, r"\[1, 2\] are not those"),
+], ids=lambda value: repr(value) if isinstance(value, dict) else None)
+def test_read_table_checks_ngrams_before_opening_the_file(tmp_path, arguments, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        read_table(tmp_path / "missing.csv", **arguments)
+
+
+def test_read_table_takes_lengths_that_agree_with_the_ngrams(tmp_path):
+    counts = {(1, "code", 2000): 3, (2, "code tools", 2001): 4, (3, "a b c", 2002): 1}
+    path = tmp_path / "records.csv"
+    write_indexed(path, counts)
+    table = table_from_index(path, [2, 1], ngrams=["code tools", "code", "code"])
+    assert table == build_table(restrict(counts, {1, 2}))
+    assert table.lengths == {1, 2} and table.ngrams == {"code", "code tools"}
+
+
+def keyed_chunk_edges(names, size):
+    """The first and last n-gram of each chunk of `size` of `names`, sorted."""
+    return ({names[at] for at in range(0, len(names), size)}
+            | {names[min(at + size, len(names)) - 1] for at in range(0, len(names), size)})
+
+
+def absent(n, token):
+    return " ".join([token] * n)
+
+
+# Keyed chunks of 3 n-grams, so that small tables span several of them.
+SMALL_KEYED_CHUNK = 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.dictionaries(TIED_KEYS, st.integers(1, 3), min_size=1, max_size=40),
+       data=st.data())
+def test_keyed_tables_answer_as_the_full_table_or_refuse(tmp_path_factory, counts, data):
+    path = tmp_path_factory.mktemp("keyed") / "records.csv"
+    full = build_table(counts)
+    span = full.year_span()
+    names = {n: sorted({ngram for length, ngram, _ in counts if length == n}) for n in range(1, 5)}
+    # each chunk's first and last n-gram, and absent ones: before the first
+    # key ("0" sorts before every token), between keys ("b0") and after the
+    # last ("z" sorts after "dé")
+    candidates = {n: sorted(keyed_chunk_edges(names[n], SMALL_KEYED_CHUNK)
+                            | {absent(n, token) for token in ("0", "b0", "z")})
+                  for n in range(1, 5)}
+    drawn = data.draw(st.integers(1, 4), label="length")
+    asked_sets = [
+        set().union(*candidates.values()),
+        set(candidates[drawn]),
+        data.draw(st.sets(st.sampled_from(sorted(set().union(*candidates.values()))),
+                          min_size=1), label="asked"),
+    ]
+    out = tmp_path_factory.mktemp("catalog")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_whole, "_KEYED_CHUNK", SMALL_KEYED_CHUNK)
+        write_indexed(path, counts)
+        index = index_of(path).read_bytes()
+        for n, at in enumerate(header_offsets(index)[1], 1):
+            firsts = index_chunk(index, chunk_starts(index).index(at))[0]
+            assert firsts == tuple(names[n][::SMALL_KEYED_CHUNK])
+        for asked in asked_sets:
+            lengths = {ngram.count(" ") + 1 for ngram in asked}
+            expected = build_table({key: count for key, count in counts.items()
+                                    if key[1] in asked and key[0] in lengths})
+            phrases = [tuple(ngram.split(" ")) for ngram in sorted(asked)]
+            query = Query([QuerySeries(" ".join(phrase), [phrase]) for phrase in phrases]
+                          + [QuerySeries("all", phrases), QuerySeries("twice", phrases * 2)])
+            index_of(path).unlink()
+            parsed, parses = read_counting_parses(path, ngrams=asked)
+            assert parses == 1
+            with io.StringIO(path.read_text(encoding="utf-8")) as stream:
+                tables = (table_from_index(path, None, ngrams=asked), parsed,
+                          read_table(stream, ngrams=asked))
+            for table in tables:
+                assert table == expected and table.lengths == lengths and table.ngrams == asked
+                assert table.totals == full.totals and table.years == full.years
+                assert not table.cuts
+                assert evaluate(table, query, span) == evaluate(full, query, span)
+                for length in lengths:
+                    unasked = [ngram for ngram in names[length] if ngram not in asked]
+                    for ngram in [*unasked[:1], absent(length, "q0")]:
+                        with pytest.raises(ValueError, match=f"{ngram!r} was not loaded"):
+                            evaluate(table, single(ngram), span)
+                    with pytest.raises(ValueError, match="holds no ranking"):
+                        top_ngrams(table, length, 1)
+                    with pytest.raises(ValueError, match="holds no ranking"):
+                        rank_trends(table, length, "rising", 5, 1, 1)
+                with pytest.raises(ValueError):
+                    build_catalog(table, 1, out / "refused")
+    assert not (out / "refused").exists()
+
+
 # Every command shape the benchmark's explore and render workloads run,
 # and some with more permissive thresholds.
 COMMAND_SHAPES = (
     ["query", "static analysis, dynamic analysis"],
+    ["query", "zzzz, nothing at all, static zzzz"],
+    ["query", "case study, case study+case study, static analysis+static analysis"],
+    ["query", "analysis+static analysis, case+case study+survey", "-o", "union.csv"],
     ["query", "review+survey, case study+experiment", "-o", "series.json"],
     ["query", "program comprehension, code", "-o", "planted.csv", "--svg", "planted.svg"],
     *(["top", "-n", str(n), "-k", "20"] for n in range(1, 5)),
