@@ -4,6 +4,9 @@ series, trend queries, and rising/falling trend rankings.
 The public names below load their module on first use (PEP 562), so
 `import trendgram` loads no stage and each command loads only its own;
 `cli` and `trends` bind their stage names from `_MODULES` the same way.
+The count table and the records reader are the `table` stage, which
+the commands that read records load; only `extract` loads `ngrams`,
+which counts n-grams and writes records.
 """
 
 from importlib import import_module
@@ -13,15 +16,15 @@ __version__ = "0.1.0"
 _MODULES = {
     "errors": ("IngestError", "QueryError", "RecordsError", "TrendgramError"),
     "frequency": ("FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq",
-                  "freq_list", "parse_query", "query_lengths", "query_ngrams",
-                  "write_series_csv", "write_series_json"),
+                  "freq_list", "parse_query", "query_ngrams", "write_series_csv",
+                  "write_series_json"),
     "ingest": ("Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
                "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
                "write_corpus"),
-    "ngrams": ("FrequencyTable", "NgramRecord", "Prefix", "Stoplist", "build_table",
-               "count_ngrams", "read_records", "read_table", "token_runs", "top_ngrams",
-               "write_records"),
+    "ngrams": ("Stoplist", "count_ngrams", "token_runs", "write_records"),
     "plotting": ("render_plot",),
+    "table": ("FrequencyTable", "NgramRecord", "Prefix", "build_table", "read_records",
+              "read_table", "top_ngrams"),
     "textprep": ("Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize"),
     "trends": ("TrendEntry", "build_catalog", "rank_trends"),
 }

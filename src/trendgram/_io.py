@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import os
 import stat
 from contextlib import contextmanager, nullcontext, suppress
@@ -38,6 +37,8 @@ def checked_csv(source, header, error, what):
     than `header` raises `error` naming the file; an `error` or
     `csv.Error` raised in the header or the block is raised again as
     `error` at `FILE:LINE`, the line the reader had reached."""
+    import csv  # here, so that a command that reads only an index does not load it
+
     with open_for_read(source) as fh:
         reader = csv.reader(fh)
         try:

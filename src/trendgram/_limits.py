@@ -2,7 +2,8 @@
 
 This module imports nothing, so building the parser loads no stage. The
 stages import these names from here, and `trendgram.ingest`,
-`trendgram.ngrams` and `trendgram.trends` still export them.
+`trendgram.ngrams`, `trendgram.table` and `trendgram.trends` export
+them too.
 """
 
 # ingest: the publication years kept.

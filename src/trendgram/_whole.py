@@ -1,6 +1,6 @@
 """The work on a records file that no command does while the file's
 index is valid: parsing and checking the whole CSV, writing the whole
-sidecar index, whose format and reader are in `trendgram.ngrams`, and
+sidecar index, whose format and reader are in `trendgram.table`, and
 loading whole n-gram lengths from the index, which only the library's
 `read_table(path, lengths)` asks for. `read_table` imports this module
 only then, so that a command that finds a valid index compiles none of
@@ -18,10 +18,9 @@ from operator import sub
 from ._io import checked_csv, replacing
 from ._limits import NGRAM_MAX
 from .errors import RecordsError
-from .ngrams import (_ALL_LENGTHS, _INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, _KEYED_CHUNK,
-                     _RANKED_CHUNK, RECORDS_HEADER, FrequencyTable, _by_total, _fingerprint,
-                     _ngram_totals, _ranked, _read_chunk, _read_directory, _read_heads,
-                     _read_index)
+from .table import (_ALL_LENGTHS, _INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, _KEYED_CHUNK,
+                    _RANKED_CHUNK, RECORDS_HEADER, FrequencyTable, _by_total, _fingerprint,
+                    _ngram_totals, _ranked, _read_chunk, _read_directory, _read_heads, _read_index)
 
 
 def read_parsed(source, fingerprint, lengths, prefix=None, ngrams=None):

@@ -13,7 +13,6 @@ removal as extraction did, so a query matches exactly what was stored.
 
 from __future__ import annotations
 
-import csv
 from typing import NamedTuple
 
 from ._io import open_for_write
@@ -97,11 +96,6 @@ def parse_query(text):
     return Query(series)
 
 
-def query_lengths(query):
-    """The set of n-gram lengths of the query's phrases."""
-    return {len(phrase) for qs in query.series for phrase in qs.phrases}
-
-
 def query_ngrams(query):
     """The set of the query's phrases as records hold them: each
     phrase's tokens joined by single spaces. `read_table(path,
@@ -160,6 +154,8 @@ def evaluate(table, query, year_range):
 def write_series_csv(series_list, dest):
     """`label,year,frequency,has_data` rows, frequencies at 10
     significant digits."""
+    import csv  # here, so that `catalog` and `demo`, which write no series file, do not load it
+
     with open_for_write(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SERIES_HEADER)

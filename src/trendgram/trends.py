@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import _bind, _module_getattr
 from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS, NGRAM_MAX
-from .ngrams import Prefix, _most_frequent, _ngram_totals
+from .table import Prefix, _most_frequent, _ngram_totals
 
 # A catalog page is opened for writing without truncating it, created
 # with the mode `open(path, "wb")` gives a new file.

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tokenize
 import weakref
 from itertools import groupby, takewhile
 from pathlib import Path
@@ -297,15 +298,15 @@ def test_cli_import_skips_unused_stdlib_chains():
     assert loaded == []
 
 
-STAGES = ("ingest", "textprep", "ngrams", "frequency", "plotting", "trends")
+STAGES = ("ingest", "textprep", "ngrams", "table", "frequency", "plotting", "trends")
 
 
 def _modules_after(code, *argv, cwd=None):
-    """The `trendgram.*` modules and `json` that a fresh interpreter holds
-    after running `code`, which may set `status`; and that status."""
+    """The `trendgram.*` modules, `json` and `csv` that a fresh interpreter
+    holds after running `code`, which may set `status`; and that status."""
     src = str(Path(trendgram.__file__).resolve().parent.parent)
     listing = ("print(globals().get('status'), *sorted(name for name in sys.modules "
-               "if name == 'json' or name.startswith('trendgram.')))")
+               "if name in ('json', 'csv') or name.startswith('trendgram.')))")
     result = subprocess.run(
         [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}; {listing}",
          *argv], capture_output=True, text=True, check=True, cwd=cwd)
@@ -323,33 +324,73 @@ def test_import_trends_loads_no_catalog_stage():
     assert modules.isdisjoint({"trendgram.frequency", "trendgram.plotting", "trendgram.textprep"})
 
 
+def _module_names(names):
+    """The `sys.modules` names of stages and of `json` and `csv`."""
+    return {name if name in ("json", "csv") else f"trendgram.{name}" for name in names}
+
+
 @pytest.mark.parametrize("argv, loaded, unloaded", [
     (["ingest", "--bibtex", "{demo}/demo.bib", "--csv", "{demo}/demo.csv",
       "--endnote", "{demo}/demo.enw", "-o", "c.csv"],
-     ["ingest"], ["ngrams", "textprep", "frequency", "plotting", "trends"]),
+     ["ingest"], ["ngrams", "table", "textprep", "frequency", "plotting", "trends"]),
     (["extract", "-i", "corpus.csv", "-o", "r.csv"],
-     ["ingest", "textprep", "ngrams"], ["frequency", "plotting", "trends"]),
+     ["ingest", "textprep", "ngrams", "table"], ["frequency", "plotting", "trends"]),
     (["top", "-i", "records.csv", "-n", "2"],
-     ["ngrams"], ["ingest", "frequency", "plotting", "trends"]),
+     ["table"], ["ngrams", "ingest", "frequency", "plotting", "trends", "csv"]),
     (["query", "-i", "records.csv", "code", "-o", "series.csv"],
-     ["frequency", "ngrams"], ["plotting", "json"]),
+     ["frequency", "table"], ["ngrams", "plotting", "json"]),
     (["query", "-i", "records.csv", "code", "--svg", "q.svg"],
-     ["frequency", "plotting"], ["json"]),
+     ["frequency", "table", "plotting"], ["ngrams", "json"]),
     (["trends", "-i", "records.csv", "--min-support", "1", "--min-years", "1"],
-     ["ngrams", "trends"], ["ingest", "textprep", "frequency", "plotting"]),
+     ["table", "trends"], ["ngrams", "ingest", "textprep", "frequency", "plotting", "csv"]),
     (["catalog", "-i", "records.csv", "-o", "catalog", "--limit", "3"],
-     ["ngrams", "trends", "frequency", "plotting"], ["ingest"]),
+     ["table", "trends", "frequency", "plotting"], ["ngrams", "ingest", "csv"]),
     (["demo", "-i", "records.csv", "-o", "plots"],
-     ["frequency", "ngrams", "plotting"], ["ingest", "trends", "json"]),
+     ["frequency", "table", "plotting"], ["ngrams", "ingest", "trends", "json", "csv"]),
 ])
 def test_each_command_loads_only_its_stages(records_csv, demo_dir, argv, loaded, unloaded):
     argv = [arg.format(demo=demo_dir) for arg in argv]
-    status, modules = _modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
-                                     *argv, cwd=records_csv.parent)
+    # The first read of records.csv parses it, which loads `csv`, and writes
+    # its index; the second run reads the index, as every later command does.
+    first, indexed = (_modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
+                                     *argv, cwd=records_csv.parent) for _ in range(2))
+    for status, modules in first, indexed:
+        assert status == "0"
+        assert _module_names(loaded) <= modules
+        assert modules.isdisjoint(_module_names(set(unloaded) - {"csv"}))
+    assert indexed[1].isdisjoint(_module_names(unloaded))
+
+
+def _parser_tokens(path):
+    """The tokens CPython's parser reads from the module at `path`: those
+    `tokenize` gives, less comments and the newlines that end no
+    statement."""
+    with tokenize.open(path) as fh:
+        return sum(token.type not in (tokenize.COMMENT, tokenize.NL)
+                   for token in tokenize.generate_tokens(fh.readline))
+
+
+def test_no_module_a_read_command_loads_has_4096_parser_tokens(records_csv):
+    """With no bytecode cache, a command compiles every module it loads,
+    and compiling is most of what a command that reads records holds
+    above the bare interpreter. At 4,096 tokens CPython's parser doubles
+    its token array: `compile()` of a module just past that point peaks
+    about 232 KB higher than just below it (tracemalloc on Python 3.11,
+    for a 4,011-token module padded: 1,522 KB at 4,094 tokens, 1,754 KB
+    at 4,098)."""
+    commands = [["top", "-i", "records.csv"],
+                ["query", "-i", "records.csv", "code", "--svg", "q.svg", "-o", "q.json"],
+                ["trends", "-i", "records.csv"],
+                ["catalog", "-i", "records.csv", "-o", "catalog"],
+                ["demo", "-i", "records.csv", "-o", "plots"]]
+    status, modules = _modules_after(
+        f"from trendgram.cli import run; status = max(map(run, {commands!r}))",
+        cwd=records_csv.parent)
     assert status == "0"
-    assert {f"trendgram.{stage}" for stage in loaded} <= modules
-    assert modules.isdisjoint(name if name == "json" else f"trendgram.{name}"
-                              for name in unloaded)
+    assert {"trendgram._whole", "trendgram.table", "trendgram.trends"} <= modules
+    sizes = {name: _parser_tokens(importlib.import_module(name).__file__)
+             for name in {"trendgram", *modules} if name.startswith("trendgram")}
+    assert max(sizes.values()) < 4096, sizes
 
 
 @pytest.mark.parametrize("argv", [
@@ -441,32 +482,59 @@ def test_an_unknown_name_is_an_attribute_error_naming_its_module(module):
         getattr(importlib.import_module(module), "no_such_name")
 
 
-# Every public name: those `trendgram/__init__.py` exported when it imported each
-# stage up front, `token_runs`, `Prefix` and `query_ngrams`, less the second
-# definitions of the window and stopword rule and of the trend slope (and its
-# error), which CHANGES.md names.
-PACKAGE_EXPORTS = (
-    "IngestError", "QueryError", "RecordsError", "TrendgramError",
-    "FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq", "freq_list",
-    "parse_query", "query_lengths", "query_ngrams", "write_series_csv", "write_series_json",
-    "Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
-    "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
-    "write_corpus",
-    "FrequencyTable", "NgramRecord", "Prefix", "Stoplist", "build_table", "count_ngrams",
-    "read_records", "read_table", "token_runs", "top_ngrams", "write_records",
-    "render_plot",
-    "Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize",
-    "TrendEntry", "build_catalog", "rank_trends",
-)
+# Every public name, under the module that defines it: those
+# `trendgram/__init__.py` exported when it imported each stage up front,
+# `token_runs`, `Prefix` and `query_ngrams`, less the second definitions of
+# the window and stopword rule and of the trend slope (and its error) and
+# `query_lengths`, which CHANGES.md names.
+PACKAGE_EXPORTS = {
+    "errors": ("IngestError", "QueryError", "RecordsError", "TrendgramError"),
+    "frequency": ("FrequencySeries", "Query", "QuerySeries", "SeriesPoint", "evaluate", "freq",
+                  "freq_list", "parse_query", "query_ngrams", "write_series_csv",
+                  "write_series_json"),
+    "ingest": ("Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
+               "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
+               "write_corpus"),
+    "ngrams": ("Stoplist", "count_ngrams", "token_runs", "write_records"),
+    "table": ("FrequencyTable", "NgramRecord", "Prefix", "build_table", "read_records",
+              "read_table", "top_ngrams"),
+    "plotting": ("render_plot",),
+    "textprep": ("Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize"),
+    "trends": ("TrendEntry", "build_catalog", "rank_trends"),
+}
 
 
 def test_package_exports_every_public_name():
-    for name in PACKAGE_EXPORTS:
-        value = getattr(__import__("trendgram", fromlist=[name]), name)  # from trendgram import name
-        assert value is getattr(sys.modules[value.__module__], name)
-    assert sorted(trendgram.__all__) == sorted(PACKAGE_EXPORTS)
-    assert set(PACKAGE_EXPORTS) <= set(dir(trendgram))
+    exports = [name for names in PACKAGE_EXPORTS.values() for name in names]
+    for module, names in PACKAGE_EXPORTS.items():
+        for name in names:  # from trendgram import name
+            value = getattr(__import__("trendgram", fromlist=[name]), name)
+            assert value.__module__ == f"trendgram.{module}"
+            assert value is getattr(importlib.import_module(f"trendgram.{module}"), name)
+    assert sorted(trendgram.__all__) == sorted(exports)
+    assert set(exports) <= set(dir(trendgram))
     assert trendgram.__version__ == "0.1.0"
+
+
+def test_names_imported_from_ngrams_resolve_there_as_defined(request):
+    """`from trendgram.ngrams import X` still works for every X that the
+    benchmark, the golden script and the README import that way, also
+    for the count table and its reader, which `trendgram.table` defines,
+    and gives the object the defining module holds."""
+    root = request.config.rootpath
+    sources = [*sorted((root / "bench").glob("*.py")), root / "tests" / "make_goldens.py",
+               root / "README.md"]
+    names = {name for source in sources
+             for group in re.findall(r"from trendgram\.ngrams import ([\w ,]+)",
+                                     source.read_text(encoding="utf-8"))
+             for name in map(str.strip, group.split(",")) if name}
+    assert {"NGRAM_MAX", "Stoplist", "count_ngrams", "read_records", "read_table",
+            "FrequencyTable"} <= names
+    ngrams = importlib.import_module("trendgram.ngrams")
+    for name in names:
+        value = getattr(ngrams, name)
+        home = "trendgram._limits" if name == "NGRAM_MAX" else value.__module__
+        assert value is getattr(importlib.import_module(home), name)
 
 
 def test_extract_matches_library_pipeline(tmp_path, records_csv):

@@ -12,8 +12,7 @@ from oracle import naive_freq, naive_freq_list, naive_ngram_counts
 from support import random_sentences
 from trendgram.errors import QueryError
 from trendgram.frequency import (Query, QuerySeries, SeriesPoint, evaluate, freq, freq_list,
-                                 parse_query, query_lengths, write_series_csv,
-                                 write_series_json)
+                                 parse_query, write_series_csv, write_series_json)
 from trendgram.ngrams import build_table, count_ngrams, read_table, write_records
 
 
@@ -290,7 +289,8 @@ def test_evaluate_is_freq_list_and_has_data_per_year(tmp_path_factory, counts, s
     full = build_table(counts)
     path = tmp_path_factory.mktemp("evaluate") / "records.csv"
     write_records(full, path)
-    for table in (full, read_table(path, query_lengths(query))):
+    lengths = {len(phrase) for qs in query.series for phrase in qs.phrases}
+    for table in (full, read_table(path, lengths)):
         got = evaluate(table, query, (lo, lo + width))
         assert [s.label for s in got] == [qs.label for qs in query.series]
         for result, qs in zip(got, query.series):

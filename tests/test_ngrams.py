@@ -19,14 +19,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trendgram
+import trendgram.table
 from oracle import naive_ngram_counts, naive_records_text
 from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
-from trendgram import _whole, ngrams
+from trendgram import _whole
 from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
 from trendgram.frequency import Query, QuerySeries, evaluate, parse_query, write_series_csv
 from trendgram.ngrams import (NgramRecord, Prefix, Stoplist, build_table, count_ngrams,
                               read_records, read_table, token_runs, top_ngrams, write_records)
+from trendgram.table import (_INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, _fingerprint,
+                             _most_frequent, _read_index)
 from trendgram.textprep import Sentence
 from trendgram.trends import build_catalog, rank_trends
 
@@ -633,7 +636,7 @@ def assert_index_layout(data, counts):
     assert totals_at == starts[chunk] and len(starts) == chunk + 1
     sizes = tuple(sum(1 for key in counts if key[0] == n) for n in range(1, 5))
     assert index_chunk(data, chunk) == (build_table(counts).totals, sizes)
-    assert ngrams._INDEX_HEADER.unpack_from(data)[3] == len(counts)
+    assert _INDEX_HEADER.unpack_from(data)[3] == len(counts)
 
 
 def keyed_section(counts, n, size=256):
@@ -709,7 +712,7 @@ def header_offsets(data):
     """The offsets that the header of the index `data` gives: of the
     totals chunk, of each length's keyed section and of each length's
     ranked section."""
-    fields = ngrams._INDEX_HEADER.unpack_from(data)[4:]
+    fields = _INDEX_HEADER.unpack_from(data)[4:]
     return fields[0], fields[1:5], fields[5:9]
 
 
@@ -761,8 +764,8 @@ def test_rewritten_records_are_read_anew(tmp_path, count):
     assert read_records(path) == {(1, "code", 2000): int(count), (2, "code tools", 2001): 4}
 
 
-HEADER_SIZE = ngrams._INDEX_HEADER.size
-CRC_AT = len(ngrams._INDEX_MAGIC)  # the records file's crc32, then its size and the entry count
+HEADER_SIZE = _INDEX_HEADER.size
+CRC_AT = len(_INDEX_MAGIC)  # the records file's crc32, then its size and the entry count
 TOTALS_AT = CRC_AT + 20  # the offset of the totals chunk, then those of the sections
 
 
@@ -782,7 +785,7 @@ def flip(at):
 
 def crc_valid_chunk(payload):
     """An index whose one chunk holds `payload` under a matching crc32."""
-    return lambda data: (data[:HEADER_SIZE] + ngrams._INDEX_CHUNK_HEADER.pack(
+    return lambda data: (data[:HEADER_SIZE] + _INDEX_CHUNK_HEADER.pack(
         len(payload), zlib.crc32(payload)) + payload)
 
 
@@ -794,7 +797,7 @@ def with_chunk(chunk, change):
         starts = chunk_starts(data)
         rest = starts[chunk + 1] if chunk + 1 < len(starts) and chunk != -1 else len(data)
         payload = marshal.dumps(change(index_chunk(data, chunk)), 2)
-        return (data[:starts[chunk]] + ngrams._INDEX_CHUNK_HEADER.pack(
+        return (data[:starts[chunk]] + _INDEX_CHUNK_HEADER.pack(
             len(payload), zlib.crc32(payload)) + payload + data[rest:])
     return damage
 
@@ -851,9 +854,9 @@ def junk_after_header(data):
     """The index with 8 zero bytes, which read as an empty chunk, after
     its header, and every offset moved past them: only a read that
     checks that the sections follow the header notices."""
-    fields = list(ngrams._INDEX_HEADER.unpack_from(data))
+    fields = list(_INDEX_HEADER.unpack_from(data))
     fields[4:] = [at + 8 for at in fields[4:]]
-    data = ngrams._INDEX_HEADER.pack(*fields) + bytes(8) + data[HEADER_SIZE:]
+    data = _INDEX_HEADER.pack(*fields) + bytes(8) + data[HEADER_SIZE:]
     for at in header_offsets(data)[1]:
         data = with_chunk(chunk_starts(data).index(at), moved_chunks(8))(data)
     return data
@@ -861,9 +864,9 @@ def junk_after_header(data):
 
 def index_chunk(data, chunk):
     """The value of chunk number `chunk` of the index `data`."""
-    start = chunk_starts(data)[chunk] + ngrams._INDEX_CHUNK_HEADER.size
-    return marshal.loads(data[start:start + ngrams._INDEX_CHUNK_HEADER.unpack_from(
-        data, start - ngrams._INDEX_CHUNK_HEADER.size)[0]])
+    start = chunk_starts(data)[chunk] + _INDEX_CHUNK_HEADER.size
+    return marshal.loads(data[start:start + _INDEX_CHUNK_HEADER.unpack_from(
+        data, start - _INDEX_CHUNK_HEADER.size)[0]])
 
 
 DAMAGE = {
@@ -1123,7 +1126,7 @@ def chunk_starts(data):
     starts, at = [], HEADER_SIZE
     while at < len(data):
         starts.append(at)
-        at += ngrams._INDEX_CHUNK_HEADER.size + ngrams._INDEX_CHUNK_HEADER.unpack_from(data, at)[0]
+        at += _INDEX_CHUNK_HEADER.size + _INDEX_CHUNK_HEADER.unpack_from(data, at)[0]
     return starts
 
 
@@ -1133,7 +1136,7 @@ def in_chunk(chunk, damage):
 
 
 def flip_payload(data, start):
-    return flip(start + ngrams._INDEX_CHUNK_HEADER.size + 1)(data)
+    return flip(start + _INDEX_CHUNK_HEADER.size + 1)(data)
 
 
 def flip_length(data, start):
@@ -1141,7 +1144,7 @@ def flip_length(data, start):
 
 
 def cut_before_end(data, start):
-    return data[:start + ngrams._INDEX_CHUNK_HEADER.size + 1]
+    return data[:start + _INDEX_CHUNK_HEADER.size + 1]
 
 
 # Damage that a load of length 2 alone must notice: it falls back to the CSV.
@@ -1197,7 +1200,7 @@ def test_sectioned_table_has_one_chunk_per_section(tmp_path):
 
 def recording_reads(read):
     """A `_read_chunk` that appends to `read` the offset of each chunk it reads."""
-    read_chunk = ngrams._read_chunk
+    read_chunk = trendgram.table._read_chunk
 
     def recording(fh, end):
         read.append(fh.tell())
@@ -1218,7 +1221,7 @@ def test_a_unigram_top_reads_no_chunk_past_length_1(tmp_path, capsys):
     index_of(path).write_bytes(data)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_whole, "_parse_records", None)
-        patch.setattr(ngrams, "_read_chunk", recording_reads(read))
+        patch.setattr(trendgram.table, "_read_chunk", recording_reads(read))
         assert run(["top", "-i", str(path), "-n", "1"]) == 0
     assert read == [starts[TOTALS_CHUNK], starts[ranked_chunk(1)]]
     assert capsys.readouterr().out == "1. w0 6\n"
@@ -1245,7 +1248,7 @@ def test_a_prefix_reads_only_the_ranked_chunks_that_hold_it(tmp_path, lengths, p
     first = starts.index(ranked_offsets(data)[min(lengths) - 1])
     read = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ngrams, "_read_chunk", recording_reads(read))
+        patch.setattr(trendgram.table, "_read_chunk", recording_reads(read))
         table = table_from_index(path, lengths, prefix)
     assert read == [starts[-1], *starts[first:first + chunks]]
     assert table.cuts == ({} if cut is None else {min(lengths): cut})
@@ -1376,7 +1379,7 @@ def test_version_2_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
         write_records(table, where / "records.csv")
     index_of(old / "records.csv").write_bytes(version_2_index(old / "records.csv"))
     assert read_counting_parses(old / "records.csv", {2})[1] == 1
-    assert index_of(old / "records.csv").read_bytes().startswith(ngrams._INDEX_MAGIC)
+    assert index_of(old / "records.csv").read_bytes().startswith(_INDEX_MAGIC)
     assert read_counting_parses(old / "records.csv")[1] == 0
     assert command_outputs(old / "records.csv", old / "out") == command_outputs(
         fresh / "records.csv", fresh / "out")
@@ -1391,10 +1394,10 @@ def test_version_3_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
         where.mkdir()
         write_records(table, where / "records.csv")
     index_of(old / "records.csv").write_bytes(version_3_index(old / "records.csv"))
-    assert ngrams._read_index(f"{old / 'records.csv'}.idx", ngrams._fingerprint(
+    assert _read_index(f"{old / 'records.csv'}.idx", _fingerprint(
         old / "records.csv"), frozenset({2}), None) is None
     assert read_counting_parses(old / "records.csv", {2})[1] == 1
-    assert index_of(old / "records.csv").read_bytes().startswith(ngrams._INDEX_MAGIC)
+    assert index_of(old / "records.csv").read_bytes().startswith(_INDEX_MAGIC)
     assert read_counting_parses(old / "records.csv")[1] == 0
     assert command_outputs(old / "records.csv", old / "out") == command_outputs(
         fresh / "records.csv", fresh / "out")
@@ -1411,10 +1414,10 @@ def test_version_4_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
     index_of(old / "records.csv").write_bytes(version_4_index(old / "records.csv"))
     for lengths, prefix, asked in (({2}, None, None), ({2}, Prefix(first=5), None),
                                    (None, None, ["code"])):
-        assert ngrams._read_index(f"{old / 'records.csv'}.idx", ngrams._fingerprint(
+        assert _read_index(f"{old / 'records.csv'}.idx", _fingerprint(
             old / "records.csv"), frozenset(lengths or {1}), prefix, asked) is None
     assert read_counting_parses(old / "records.csv", {2})[1] == 1
-    assert index_of(old / "records.csv").read_bytes().startswith(ngrams._INDEX_MAGIC)
+    assert index_of(old / "records.csv").read_bytes().startswith(_INDEX_MAGIC)
     assert read_counting_parses(old / "records.csv")[1] == 0
     assert command_outputs(old / "records.csv", old / "out") == command_outputs(
         fresh / "records.csv", fresh / "out")
@@ -1435,8 +1438,8 @@ def test_version_1_index_is_replaced_on_first_read(tmp_path):
     table, parses = read_counting_parses(path, {2})
     assert parses == 1
     assert table == build_table({(2, "code tools", 2001): 4})
-    assert index_of(path).read_bytes().startswith(ngrams._INDEX_MAGIC)
-    assert ngrams._INDEX_MAGIC != magic
+    assert index_of(path).read_bytes().startswith(_INDEX_MAGIC)
+    assert _INDEX_MAGIC != magic
     assert read_from_index(path) == counts
 
 
@@ -1658,7 +1661,7 @@ def test_a_two_bigram_query_reads_only_their_chunks(tmp_path, capsys):
     read = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_whole, "_parse_records", None)
-        patch.setattr(ngrams, "_read_chunk", recording_reads(read))
+        patch.setattr(trendgram.table, "_read_chunk", recording_reads(read))
         assert run(["query", "-i", str(path), query]) == 0
     assert read == [starts[-1], starts[bigrams], starts[held[0]], starts[held[1]]]
     assert capsys.readouterr().out == series_text(build_table(MANY), query)
@@ -1679,7 +1682,7 @@ def test_demo_reads_nothing_of_lengths_3_and_4(golden_dir, tmp_path, capsys):
     read = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_whole, "_parse_records", None)
-        patch.setattr(ngrams, "_read_chunk", recording_reads(read))
+        patch.setattr(trendgram.table, "_read_chunk", recording_reads(read))
         assert run(["demo", "-i", str(path), "-o", str(tmp_path / "demo")]) == 0
     capsys.readouterr()
     assert read[0] == starts[-1] and all(at < starts[trigrams] for at in read[1:])
@@ -1905,7 +1908,7 @@ def test_most_frequent_matches_its_definition(cells, k):
     for cell in cells:
         totals.update(cell)
     expected = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:k]
-    assert ngrams._most_frequent(cells, k) == expected
+    assert _most_frequent(cells, k) == expected
 
 
 def test_top_ngrams_single_record():
