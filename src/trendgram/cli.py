@@ -157,13 +157,15 @@ def run(argv=None):
 
 
 def main():
-    """`run` as a program: Ctrl-C ends it with one line on standard error
+    """`run` as a program. Ctrl-C ends it with one line on standard error
     and status 130, where `run` lets `KeyboardInterrupt` through to its
     caller, and SIGTERM likewise with status 143. An output closed early,
     such as standard output piped into `head`, ends it with status 141
-    and nothing on standard error: what standard output still buffers
-    then goes to the null device, so that flushing it at exit does not
-    fail again."""
+    and nothing on standard error; a failed last write to it, with status
+    2 and one `error:` line. It flushes standard output, then standard
+    error, and ends the process with `os._exit`: exit handlers registered
+    by the environment (`sitecustomize`, `.pth` files, coverage's
+    subprocess hook) do not run. In-process callers use `run`."""
     import signal  # here, so that importing this module or calling `run` does not load it
 
     def terminated(signum, frame):
@@ -172,7 +174,8 @@ def main():
     signal.signal(signal.SIGTERM, terminated)
     try:
         status = run()
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when the process started with it closed
+            sys.stdout.flush()
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         status = 130
@@ -181,11 +184,12 @@ def main():
         status = 143
     except BrokenPipeError:
         status = _CLOSED_OUTPUT
-    if status == _CLOSED_OUTPUT:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    sys.exit(status)
+    except OSError as exc:  # from the flush, such as a full disk
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 # ---------------------------------------------------------------------------

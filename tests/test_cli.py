@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import importlib
 import io
 import json
@@ -954,8 +955,57 @@ def test_demo_records_rank_the_papers_headline_trends(golden_dir, tmp_path, caps
     assert falling[1] == "program slicing" and falling[2] == "legacy systems"
 
 
-def test_ctrl_c_ends_main_with_130_and_keeps_the_old_output(records_csv, tmp_path, monkeypatch,
-                                                            capsys):
+# `main` ends its process with `os._exit`, so the tests run it in a child.
+MAIN = "from trendgram.cli import main; main()"
+
+
+def _main_env(unbuffered=False):
+    """A child's environment: trendgram from this checkout, and standard
+    output buffered as usual or, with `unbuffered`, as PYTHONUNBUFFERED
+    leaves it."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(trendgram.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _main_signalled_while_writing(argv, marker, signum):
+    """Run `main` on `argv` in a child and send it `signum` once the output
+    file's temporary file is open; return its status and standard error.
+
+    The child touches `marker` there, then waits for the signal. It
+    restores Python's Ctrl-C handler, which a child started with SIGINT
+    ignored (as by a shell's background job) would not have."""
+    child = "\n".join([
+        "import signal, time",
+        "import trendgram.ngrams as ngrams",
+        "from trendgram.cli import main",
+        "signal.signal(signal.SIGINT, signal.default_int_handler)",
+        "quoted_rows = ngrams._quoted_rows",
+        "def writing(*args):",
+        f"    open({str(marker)!r}, 'w').close()",
+        "    time.sleep(60)",
+        "    return quoted_rows(*args)",
+        "ngrams._quoted_rows = writing",
+        "main()",
+    ])
+    process = subprocess.Popen([sys.executable, "-c", child, *argv], stdout=subprocess.DEVNULL,
+                               stderr=subprocess.PIPE, text=True, env=_main_env())
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert process.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        process.send_signal(signum)
+        _, err = process.communicate(timeout=60)
+    finally:
+        process.kill()
+        process.wait()
+    return process.returncode, err
+
+
+def test_ctrl_c_ends_main_with_130_and_keeps_the_old_output(records_csv, tmp_path, monkeypatch):
     old = records_csv.read_bytes()
     argv = ["extract", "-i", str(tmp_path / "corpus.csv"), "-o", str(records_csv)]
 
@@ -967,48 +1017,21 @@ def test_ctrl_c_ends_main_with_130_and_keeps_the_old_output(records_csv, tmp_pat
     monkeypatch.setattr(trendgram.cli, "write_records", interrupted)
     with pytest.raises(KeyboardInterrupt):  # in-process callers still see it
         run(argv)
-    monkeypatch.setattr(sys, "argv", ["trendgram", *argv])
-    with pytest.raises(BaseException) as raised:  # a KeyboardInterrupt must not stop pytest
-        trendgram.cli.main()
-    assert raised.type is SystemExit and raised.value.code == 130
-    assert capsys.readouterr().err == "error: interrupted\n"
+    assert records_csv.read_bytes() == old
+    assert not list(tmp_path.glob(".*.tmp"))
+
+    status, err = _main_signalled_while_writing(argv, tmp_path / "writing", signal.SIGINT)
+    assert status == 130
+    assert err == "error: interrupted\n"
     assert records_csv.read_bytes() == old
     assert not list(tmp_path.glob(".*.tmp"))
 
 
 def test_sigterm_ends_main_with_143_and_keeps_the_old_output(records_csv, tmp_path):
-    # The child touches a marker file once the records' temporary file is
-    # open, then waits there for the signal.
-    src = str(Path(trendgram.__file__).resolve().parent.parent)
     old = records_csv.read_bytes()
-    marker = tmp_path / "writing"
-    child = "\n".join([
-        "import time",
-        "import trendgram.ngrams as ngrams",
-        "from trendgram.cli import main",
-        "quoted_rows = ngrams._quoted_rows",
-        "def writing(*args):",
-        f"    open({str(marker)!r}, 'w').close()",
-        "    time.sleep(60)",
-        "    return quoted_rows(*args)",
-        "ngrams._quoted_rows = writing",
-        "main()",
-    ])
     argv = ["extract", "-i", str(tmp_path / "corpus.csv"), "-o", str(records_csv)]
-    process = subprocess.Popen([sys.executable, "-c", child, *argv], stdout=subprocess.DEVNULL,
-                               stderr=subprocess.PIPE, text=True,
-                               env={**os.environ, "PYTHONPATH": src})
-    try:
-        deadline = time.monotonic() + 60
-        while not marker.exists():
-            assert process.poll() is None and time.monotonic() < deadline
-            time.sleep(0.01)
-        process.send_signal(signal.SIGTERM)
-        _, err = process.communicate(timeout=60)
-    finally:
-        process.kill()
-        process.wait()
-    assert process.returncode == 143
+    status, err = _main_signalled_while_writing(argv, tmp_path / "writing", signal.SIGTERM)
+    assert status == 143
     assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: terminated"]
     assert "Traceback" not in err
     assert records_csv.read_bytes() == old
@@ -1022,18 +1045,101 @@ def test_sigterm_ends_main_with_143_and_keeps_the_old_output(records_csv, tmp_pa
 def test_closed_stdout_ends_main_quietly_with_141(records_csv, tmp_path, argv):
     # The reader of standard output is gone before the command writes,
     # as when `| head` has exited: no message, no traceback, status 141.
-    src = str(Path(trendgram.__file__).resolve().parent.parent)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run(
-            [sys.executable, "-c", "from trendgram.cli import main; main()", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": src}, check=False)
-    finally:
-        os.close(write_end)
-    assert (result.returncode, result.stderr) == (141, "")
+    for unbuffered in (False, True):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", MAIN, *argv], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env=_main_env(unbuffered), check=False)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, ""), unbuffered
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["top", "-i", "{tmp}/records.csv", "-k", "5"],  # fits the buffer: fails at the last flush
+    ["extract", "-i", "{golden}/corpus.csv", "-o", "-"],  # 35 KB: fails inside the command first
+])
+def test_a_failed_write_to_stdout_ends_main_with_one_error_and_2(records_csv, golden_dir, tmp_path,
+                                                                 argv):
+    argv = [arg.format(tmp=tmp_path, golden=golden_dir / "demo") for arg in argv]
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-c", MAIN, *argv], stdout=full,
+                                stderr=subprocess.PIPE, text=True, env=_main_env(), check=False)
+    message = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (result.returncode, result.stderr) == (2, message)
+
+
+def test_main_started_with_stdout_closed_ends_with_the_commands_status(records_csv, tmp_path):
+    # Python sets `sys.stdout` to None when file descriptor 1 is closed at start.
+    fresh = tmp_path / "fresh.csv"
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-c", MAIN,
+         "extract", "-i", str(tmp_path / "corpus.csv"), "-o", str(fresh)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_main_env(),
+        check=False)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert fresh.read_bytes() == records_csv.read_bytes()
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
+                                    ids=["buffered", "unbuffered"])
+
+
+def _run_main(argv, unbuffered):
+    return subprocess.run([sys.executable, "-c", MAIN, *map(str, argv)], capture_output=True,
+                          env=_main_env(unbuffered), check=False)
+
+
+@BUFFERING
+def test_main_through_pipes_writes_the_demo_goldens(demo_dir, golden_dir, tmp_path, unbuffered):
+    golden = golden_dir / "demo"
+    ingest = _run_main(["ingest", "--bibtex", demo_dir / "demo.bib", "--csv", demo_dir / "demo.csv",
+                        "--endnote", demo_dir / "demo.enw", "-o", "-"], unbuffered)
+    assert (ingest.returncode, ingest.stdout) == (0, (golden / "corpus.csv").read_bytes())
+    assert ingest.stderr.decode().splitlines() == [
+        "total_in: 30", "incomplete_removed: 2", "duplicates_removed: 3", "total_out: 25"]
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(ingest.stdout)
+    extract = _run_main(["extract", "-i", corpus, "-o", "-"], unbuffered)
+    assert (extract.returncode, extract.stdout, extract.stderr) == (
+        0, (golden / "records.csv").read_bytes(), b"")
+    records = tmp_path / "records.csv"
+    records.write_bytes(extract.stdout)
+    for name, argv in TEXT_GOLDENS.items():
+        result = _run_main([*argv, "-i", records], unbuffered)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, (golden / name).read_bytes(), b""), name
+
+
+@BUFFERING
+def test_main_output_larger_than_a_pipe_buffer_arrives_whole(tmp_path, unbuffered):
+    rng = random.Random(25)
+    entries = [make_entry(id=f"bibtex:{index}", year=2000 + index,
+                          abstract=" ".join(rng.choice(WORDS) for _ in range(200)) + ".")
+               for index in range(6)]
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(entries, corpus)
+    expected = tmp_path / "records.csv"
+    assert run(["extract", "-i", str(corpus), "-o", str(expected)]) == 0
+    assert expected.stat().st_size > 64 * 1024
+    result = _run_main(["extract", "-i", corpus, "-o", "-"], unbuffered)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected.read_bytes(), b"")
+
+
+@BUFFERING
+@pytest.mark.parametrize("argv, status", [
+    (["top", "-i", "{tmp}/records.csv", "-n", "9"], 1),
+    (["top", "-i", "{tmp}/missing.csv"], 2),
+], ids=["usage", "data"])
+def test_main_errors_end_with_their_status(records_csv, tmp_path, argv, status, unbuffered):
+    result = _run_main([arg.format(tmp=tmp_path) for arg in argv], unbuffered)
+    assert (result.returncode, result.stdout) == (status, b"")
+    assert result.stderr.decode().splitlines()[-1].startswith("error: ")
+    assert b"Traceback" not in result.stderr
 
 
 def test_closed_output_makes_run_return_141_quietly(records_csv, monkeypatch, capsys):
