@@ -10,10 +10,9 @@ is interrupted with Ctrl-C, 141 when its output was closed early and
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import _bind, _module_getattr
 from ._io import location, open_for_write, read_text
@@ -62,85 +61,80 @@ class _Terminated(BaseException):
     Ctrl-C runs for it too."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(self.format_usage(), f"{self.prog}: {message}")
-
-
 def build_parser():
-    parser = _Parser(prog="trendgram",
-                     description="N-gram trend analysis over bibliographic metadata exports.")
+    """The argparse parser of `COMMANDS`, which `run` uses for every
+    command line `_parse_plainly` leaves to it: help, usage errors and
+    any spelling other than the plain one."""
+    import argparse  # here, so that a plain command line does not load it
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(self.format_usage(), f"{self.prog}: {message}")
+
+    parser = Parser(prog="trendgram",
+                    description="N-gram trend analysis over bibliographic metadata exports.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("ingest", help="parse exports into the canonical corpus CSV")
-    p.add_argument("--bibtex", action="append", default=[], metavar="FILE")
-    p.add_argument("--csv", action="append", default=[], metavar="FILE")
-    p.add_argument("--csv-map", action="append", default=[], metavar="FIELD=COLUMN",
-                   help="column mapping for --csv files; replaces the IEEE default")
-    p.add_argument("--endnote", action="append", default=[], metavar="FILE")
-    p.add_argument("--year-min", type=int, default=DEFAULT_YEAR_RANGE[0])
-    p.add_argument("--year-max", type=int, default=DEFAULT_YEAR_RANGE[1])
-    p.add_argument("-o", "--output", required=True, metavar="FILE",
-                   help="corpus CSV destination ('-' for stdout)")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("extract", help="turn a corpus into n-gram records")
-    p.add_argument("-i", "--input", required=True, metavar="CORPUS")
-    p.add_argument("-o", "--output", required=True, metavar="RECORDS",
-                   help="records CSV destination ('-' for stdout)")
-    p.add_argument("--stoplist", metavar="FILE",
-                   help=f"stopword list (default: ${STOPLIST_ENV} or the bundled list)")
-    p.add_argument("--nmax", type=int, choices=range(1, NGRAM_MAX + 1), default=NGRAM_MAX)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("query", help="evaluate a trend query over records")
-    p.add_argument("-i", "--input", required=True, metavar="RECORDS")
-    p.add_argument("query", metavar="QUERY")
-    p.add_argument("--from", dest="year_from", type=int, metavar="YEAR")
-    p.add_argument("--to", dest="year_to", type=int, metavar="YEAR")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="series file (.json for JSON, otherwise CSV; default: CSV on stdout)")
-    p.add_argument("--svg", metavar="FILE", help="also render the series as an SVG plot")
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("top", help="most frequent n-grams of one length")
-    p.add_argument("-i", "--input", required=True, metavar="RECORDS")
-    p.add_argument("-n", type=int, choices=range(1, NGRAM_MAX + 1), default=2)
-    p.add_argument("-k", type=int, default=15)
-    p.set_defaults(func=cmd_top)
-
-    p = sub.add_parser("catalog", help="plot the most frequent n-grams into a directory")
-    p.add_argument("-i", "--input", required=True, metavar="RECORDS")
-    p.add_argument("-o", "--output", required=True, metavar="DIR")
-    p.add_argument("--limit", type=int, default=DEFAULT_CATALOG_LIMIT)
-    p.add_argument("--from", dest="year_from", type=int, metavar="YEAR")
-    p.add_argument("--to", dest="year_to", type=int, metavar="YEAR")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("trends", help="rank rising or falling n-grams by fitted slope")
-    p.add_argument("-i", "--input", required=True, metavar="RECORDS")
-    p.add_argument("-n", type=int, choices=range(1, NGRAM_MAX + 1), default=2)
-    p.add_argument("--direction", choices=("rising", "falling"), default="rising")
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--min-support", type=int, default=DEFAULT_MIN_SUPPORT)
-    p.add_argument("--min-years", type=int, default=DEFAULT_MIN_YEARS)
-    p.set_defaults(func=cmd_trends)
-
-    p = sub.add_parser("demo", help="render the five demonstration queries as SVGs")
-    p.add_argument("-i", "--input", required=True, metavar="RECORDS")
-    p.add_argument("-o", "--output", default=".", metavar="DIR")
-    p.add_argument("--from", dest="year_from", type=int, metavar="YEAR")
-    p.add_argument("--to", dest="year_to", type=int, metavar="YEAR")
-    p.set_defaults(func=cmd_demo)
-
+    for name, (summary, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flags, spec in arguments:
+            p.add_argument(*flags, **spec)
+        p.set_defaults(func=func)
     return parser
+
+
+def _parse_plainly(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, built
+    without argparse, for a plain command line: a command named exactly,
+    then tokens that are each one of its option strings, spelled exactly
+    and followed by a value that does not start with `-`, or the value of
+    its one positional. Every value must pass the `type` and `choices`
+    argparse applies, and every required argument must be given. Any
+    other command line gets None, and argparse parses it, so that every
+    help text and usage error is argparse's own."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    options, positionals, required = {}, [], set()
+    for flags, spec in arguments:
+        # argparse's dest: given, or the first long option string (else the first) as a name
+        long = [flag for flag in flags if flag.startswith("--")] or flags
+        dest = spec.get("dest") or long[0].lstrip("-").replace("-", "_")
+        values[dest] = spec.get("default")
+        positional = not flags[0].startswith("-")
+        if positional:
+            positionals.append((dest, spec))
+        else:
+            options.update(dict.fromkeys(flags, (dest, spec)))
+        if spec.get("required", positional):
+            required.add(dest)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, spec = options[token]
+            token = next(tokens, "-")  # a missing value is refused as a dash is
+        elif positionals:
+            dest, spec = positionals.pop()
+        else:
+            return None
+        if token.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = [*values[dest], value] if spec.get("action") == "append" else value
+        required.discard(dest)
+    return None if required else SimpleNamespace(**values)
 
 
 def run(argv=None):
     """Parse arguments and dispatch; returns the process exit status."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_plainly(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse -h/--help
         return int(exc.code or 0)
@@ -165,13 +159,21 @@ def main():
     2 and one `error:` line. It flushes standard output, then standard
     error, and ends the process with `os._exit`: exit handlers registered
     by the environment (`sitecustomize`, `.pth` files, coverage's
-    subprocess hook) do not run. In-process callers use `run`."""
+    subprocess hook) do not run. Started with standard error closed or
+    not writable, it drops the diagnostics and ends with the command's
+    own status. In-process callers use `run`."""
     import signal  # here, so that importing this module or calling `run` does not load it
 
     def terminated(signum, frame):
         raise _Terminated
 
     signal.signal(signal.SIGTERM, terminated)
+    try:
+        os.write(2, b"")  # fails if standard error is closed or cannot be written
+    except OSError:  # then diagnostics are dropped, and descriptor 2 is held on the
+        # null device, so that no file the command opens takes it
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
+        os.dup2(sys.stderr.fileno(), 2)
     try:
         status = run()
         if sys.stdout is not None:  # None when the process started with it closed
@@ -187,8 +189,7 @@ def main():
     except OSError as exc:  # from the flush, such as a full disk
         print(f"error: {exc}", file=sys.stderr)
         status = 2
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    sys.stderr.flush()
     os._exit(status)
 
 
@@ -354,6 +355,7 @@ def cmd_demo(args):
     queries = [parse_query(text) for text in DEMO_QUERIES]
     table = read_table(args.input, ngrams=set().union(*map(query_ngrams, queries)))
     year_range = _year_range_for(args, table)
+    from pathlib import Path  # here, after the table is read; top, query and trends never load it
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     for number, (text, query) in enumerate(zip(DEMO_QUERIES, queries), 1):
@@ -363,6 +365,78 @@ def cmd_demo(args):
         _write_svg(path, series, text)
         print(f"wrote {path}", file=sys.stderr)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# the command table: `build_parser` and `_parse_plainly` both read it
+
+def _arg(*flags, **spec):
+    """One argument: its option strings (or name) and `add_argument` keywords."""
+    return flags, spec
+
+
+_RECORDS = _arg("-i", "--input", required=True, metavar="RECORDS")
+_FROM = _arg("--from", dest="year_from", type=int, metavar="YEAR")
+_TO = _arg("--to", dest="year_to", type=int, metavar="YEAR")
+_LENGTH = _arg("-n", type=int, choices=range(1, NGRAM_MAX + 1), default=2)
+
+# Each command: its help line, its handler and its arguments, in help order.
+COMMANDS = {
+    "ingest": ("parse exports into the canonical corpus CSV", cmd_ingest, (
+        _arg("--bibtex", action="append", default=[], metavar="FILE"),
+        _arg("--csv", action="append", default=[], metavar="FILE"),
+        _arg("--csv-map", action="append", default=[], metavar="FIELD=COLUMN",
+             help="column mapping for --csv files; replaces the IEEE default"),
+        _arg("--endnote", action="append", default=[], metavar="FILE"),
+        _arg("--year-min", type=int, default=DEFAULT_YEAR_RANGE[0]),
+        _arg("--year-max", type=int, default=DEFAULT_YEAR_RANGE[1]),
+        _arg("-o", "--output", required=True, metavar="FILE",
+             help="corpus CSV destination ('-' for stdout)"),
+    )),
+    "extract": ("turn a corpus into n-gram records", cmd_extract, (
+        _arg("-i", "--input", required=True, metavar="CORPUS"),
+        _arg("-o", "--output", required=True, metavar="RECORDS",
+             help="records CSV destination ('-' for stdout)"),
+        _arg("--stoplist", metavar="FILE",
+             help=f"stopword list (default: ${STOPLIST_ENV} or the bundled list)"),
+        _arg("--nmax", type=int, choices=range(1, NGRAM_MAX + 1), default=NGRAM_MAX),
+    )),
+    "query": ("evaluate a trend query over records", cmd_query, (
+        _RECORDS,
+        _arg("query", metavar="QUERY"),
+        _FROM,
+        _TO,
+        _arg("-o", "--output", metavar="FILE",
+             help="series file (.json for JSON, otherwise CSV; default: CSV on stdout)"),
+        _arg("--svg", metavar="FILE", help="also render the series as an SVG plot"),
+    )),
+    "top": ("most frequent n-grams of one length", cmd_top, (
+        _RECORDS,
+        _LENGTH,
+        _arg("-k", type=int, default=15),
+    )),
+    "catalog": ("plot the most frequent n-grams into a directory", cmd_catalog, (
+        _RECORDS,
+        _arg("-o", "--output", required=True, metavar="DIR"),
+        _arg("--limit", type=int, default=DEFAULT_CATALOG_LIMIT),
+        _FROM,
+        _TO,
+    )),
+    "trends": ("rank rising or falling n-grams by fitted slope", cmd_trends, (
+        _RECORDS,
+        _LENGTH,
+        _arg("--direction", choices=("rising", "falling"), default="rising"),
+        _arg("-k", type=int, default=10),
+        _arg("--min-support", type=int, default=DEFAULT_MIN_SUPPORT),
+        _arg("--min-years", type=int, default=DEFAULT_MIN_YEARS),
+    )),
+    "demo": ("render the five demonstration queries as SVGs", cmd_demo, (
+        _RECORDS,
+        _arg("-o", "--output", default=".", metavar="DIR"),
+        _FROM,
+        _TO,
+    )),
+}
 
 
 if __name__ == "__main__":

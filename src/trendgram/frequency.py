@@ -13,7 +13,7 @@ removal as extraction did, so a query matches exactly what was stored.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._io import open_for_write
 from ._limits import NGRAM_MAX
@@ -23,23 +23,13 @@ from .textprep import remove_articles, tokenize
 SERIES_HEADER = ("label", "year", "frequency", "has_data")
 
 
-class SeriesPoint(NamedTuple):
-    frequency: float
-    has_data: bool
-
-
-class QuerySeries(NamedTuple):
-    label: str
-    phrases: list[tuple[str, ...]]
-
-
-class Query(NamedTuple):
-    series: list[QuerySeries]
-
-
-class FrequencySeries(NamedTuple):
-    label: str
-    points: dict[int, SeriesPoint]
+SeriesPoint = namedtuple("SeriesPoint", "frequency has_data")
+# `phrases`: a list of token tuples, whose frequencies are summed.
+QuerySeries = namedtuple("QuerySeries", "label phrases")
+# `series`: a list of `QuerySeries`.
+Query = namedtuple("Query", "series")
+# `points`: a `SeriesPoint` per year.
+FrequencySeries = namedtuple("FrequencySeries", "label points")
 
 
 def freq(table, phrase, year):

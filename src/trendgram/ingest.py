@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._io import checked_csv, open_for_write
 from ._limits import DEFAULT_YEAR_RANGE
@@ -43,33 +43,21 @@ CSV_FIELDS = ("title", "abstract", "keywords", "year", "authors")
 _CSV_REQUIRED = ("title", "year")
 
 
-class Entry(NamedTuple):
-    """One bibliographic record, uniform across source formats."""
-
-    id: str
-    title: str
-    abstract: str
-    keywords: list[str]
-    year: int
-    authors: list[str]
-    source: str
+# `keywords` and `authors` are lists of strings.
+Entry = namedtuple("Entry", "id title abstract keywords year authors source")
+Entry.__doc__ = "One bibliographic record, uniform across source formats."
 
 
-class Diagnostic(NamedTuple):
+class Diagnostic(namedtuple("Diagnostic", "line message")):
     """A non-fatal per-record parse problem."""
 
-    line: int
-    message: str
+    __slots__ = ()
 
-    def __str__(self) -> str:
+    def __str__(self):
         return f"line {self.line}: {self.message}"
 
 
-class MergeReport(NamedTuple):
-    total_in: int
-    incomplete_removed: int
-    duplicates_removed: int
-    total_out: int
+MergeReport = namedtuple("MergeReport", "total_in incomplete_removed duplicates_removed total_out")
 
 
 def _make_entry(source, ordinal, title, abstract, keywords, authors, year_text,

@@ -26,11 +26,11 @@ import stat
 import struct
 import zlib
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, neg
 from types import MappingProxyType
-from typing import NamedTuple
 
 from ._limits import NGRAM_MAX
 
@@ -39,22 +39,14 @@ RECORDS_HEADER = ("n", "ngram", "year", "count")
 _ALL_LENGTHS = frozenset(range(1, NGRAM_MAX + 1))
 
 
-class NgramRecord(NamedTuple):
-    n: int
-    ngram: str
-    year: int
-    count: int
+NgramRecord = namedtuple("NgramRecord", "n ngram year count")
 
-
-class Prefix(NamedTuple):
-    """The head of each n-gram length's ranking, by total descending,
-    ties broken lexicographically (the order of `top_ngrams`) that
-    `read_table` loads, or that a question needs (see
-    `FrequencyTable.require`): the first `first` n-grams (with no limit
-    when None) of those whose total is at least `min_total`."""
-
-    first: int | None = None
-    min_total: int = 1
+Prefix = namedtuple("Prefix", "first min_total", defaults=(None, 1))
+Prefix.__doc__ = """The head of each n-gram length's ranking, by total descending,
+ties broken lexicographically (the order of `top_ngrams`) that
+`read_table` loads, or that a question needs (see
+`FrequencyTable.require`): the first `first` n-grams (with no limit when
+None) of those whose total is at least `min_total`."""
 
 
 class FrequencyTable:

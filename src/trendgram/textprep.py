@@ -10,7 +10,7 @@ sentence boundary, which is the failure mode that matters.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 _TERMINATOR_RE = re.compile(r"[.!?;:]\s+")
 # A run of word characters, apostrophes and hyphens, from its first word
@@ -20,13 +20,9 @@ _TOKEN_RE = re.compile(r"\w(?:[\w'-]*\w)?")
 ARTICLES = frozenset({"a", "an", "the"})
 
 
-class Sentence(NamedTuple):
-    """A tokenized fragment tied back to its entry and year."""
-
-    tokens: list[str]
-    origin: str  # "title" | "abstract" | "keyword"
-    entry_id: str
-    year: int
+# `origin` is "title", "abstract" or "keyword".
+Sentence = namedtuple("Sentence", "tokens origin entry_id year")
+Sentence.__doc__ = "A tokenized fragment tied back to its entry and year."
 
 
 def split_sentences(text):

@@ -10,8 +10,7 @@ articles in a single year can otherwise look like a steep trend.
 from __future__ import annotations
 
 import os
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import _bind, _module_getattr
 from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS, NGRAM_MAX
@@ -33,13 +32,8 @@ def load_catalog_stages():
 __getattr__ = _module_getattr(globals())
 
 
-class TrendEntry(NamedTuple):
-    """One ranked n-gram with its fitted slope and total count."""
-
-    ngram: str
-    n: int
-    slope: float
-    total_count: int
+TrendEntry = namedtuple("TrendEntry", "ngram n slope total_count")
+TrendEntry.__doc__ = "One ranked n-gram with its fitted slope and total count."
 
 
 def _slope(years, values):
@@ -105,6 +99,7 @@ def build_catalog(table, limit, out_dir, year_range=None):
 
     ranked = _most_frequent(table.cells.values(), limit)
 
+    from pathlib import Path  # here, so that ranking trends does not load it
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = os.path.join(out_dir, "")

@@ -15,10 +15,13 @@ import sys
 import time
 import tokenize
 import weakref
+from contextlib import redirect_stdout
 from itertools import groupby, takewhile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trendgram
 import trendgram.cli
@@ -26,7 +29,7 @@ import trendgram.cli
 from make_goldens import HEADLINE_QUERY, TEXT_GOLDENS
 from support import STOPPY_WORDS, WORDS, make_entry
 from trendgram._io import open_for_write
-from trendgram.cli import DEMO_QUERIES, run
+from trendgram.cli import COMMANDS, DEMO_QUERIES, UsageError, _parse_plainly, build_parser, run
 from trendgram.frequency import evaluate, parse_query, write_series_csv
 from trendgram.ingest import (DEFAULT_CSV_MAPPING, merge_dedup, parse_bibtex, parse_csv,
                               parse_endnote, read_corpus, write_corpus)
@@ -69,6 +72,76 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "ingest" in capsys.readouterr().out
+
+
+# Tokens that argparse reads in a way the plain parse does not: help,
+# abbreviations, `--opt=value`, attached short values, `--`, a lone dash,
+# negative numbers and unknown options.
+NOT_PLAIN = ["-h", "--help", "--", "-", "-5", "-n2", "-k5", "-ir.csv", "--input=r.csv",
+             "--nmax=2", "--from=2000", "--in", "--inp", "--out", "--dir", "--min-s", "--min",
+             "--csv-m", "--li", "--sv", "--bib", "--year", "-x", "--bogus"]
+VALUES = st.one_of(
+    st.sampled_from([" 3", "1_0", "\u0663", "+2", "3.0", "", "1", "2", "4", "9", "0", "2005",
+                     "rising", "falling", "up", "r.csv", "a=b", "code, tools", "top", "-5", "-",
+                     "--x", "-i", "--input"]),
+    st.text(max_size=3))
+
+
+@st.composite
+def command_lines(draw):
+    """Command lines near the plain ones: a command (or not), most of its
+    required arguments, then options of its own with values, extra
+    positionals and `NOT_PLAIN` tokens, in any order after the command."""
+    name = draw(st.sampled_from([*COMMANDS, *COMMANDS, "frob", "Top", "-h", ""]))
+    arguments = COMMANDS[name][2] if name in COMMANDS else ()
+    options = [flag for flags, _ in arguments for flag in flags if flag.startswith("-")]
+    groups = []
+    for flags, spec in arguments:
+        positional = not flags[0].startswith("-")
+        if spec.get("required", positional) and draw(st.integers(0, 9)):
+            value = draw(st.sampled_from(["r.csv", "2", "code"]))
+            groups.append([value] if positional else [draw(st.sampled_from(flags)), value])
+    pair = st.tuples(st.sampled_from(options or NOT_PLAIN), VALUES).map(list)
+    groups += draw(st.lists(st.one_of(pair, pair, VALUES.map(lambda value: [value]),
+                                      st.sampled_from(NOT_PLAIN).map(lambda token: [token])),
+                            max_size=5))
+    return [name, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+@example(["top", "-i", "r.csv", "-n", "3", "-k", "20", "-n", "1"])
+@example(["query", "--svg", "q.svg", "code, tools", "--input", "r.csv", "--from", " 2005"])
+@example(["ingest", "--csv", "a.csv", "--csv", "b.csv", "--csv-map", "title=T", "-o", "-"])
+@example(["trends", "-i", "r.csv", "--direction", "falling", "--min-support", "1_0"])
+@example(["trends", "-i", "r.csv", "--direction", "up"])
+@example(["extract", "-i", "c.csv", "-o", "r.csv", "--nmax", "0"])
+@example(["query", "-i", "r.csv", "code", "tools"])
+@example(["demo", "-o", "plots"])
+@example(["query", "-i", "r.csv", "code", "--svg", "--to"])
+def test_the_plain_parse_is_argparse_or_nothing(argv):
+    plain = _parse_plainly(argv)
+    try:
+        with redirect_stdout(io.StringIO()):  # the help that -h prints
+            parsed = build_parser().parse_args(argv)
+    except (UsageError, SystemExit):
+        assert plain is None
+    else:
+        assert plain is None or vars(plain) == vars(parsed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["top", "-i", "r.csv", "-n", "3", "-k", "20"],
+    ["query", "-i", "r.csv", "code, tools", "-o", "s.json", "--svg", "q.svg", "--to", "2010"],
+    ["trends", "--input", "r.csv", "--direction", "falling", "-k", "5", "--min-years", "2"],
+    ["demo", "-i", "r.csv"],
+    ["catalog", "-i", "r.csv", "-o", "catalog", "--limit", "100"],
+    ["extract", "-i", "c.csv", "-o", "r.csv", "--nmax", "2", "--stoplist", "s.txt"],
+    ["ingest", "--bibtex", "a.bib", "--bibtex", "b.bib", "--endnote", "e.enw", "-o", "c.csv",
+     "--year-min", "1990"],
+], ids=lambda argv: argv[0])
+def test_every_command_parses_plainly(argv):
+    assert vars(_parse_plainly(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_ingest_requires_input_files(tmp_path, capsys):
@@ -293,21 +366,24 @@ def test_cli_import_skips_unused_stdlib_chains():
                               f"import trendgram.cli; {listing}"))
     assert "trendgram.cli" in with_cli
     unused = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses",
-              "importlib.resources", "hashlib", "html")
+              "importlib.resources", "hashlib", "html", "argparse", "gettext", "typing", "pathlib")
     loaded = sorted(name for name in with_cli - bare
                     if any(name == root or name.startswith(root + ".") for root in unused))
     assert loaded == []
 
 
 STAGES = ("ingest", "textprep", "ngrams", "table", "frequency", "plotting", "trends")
+# Standard modules that a command reading records does without, beside `json` and `csv`.
+STARTUP = ("argparse", "gettext", "locale", "typing", "pathlib")
 
 
 def _modules_after(code, *argv, cwd=None):
-    """The `trendgram.*` modules, `json` and `csv` that a fresh interpreter
-    holds after running `code`, which may set `status`; and that status."""
+    """The `trendgram.*` modules, `json`, `csv` and the `STARTUP` modules
+    that a fresh interpreter holds after running `code`, which may set
+    `status`; and that status."""
     src = str(Path(trendgram.__file__).resolve().parent.parent)
     listing = ("print(globals().get('status'), *sorted(name for name in sys.modules "
-               "if name in ('json', 'csv') or name.startswith('trendgram.')))")
+               f"if name in ('json', 'csv', *{STARTUP!r}) or name.startswith('trendgram.')))")
     result = subprocess.run(
         [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}; {listing}",
          *argv], capture_output=True, text=True, check=True, cwd=cwd)
@@ -360,6 +436,20 @@ def test_each_command_loads_only_its_stages(records_csv, demo_dir, argv, loaded,
         assert _module_names(loaded) <= modules
         assert modules.isdisjoint(_module_names(set(unloaded) - {"csv"}))
     assert indexed[1].isdisjoint(_module_names(unloaded))
+
+
+@pytest.mark.parametrize("argv", [
+    ["top", "-i", "records.csv", "-n", "2"],
+    ["trends", "-i", "records.csv", "--min-support", "1", "--min-years", "1"],
+    ["query", "-i", "records.csv", "code, tools", "-o", "series.csv"],
+], ids=lambda argv: argv[0])
+def test_a_read_command_loads_no_argparse_typing_or_pathlib(records_csv, argv):
+    # A first read and an indexed one, as in test_each_command_loads_only_its_stages.
+    for _ in range(2):
+        status, modules = _modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
+                                         *argv, cwd=records_csv.parent)
+        assert status == "0"
+        assert modules.isdisjoint(STARTUP)
 
 
 def _parser_tokens(path):
@@ -843,6 +933,17 @@ def test_demo_writes_five_svgs(records_csv, tmp_path):
         assert text in (out / matching[0]).read_text()
 
 
+@pytest.mark.parametrize("output, directory", [(None, ""), ("./plots/", "plots/")],
+                         ids=["default", "dot-slash"])
+def test_demo_names_each_plot_it_wrote(records_csv, tmp_path, monkeypatch, capsys, output,
+                                       directory):
+    monkeypatch.chdir(tmp_path)
+    assert run(["demo", "-i", str(records_csv), *(["-o", output] if output else [])]) == 0
+    slugs = ["case-study", "static-analysis", "feature-location", "program-slicing", "legacy"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"wrote {directory}demo-{number}-{slug}.svg" for number, slug in enumerate(slugs, 1)]
+
+
 def test_readme_quick_start_runs(demo_dir, tmp_path, monkeypatch, capsys):
     readme = (demo_dir.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## Quick start", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
@@ -1140,6 +1241,49 @@ def test_main_errors_end_with_their_status(records_csv, tmp_path, argv, status, 
     assert (result.returncode, result.stdout) == (status, b"")
     assert result.stderr.decode().splitlines()[-1].startswith("error: ")
     assert b"Traceback" not in result.stderr
+
+
+# A child that runs `main`, after checking that descriptor 2 is then the
+# null device: a `run` started otherwise ends the child with status 99.
+MAIN_CHECKING_STDERR = "\n".join([
+    "import os, trendgram.cli as cli",
+    "run = cli.run",
+    "def checked():",
+    "    try:",
+    "        held = os.path.samestat(os.fstat(2), os.stat(os.devnull))",
+    "    except OSError:  # descriptor 2 closed",
+    "        held = False",
+    "    if not held:",
+    "        os._exit(99)",
+    "    return run()",
+    "cli.run = checked",
+    "cli.main()",
+])
+
+
+@pytest.mark.parametrize("redirect", [
+    "2>&-",
+    "2</dev/null",
+    pytest.param("2>/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                          reason="needs /dev/full")),
+], ids=["closed", "read-only", "full"])
+@pytest.mark.parametrize("argv, status", [
+    (["ingest", "--bibtex", "{demo}/demo.bib", "-o", "-"], 0),
+    (["top", "-i", "{tmp}/records.csv", "-n", "9"], 1),
+    (["top", "-i", "{tmp}/missing.csv"], 2),
+], ids=["ok", "usage", "data"])
+def test_main_started_without_stderr_drops_diagnostics_and_keeps_its_status(
+        records_csv, demo_dir, tmp_path, redirect, argv, status):
+    # With descriptor 2 closed, Python sets `sys.stderr` to None; a shell
+    # script that execs the interpreter can leave it open for reading only;
+    # on /dev/full every write to it fails.
+    argv = [arg.format(demo=demo_dir, tmp=tmp_path) for arg in argv]
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-c", MAIN_CHECKING_STDERR,
+         *argv], capture_output=True, env=_main_env(), check=False)
+    expected = _run_main(argv, unbuffered=False)
+    assert expected.returncode == status and expected.stderr
+    assert (result.returncode, result.stdout) == (status, expected.stdout)
 
 
 def test_closed_output_makes_run_return_141_quietly(records_csv, monkeypatch, capsys):
