@@ -51,10 +51,6 @@ DEMO_QUERIES = (
 class UsageError(Exception):
     """Bad command line; maps to exit status 1."""
 
-    def __init__(self, usage, message):
-        super().__init__(message)
-        self.usage = usage
-
 
 class _Terminated(BaseException):
     """Raised by `main` on SIGTERM, so that the cleanup that runs for
@@ -68,8 +64,9 @@ def build_parser():
     import argparse  # here, so that a plain command line does not load it
 
     class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(self.format_usage(), f"{self.prog}: {message}")
+        def error(self, message):  # argparse's usage line, then `run`'s `error:` line
+            self.print_usage(sys.stderr)
+            raise UsageError(f"{self.prog}: {message}")
 
     parser = Parser(prog="trendgram",
                     description="N-gram trend analysis over bibliographic metadata exports.")
@@ -86,11 +83,11 @@ def _parse_plainly(argv):
     """The namespace `build_parser().parse_args(argv)` gives, built
     without argparse, for a plain command line: a command named exactly,
     then tokens that are each one of its option strings, spelled exactly
-    and followed by a value that does not start with `-`, or the value of
-    its one positional. Every value must pass the `type` and `choices`
-    argparse applies, and every required argument must be given. Any
-    other command line gets None, and argparse parses it, so that every
-    help text and usage error is argparse's own."""
+    and followed by a value that is `-` or does not start with `-`, or
+    the value of its one positional. Every value must pass the `type` and
+    `choices` argparse applies, and every required argument must be
+    given. Any other command line gets None, and argparse parses it, so
+    that every help text and usage error is argparse's own."""
     if not argv or argv[0] not in COMMANDS:
         return None
     _, func, arguments = COMMANDS[argv[0]]
@@ -112,12 +109,13 @@ def _parse_plainly(argv):
     for token in tokens:
         if token in options:
             dest, spec = options[token]
-            token = next(tokens, "-")  # a missing value is refused as a dash is
+            token = next(tokens, None)
         elif positionals:
             dest, spec = positionals.pop()
         else:
             return None
-        if token.startswith("-"):
+        # argparse reads a lone `-` as a value, and any other leading `-` as an option
+        if token is None or token.startswith("-") and token != "-":
             return None
         try:
             value = spec.get("type", str)(token)
@@ -131,7 +129,13 @@ def _parse_plainly(argv):
 
 
 def run(argv=None):
-    """Parse arguments and dispatch; returns the process exit status."""
+    """Parse arguments and dispatch; returns the process exit status.
+    A `sys.stdout` or `sys.stderr` that is None, as Python leaves it when
+    its descriptor is closed at start, is first replaced with the null
+    device: what the command writes there is dropped."""
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w", encoding="utf-8"))
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_plainly(argv) or build_parser().parse_args(argv)
@@ -139,8 +143,6 @@ def run(argv=None):
     except SystemExit as exc:  # argparse -h/--help
         return int(exc.code or 0)
     except UsageError as exc:
-        if exc.usage:
-            sys.stderr.write(exc.usage)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # the reader went away, as `| head` does: nothing to report
@@ -176,8 +178,7 @@ def main():
         os.dup2(sys.stderr.fileno(), 2)
     try:
         status = run()
-        if sys.stdout is not None:  # None when the process started with it closed
-            sys.stdout.flush()
+        sys.stdout.flush()
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         status = 130
@@ -199,12 +200,12 @@ def main():
 def cmd_ingest(args):
     _load("ingest")
     if args.year_min > args.year_max:
-        raise UsageError("", f"year-min {args.year_min} is greater than year-max {args.year_max}")
+        raise UsageError(f"year-min {args.year_min} is greater than year-max {args.year_max}")
     year_range = (args.year_min, args.year_max)
     mapping = _parse_csv_map(args.csv_map) if args.csv_map else None
 
     if not (args.bibtex or args.csv or args.endnote):
-        raise UsageError("", "at least one input file is required (--bibtex/--csv/--endnote)")
+        raise UsageError("at least one input file is required (--bibtex/--csv/--endnote)")
 
     lists = []
     for paths, parse in (
@@ -239,14 +240,14 @@ def _parse_csv_map(pairs):
         field, eq, column = pair.partition("=")
         field, column = field.strip(), column.strip()
         if not eq or not field or not column:
-            raise UsageError("", f"--csv-map expects FIELD=COLUMN, got {pair!r}")
+            raise UsageError(f"--csv-map expects FIELD=COLUMN, got {pair!r}")
         if field in mapping:
-            raise UsageError("", f"--csv-map: field '{field}' is mapped more than once")
+            raise UsageError(f"--csv-map: field '{field}' is mapped more than once")
         mapping[field] = column
     try:
         check_csv_mapping(mapping)
     except IngestError as exc:
-        raise UsageError("", f"--csv-map: {exc}") from None
+        raise UsageError(f"--csv-map: {exc}") from None
     return mapping
 
 
@@ -280,7 +281,7 @@ def _year_range_for(args, table):
     if lo is None or hi is None:
         raise TrendgramError("records file has no years; pass --from and --to")
     if lo > hi:
-        raise UsageError("", f"--from {lo} is greater than --to {hi}")
+        raise UsageError(f"--from {lo} is greater than --to {hi}")
     return lo, hi
 
 
@@ -311,7 +312,7 @@ def cmd_query(args):
 
 def cmd_top(args):
     if args.k < 1:
-        raise UsageError("", "-k must be at least 1")
+        raise UsageError("-k must be at least 1")
     _load("table")
     table = read_table(args.input, (args.n,), Prefix(first=args.k))
     for rank, (ngram, total) in enumerate(top_ngrams(table, args.n, args.k), 1):
@@ -321,14 +322,11 @@ def cmd_top(args):
 
 def cmd_catalog(args):
     if args.limit < 1:
-        raise UsageError("", "--limit must be at least 1")
-    from .trends import load_catalog_stages
-
-    _load("table", "trends")
-    # build_catalog would load its stages itself; loading them before the
-    # table is read keeps what importing them briefly allocates (compiling,
-    # without a bytecode cache) off the top of the table.
-    load_catalog_stages()
+        raise UsageError("--limit must be at least 1")
+    # build_catalog would load `frequency` and `plotting` itself; loading
+    # them before the table is read keeps what importing them briefly
+    # allocates (compiling, without a bytecode cache) off the top of the table.
+    _load("table", "trends", "frequency", "plotting")
     table = read_table(args.input, prefix=Prefix(first=args.limit))
     if not table.cells:
         raise TrendgramError("records file has no records to catalog")
@@ -339,7 +337,7 @@ def cmd_catalog(args):
 
 def cmd_trends(args):
     if args.k < 1:
-        raise UsageError("", "-k must be at least 1")
+        raise UsageError("-k must be at least 1")
     _load("table", "trends")
     table = read_table(args.input, (args.n,), Prefix(min_total=args.min_support))
     ranked = rank_trends(table, args.n, args.direction, args.k,

@@ -21,14 +21,10 @@ from .table import Prefix, _most_frequent, _ngram_totals
 _PAGE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-def load_catalog_stages():
-    """Bind here the names of the stages only `build_catalog` uses, so
-    ranking trends loads neither. They resolve as `trendgram.trends.<name>`
-    before any catalog is built: bench/tracing.py wraps `evaluate` and
-    `render_plot` here, and a wrapper patched in is kept."""
-    _bind(globals(), "frequency", "plotting")
-
-
+# `build_catalog` binds here the names of the stages only it uses, so
+# ranking trends loads neither. They resolve as `trendgram.trends.<name>`
+# before any catalog is built: bench/tracing.py wraps `evaluate` and
+# `render_plot` here, and a wrapper patched in is kept.
 __getattr__ = _module_getattr(globals())
 
 
@@ -95,7 +91,7 @@ def build_catalog(table, limit, out_dir, year_range=None):
         raise ValueError("cannot build a catalog from an empty table")
     table.require(range(1, NGRAM_MAX + 1), Prefix(first=limit))
     year_range = year_range or table.year_span()
-    load_catalog_stages()
+    _bind(globals(), "frequency", "plotting")
 
     ranked = _most_frequent(table.cells.values(), limit)
 

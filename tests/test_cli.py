@@ -75,9 +75,9 @@ def test_help_exits_zero(capsys):
 
 
 # Tokens that argparse reads in a way the plain parse does not: help,
-# abbreviations, `--opt=value`, attached short values, `--`, a lone dash,
-# negative numbers and unknown options.
-NOT_PLAIN = ["-h", "--help", "--", "-", "-5", "-n2", "-k5", "-ir.csv", "--input=r.csv",
+# abbreviations, `--opt=value`, attached short values, `--`, negative
+# numbers and unknown options. A lone `-` is a value to both.
+NOT_PLAIN = ["-h", "--help", "--", "-5", "-n2", "-k5", "-ir.csv", "--input=r.csv",
              "--nmax=2", "--from=2000", "--in", "--inp", "--out", "--dir", "--min-s", "--min",
              "--csv-m", "--li", "--sv", "--bib", "--year", "-x", "--bogus"]
 VALUES = st.one_of(
@@ -139,7 +139,10 @@ def test_the_plain_parse_is_argparse_or_nothing(argv):
     ["extract", "-i", "c.csv", "-o", "r.csv", "--nmax", "2", "--stoplist", "s.txt"],
     ["ingest", "--bibtex", "a.bib", "--bibtex", "b.bib", "--endnote", "e.enw", "-o", "c.csv",
      "--year-min", "1990"],
-], ids=lambda argv: argv[0])
+    ["ingest", "--csv", "a.csv", "-o", "-"],
+    ["extract", "-i", "c.csv", "-o", "-"],
+    ["query", "-i", "r.csv", "code", "-o", "-"],
+], ids=lambda argv: argv[0] + ("-stdout" if "-" in argv else ""))
 def test_every_command_parses_plainly(argv):
     assert vars(_parse_plainly(argv)) == vars(build_parser().parse_args(argv))
 
@@ -450,6 +453,36 @@ def test_a_read_command_loads_no_argparse_typing_or_pathlib(records_csv, argv):
                                          *argv, cwd=records_csv.parent)
         assert status == "0"
         assert modules.isdisjoint(STARTUP)
+
+
+def test_a_command_writing_to_stdout_loads_no_argparse(records_csv):
+    status, modules = _modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
+                                     "extract", "-i", "corpus.csv", "-o", "-",
+                                     cwd=records_csv.parent)
+    assert status == "0"
+    assert modules.isdisjoint({"argparse", "gettext", "locale"})
+
+
+def test_catalog_loads_its_stages_before_it_reads_the_table(records_csv):
+    # Loaded after the table is read, what compiling them briefly allocates
+    # would sit on top of the table and raise the command's peak memory.
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    child = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import trendgram.table as table",
+        "read_table = table.read_table",
+        "def reading(*args, **kwargs):",
+        "    print(*sorted(name for name in sys.modules if name.startswith('trendgram.')))",
+        "    return read_table(*args, **kwargs)",
+        "table.read_table = reading",
+        "from trendgram.cli import run",
+        "sys.exit(run(sys.argv[1:]))",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", child, "catalog", "-i", "records.csv", "-o", "catalog",
+         "--limit", "3"], capture_output=True, text=True, check=True, cwd=records_csv.parent)
+    assert {"trendgram.frequency", "trendgram.plotting"} <= set(result.stdout.split())
 
 
 def _parser_tokens(path):
@@ -1174,16 +1207,29 @@ def test_a_failed_write_to_stdout_ends_main_with_one_error_and_2(records_csv, go
     assert (result.returncode, result.stderr) == (2, message)
 
 
-def test_main_started_with_stdout_closed_ends_with_the_commands_status(records_csv, tmp_path):
-    # Python sets `sys.stdout` to None when file descriptor 1 is closed at start.
+INGEST_REPORT = ["total_in: 30", "incomplete_removed: 2", "duplicates_removed: 3", "total_out: 25"]
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["extract", "-i", "{tmp}/corpus.csv", "-o", "{tmp}/fresh.csv"], []),
+    (["extract", "-i", "{tmp}/corpus.csv", "-o", "-"], []),
+    (["ingest", "--bibtex", "{demo}/demo.bib", "--csv", "{demo}/demo.csv",
+      "--endnote", "{demo}/demo.enw", "-o", "-"], INGEST_REPORT),
+    (["query", "-i", "{tmp}/records.csv", "code"], []),
+], ids=["extract-file", "extract-stdout", "ingest-stdout", "query-stdout"])
+def test_main_started_with_stdout_closed_ends_with_the_commands_status(records_csv, demo_dir,
+                                                                       tmp_path, argv, report):
+    # Python sets `sys.stdout` to None when file descriptor 1 is closed at
+    # start; what a command writes there is dropped.
+    argv = [arg.format(demo=demo_dir, tmp=tmp_path) for arg in argv]
     fresh = tmp_path / "fresh.csv"
     result = subprocess.run(
-        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-c", MAIN,
-         "extract", "-i", str(tmp_path / "corpus.csv"), "-o", str(fresh)],
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-c", MAIN, *argv],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_main_env(),
         check=False)
-    assert (result.returncode, result.stderr) == (0, "")
-    assert fresh.read_bytes() == records_csv.read_bytes()
+    assert (result.returncode, result.stderr.splitlines()) == (0, report)
+    if str(fresh) in argv:
+        assert fresh.read_bytes() == records_csv.read_bytes()
 
 
 BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
@@ -1201,8 +1247,7 @@ def test_main_through_pipes_writes_the_demo_goldens(demo_dir, golden_dir, tmp_pa
     ingest = _run_main(["ingest", "--bibtex", demo_dir / "demo.bib", "--csv", demo_dir / "demo.csv",
                         "--endnote", demo_dir / "demo.enw", "-o", "-"], unbuffered)
     assert (ingest.returncode, ingest.stdout) == (0, (golden / "corpus.csv").read_bytes())
-    assert ingest.stderr.decode().splitlines() == [
-        "total_in: 30", "incomplete_removed: 2", "duplicates_removed: 3", "total_out: 25"]
+    assert ingest.stderr.decode().splitlines() == INGEST_REPORT
     corpus = tmp_path / "corpus.csv"
     corpus.write_bytes(ingest.stdout)
     extract = _run_main(["extract", "-i", corpus, "-o", "-"], unbuffered)
@@ -1284,6 +1329,27 @@ def test_main_started_without_stderr_drops_diagnostics_and_keeps_its_status(
     expected = _run_main(argv, unbuffered=False)
     assert expected.returncode == status and expected.stderr
     assert (result.returncode, result.stdout) == (status, expected.stdout)
+
+
+@pytest.mark.parametrize("argv, status, golden", [
+    (["top", "-i", "{tmp}/records.csv", "-n", "9"], 1, None),
+    (["top", "-i", "{tmp}/records.csv", "-k", "0"], 1, None),
+    (["top", "-i", "{tmp}/missing.csv"], 2, None),
+    (["ingest", "--bibtex", "{demo}/demo.bib", "--csv", "{demo}/demo.csv",
+      "--endnote", "{demo}/demo.enw", "-o", "-"], 0, "corpus.csv"),
+], ids=["argparse-usage", "usage", "data", "ingest"])
+def test_run_with_stderr_none_drops_diagnostics_and_keeps_its_status(
+        records_csv, demo_dir, golden_dir, tmp_path, capsys, monkeypatch, argv, status, golden):
+    # As an embedding caller may leave it, and as Python does when file
+    # descriptor 2 is closed at start.
+    argv = [arg.format(demo=demo_dir, tmp=tmp_path) for arg in argv]
+    monkeypatch.setattr(sys, "stderr", None)
+    try:
+        assert run(argv) == status
+    finally:
+        sys.stderr.close()  # the null device `run` put there
+    expected = (golden_dir / "demo" / golden).read_text() if golden else ""
+    assert capsys.readouterr().out == expected
 
 
 def test_closed_output_makes_run_return_141_quietly(records_csv, monkeypatch, capsys):
