@@ -1,7 +1,5 @@
 """Path-or-stream helpers for the file readers and writers."""
 
-from __future__ import annotations
-
 import os
 import stat
 from contextlib import contextmanager, nullcontext, suppress

@@ -1,9 +1,7 @@
 """Defaults and bounds that the stages share with the command-line parser.
 
 This module imports nothing, so building the parser loads no stage. The
-stages import these names from here, and `trendgram.ingest`,
-`trendgram.ngrams`, `trendgram.table` and `trendgram.trends` export
-them too.
+stages import the names they use from here.
 """
 
 # ingest: the publication years kept.

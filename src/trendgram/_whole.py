@@ -6,8 +6,6 @@ loading whole n-gram lengths from the index, which only the library's
 only then, so that a command that finds a valid index compiles none of
 it."""
 
-from __future__ import annotations
-
 import marshal
 import struct
 import zlib

@@ -8,8 +8,6 @@ is interrupted with Ctrl-C, 141 when its output was closed early and
 143 when `main` gets SIGTERM.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace

@@ -11,8 +11,6 @@ frequencies. Phrases go through the same tokenization and article
 removal as extraction did, so a query matches exactly what was stored.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from ._io import open_for_write

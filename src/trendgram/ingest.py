@@ -13,15 +13,12 @@ expansion and no cross-referencing; TeX control words are dropped from
 values rather than decoded.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import re
 from collections import namedtuple
 
 from ._io import checked_csv, open_for_write
-from ._limits import DEFAULT_YEAR_RANGE
 from .errors import IngestError
 
 SOURCES = ("bibtex", "csv", "endnote")

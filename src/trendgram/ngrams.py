@@ -15,20 +15,18 @@ naive oracles of `tests/oracle.py`.
 
 The table they count into and the records reader are in
 `trendgram.table`, which the commands that only read records load
-without this module; this module exports their public names too.
+without this module.
 """
 
-from __future__ import annotations
-
+import os
 from collections import _count_elements
 from itertools import accumulate, compress, groupby, islice, repeat
 from operator import attrgetter, sub
-from pathlib import Path
 
 from ._io import open_for_write, read_text
+from ._limits import NGRAM_MAX
 from .errors import TrendgramError
-from .table import (NGRAM_MAX, RECORDS_HEADER, FrequencyTable, NgramRecord, Prefix, _rows,
-                    build_table, read_records, read_table, top_ngrams)
+from .table import RECORDS_HEADER, FrequencyTable, _rows
 
 _BATCH = 256  # sentences counted together; bounds the batch's token lists
 _BOUNDARY = object()  # follows each sentence of a batch; equals no token
@@ -71,7 +69,7 @@ class Stoplist:
     @classmethod
     def default(cls):
         """The bundled English stopword list."""
-        return cls.from_file(Path(__file__).with_name("data") / "stopwords.txt")
+        return cls.from_file(os.path.join(os.path.dirname(__file__), "data", "stopwords.txt"))
 
 
 class TokenRuns(list):
@@ -112,12 +110,13 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     within one sentence all count. Bounds outside `1 <= n_min <= n_max
     <= NGRAM_MAX` raise `ValueError`.
 
-    Returns a `FrequencyTable`; counts of separately counted shards sum
-    to the counts of the whole corpus. `sentences` are `Sentence`s, or
-    the batches `token_runs` made of them, which can be counted again,
-    such as one length at a time, without being prepared again;
-    sentences are prepared first, so all of their tokens are held until
-    the table is built. `_count_length` applies the rules.
+    Returns a `FrequencyTable` that answers for lengths `n_min` to
+    `n_max` only; counts of separately counted shards sum to the counts
+    of the whole corpus. `sentences` are `Sentence`s, or the batches
+    `token_runs` made of them, which can be counted again, such as one
+    length at a time, without being prepared again; sentences are
+    prepared first, so all of their tokens are held until the table is
+    built. `_count_length` applies the rules.
     """
     if not 1 <= n_min <= n_max <= NGRAM_MAX:
         raise ValueError(f"bad n-gram bounds {n_min}..{n_max}")
@@ -127,7 +126,7 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     cells: dict[tuple[int, int], dict[str, int]] = {}
     for n in range(n_min, n_max + 1):
         cells.update(_count_length(runs, weight.get, n))
-    return FrequencyTable(cells)
+    return FrequencyTable(cells, lengths=range(n_min, n_max + 1))
 
 
 def _count_length(runs, weigh, n):

@@ -16,8 +16,6 @@ once per distinct value and shared by every plot with that value (see
 hundred scales formats each scale's axis once.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache, partial
 from itertools import groupby
@@ -56,9 +54,9 @@ def _num(value):
     return "0" if text in ("", "-0") else text
 
 
-def _nice_step(span, divisions=5):
-    """Smallest 1/2/5 x 10^k step giving at most `divisions` intervals."""
-    raw = span / divisions
+def _nice_step(span):
+    """Smallest 1/2/5 x 10^k step giving at most 5 intervals."""
+    raw = span / 5
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for multiplier in (1, 2, 5, 10):
         step = multiplier * magnitude

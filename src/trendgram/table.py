@@ -5,7 +5,7 @@ count. A `FrequencyTable` holds them as one `{ngram: count}` dict per
 (n, year), the unit every frequency is taken over. `trendgram.ngrams`
 counts them and writes records files; the commands that read one back
 (`query`, `top`, `trends`, `catalog` and `demo`) load this module and
-not that one, and `trendgram.ngrams` still exports the names below.
+not that one.
 
 `read_table` keeps a sidecar index beside a records file it reads by
 path, `RECORDS.idx`, holding the table it built the last time it fully
@@ -17,8 +17,6 @@ index only means the CSV is parsed and checked again, after which the
 index is rewritten; failing to write it is not an error. Streams never
 use an index, and `write_records` does not write one.
 """
-
-from __future__ import annotations
 
 import marshal
 import os
@@ -58,11 +56,11 @@ class FrequencyTable:
     unhashable.
 
     `lengths` are the n-gram lengths the table answers for: every length
-    unless it was loaded for some only (see `read_table`). Such a table's
-    `cells` hold only those lengths, while its `totals` and `years`
-    still cover every length; `evaluate`, `top_ngrams` and `rank_trends`
-    refuse it any other length, and `build_catalog` refuses it (see
-    `require`).
+    unless it was counted or loaded for some only (see `count_ngrams` and
+    `read_table`). Such a table's `cells` hold only those lengths, while
+    a loaded table's `totals` and `years` still cover every length;
+    `evaluate`, `top_ngrams` and `rank_trends` refuse it any other
+    length, and `build_catalog` refuses it (see `require`).
 
     `cuts` maps each length of which the table holds only the head of
     the ranking (see `Prefix`) to `(loaded, next_total)`: it holds that
@@ -80,8 +78,6 @@ class FrequencyTable:
     order; `len` is the number of such rows. Build one from a flat
     `(n, ngram, year) -> count` dict with `build_table`.
     """
-
-    __hash__ = None
 
     def __init__(self, cells: dict[tuple[int, int], dict[str, int]], totals=None,
                  lengths=_ALL_LENGTHS, cuts=None, ngrams=None):

@@ -7,8 +7,6 @@ only fragments n-grams; it never fabricates an n-gram across a real
 sentence boundary, which is the failure mode that matters.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 

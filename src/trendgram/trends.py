@@ -7,13 +7,11 @@ minimum years with data) keep noise out of the rankings: a handful of
 articles in a single year can otherwise look like a steep trend.
 """
 
-from __future__ import annotations
-
 import os
 from collections import namedtuple
 
 from . import _bind, _module_getattr
-from ._limits import DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS, NGRAM_MAX
+from ._limits import DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS, NGRAM_MAX
 from .table import Prefix, _most_frequent, _ngram_totals
 
 # A catalog page is opened for writing without truncating it, created

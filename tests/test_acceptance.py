@@ -17,7 +17,8 @@ from support import make_entry, random_counts, random_sentences
 from trendgram.cli import DEMO_QUERIES, run
 from trendgram.frequency import evaluate, freq, parse_query
 from trendgram.ingest import merge_dedup
-from trendgram.ngrams import NgramRecord, build_table, count_ngrams, read_records, write_records
+from trendgram.ngrams import count_ngrams, write_records
+from trendgram.table import NgramRecord, build_table, read_records
 from trendgram.textprep import Sentence, entry_sentences
 from trendgram.trends import rank_trends
 

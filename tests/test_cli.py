@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import errno
 import importlib
 import io
@@ -33,7 +34,8 @@ from trendgram.cli import COMMANDS, DEMO_QUERIES, UsageError, _parse_plainly, bu
 from trendgram.frequency import evaluate, parse_query, write_series_csv
 from trendgram.ingest import (DEFAULT_CSV_MAPPING, merge_dedup, parse_bibtex, parse_csv,
                               parse_endnote, read_corpus, write_corpus)
-from trendgram.ngrams import _BATCH, Stoplist, build_table, count_ngrams, read_records, write_records
+from trendgram.ngrams import _BATCH, Stoplist, count_ngrams, write_records
+from trendgram.table import build_table, read_records
 from trendgram.textprep import entry_sentences
 
 BIB = (
@@ -369,7 +371,8 @@ def test_cli_import_skips_unused_stdlib_chains():
                               f"import trendgram.cli; {listing}"))
     assert "trendgram.cli" in with_cli
     unused = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses",
-              "importlib.resources", "hashlib", "html", "argparse", "gettext", "typing", "pathlib")
+              "importlib.resources", "hashlib", "html", "argparse", "gettext", "typing", "pathlib",
+              "__future__")
     loaded = sorted(name for name in with_cli - bare
                     if any(name == root or name.startswith(root + ".") for root in unused))
     assert loaded == []
@@ -377,7 +380,7 @@ def test_cli_import_skips_unused_stdlib_chains():
 
 STAGES = ("ingest", "textprep", "ngrams", "table", "frequency", "plotting", "trends")
 # Standard modules that a command reading records does without, beside `json` and `csv`.
-STARTUP = ("argparse", "gettext", "locale", "typing", "pathlib")
+STARTUP = ("argparse", "gettext", "locale", "typing", "pathlib", "__future__")
 
 
 def _modules_after(code, *argv, cwd=None):
@@ -460,7 +463,7 @@ def test_a_command_writing_to_stdout_loads_no_argparse(records_csv):
                                      "extract", "-i", "corpus.csv", "-o", "-",
                                      cwd=records_csv.parent)
     assert status == "0"
-    assert modules.isdisjoint({"argparse", "gettext", "locale"})
+    assert modules.isdisjoint({"argparse", "gettext", "locale", "pathlib", "__future__"})
 
 
 def test_catalog_loads_its_stages_before_it_reads_the_table(records_csv):
@@ -642,9 +645,8 @@ def test_package_exports_every_public_name():
 
 def test_names_imported_from_ngrams_resolve_there_as_defined(request):
     """`from trendgram.ngrams import X` still works for every X that the
-    benchmark, the golden script and the README import that way, also
-    for the count table and its reader, which `trendgram.table` defines,
-    and gives the object the defining module holds."""
+    benchmark, the golden script and the README import that way, and
+    gives the object the defining module holds."""
     root = request.config.rootpath
     sources = [*sorted((root / "bench").glob("*.py")), root / "tests" / "make_goldens.py",
                root / "README.md"]
@@ -652,13 +654,29 @@ def test_names_imported_from_ngrams_resolve_there_as_defined(request):
              for group in re.findall(r"from trendgram\.ngrams import ([\w ,]+)",
                                      source.read_text(encoding="utf-8"))
              for name in map(str.strip, group.split(",")) if name}
-    assert {"NGRAM_MAX", "Stoplist", "count_ngrams", "read_records", "read_table",
-            "FrequencyTable"} <= names
+    assert {"NGRAM_MAX", "Stoplist", "count_ngrams"} <= names
     ngrams = importlib.import_module("trendgram.ngrams")
     for name in names:
         value = getattr(ngrams, name)
         home = "trendgram._limits" if name == "NGRAM_MAX" else value.__module__
         assert value is getattr(importlib.import_module(home), name)
+
+
+def test_package_modules_use_every_name_they_import():
+    """Every name a module of the package imports at module level is used
+    in that module, so none is imported only to be exported again, and
+    no module has a `from __future__` directive."""
+    unused, directives = [], []
+    for path in sorted(Path(trendgram.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                directives.append(path.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: {name}" for alias in node.names
+                           if (name := alias.asname or alias.name.partition(".")[0]) not in used]
+    assert (unused, directives) == ([], [])
 
 
 def test_extract_matches_library_pipeline(tmp_path, records_csv):

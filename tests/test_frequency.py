@@ -13,7 +13,8 @@ from support import random_sentences
 from trendgram.errors import QueryError
 from trendgram.frequency import (Query, QuerySeries, SeriesPoint, evaluate, freq, freq_list,
                                  parse_query, write_series_csv, write_series_json)
-from trendgram.ngrams import build_table, count_ngrams, read_table, write_records
+from trendgram.ngrams import count_ngrams, write_records
+from trendgram.table import build_table, read_table
 
 
 def table_of(*records):

@@ -26,10 +26,10 @@ from trendgram import _whole
 from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
 from trendgram.frequency import Query, QuerySeries, evaluate, parse_query, write_series_csv
-from trendgram.ngrams import (NgramRecord, Prefix, Stoplist, build_table, count_ngrams,
-                              read_records, read_table, token_runs, top_ngrams, write_records)
-from trendgram.table import (_INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, _fingerprint,
-                             _most_frequent, _read_index)
+from trendgram.ngrams import Stoplist, count_ngrams, token_runs, write_records
+from trendgram.table import (_INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, NgramRecord, Prefix,
+                             _fingerprint, _most_frequent, _read_index, build_table, read_records,
+                             read_table, top_ngrams)
 from trendgram.textprep import Sentence
 from trendgram.trends import build_catalog, rank_trends
 
@@ -78,6 +78,17 @@ def test_count_ngrams_rejects_bad_bounds_for_prepared_runs(stoplist):
         count_ngrams(runs, stoplist, 0, 2)
     with pytest.raises(ValueError, match="bad n-gram bounds 3..2"):
         count_ngrams(runs, stoplist, 3, 2)
+
+
+def test_a_counted_table_answers_only_for_the_lengths_it_counted(stoplist):
+    # Unigrams it did not count would read as zeros over the bigrams' totals.
+    table = count_ngrams([sentence(["program", "comprehension"], 2000),
+                          sentence(["program", "slicing"], 2001)], stoplist, 2, 2)
+    assert table.lengths == {2}
+    with pytest.raises(ValueError, match="^n-gram length 1 was not loaded; the table holds 2$"):
+        top_ngrams(table, 1, 5)
+    with pytest.raises(ValueError, match="^n-gram length 1 was not loaded; the table holds 2$"):
+        evaluate(table, parse_query("program"), (2000, 2001))
 
 
 # ---------------------------------------------------------------------------
@@ -979,12 +990,12 @@ def test_index_bytes_do_not_depend_on_hash_seed(tmp_path):
         written, loaded = [], []
         for seed in ("1", "2"):
             index_of(path).unlink(missing_ok=True)
-            subprocess.run([sys.executable, "-c", f"from trendgram.ngrams import read_records; "
+            subprocess.run([sys.executable, "-c", f"from trendgram.table import read_records; "
                             f"read_records({str(path)!r})"], check=True,
                            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
             written.append(index_of(path).read_bytes())
             loaded.append(subprocess.run(
-                [sys.executable, "-c", f"from trendgram.ngrams import read_table; "
+                [sys.executable, "-c", f"from trendgram.table import read_table; "
                  f"print(read_table({str(path)!r}, ngrams={asked!r}).cells)"],
                 check=True, capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout)
