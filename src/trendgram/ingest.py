@@ -415,16 +415,19 @@ def write_corpus(entries, dest):
     items themselves must not contain semicolons; the parsers split
     both on `;`, so no entry they return holds one.
 
-    A row with a `\r` in any cell is written with every cell quoted: the
-    writer quotes a cell for a comma, a quote or its line terminator
-    `\n`, not for a `\r`, which unquoted would end the row for the reader.
+    Rows end with `\n`. A cell that holds a comma, a quote or `\n` is
+    quoted, with its quotes doubled, and a row with a `\r` in any cell
+    has every cell quoted, since an unquoted `\r` would end the row for
+    the reader: the rules of the `csv` module's minimal and all-quoting
+    writers with `\n` line ends. A row is joined first and checked as
+    one string, and only a row that holds one of those characters is
+    quoted cell by cell.
     """
     with open_for_write(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(CORPUS_HEADER)
+        write = fh.write
+        write(",".join(CORPUS_HEADER) + "\n")
         for entry in entries:
-            row = [
+            row = (
                 entry.id,
                 entry.source,
                 str(entry.year),
@@ -432,8 +435,19 @@ def write_corpus(entries, dest):
                 entry.abstract,
                 ";".join(entry.keywords),
                 ";".join(entry.authors),
-            ]
-            (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
+            )
+            line = ",".join(row)
+            if line.count(",") >= len(row) or '"' in line or "\n" in line or "\r" in line:
+                line = ",".join(map(_quoted if "\r" in line else _quoted_if_needed, row))
+            write(line + "\n")
+
+
+def _quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+def _quoted_if_needed(cell):
+    return _quoted(cell) if "," in cell or '"' in cell or "\n" in cell else cell
 
 
 def read_corpus(source):

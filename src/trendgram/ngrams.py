@@ -10,8 +10,10 @@ stopword is discarded.
 `count_ngrams` applies both rules to whole batches of sentences (see
 `token_runs`) one n-gram length at a time in C iterator pipelines, and
 `write_records` joins and writes rows in chunks the same way, so neither
-runs Python code per window or per row. The tests hold both against the
-naive oracles of `tests/oracle.py`.
+runs Python code per window or per row. Each batch's stop-weight prefix
+sums are built once and kept with the batches, which cannot change, so
+counting the lengths one at a time builds them once for all of them. The
+tests hold both against the naive oracles of `tests/oracle.py`.
 
 The table they count into and the records reader are in
 `trendgram.table`, which the commands that only read records load
@@ -19,14 +21,15 @@ without this module.
 """
 
 import os
+from array import array
 from collections import _count_elements
 from itertools import accumulate, compress, groupby, islice, repeat
-from operator import attrgetter, sub
+from operator import attrgetter, itemgetter, sub
 
 from ._io import open_for_write, read_text
 from ._limits import NGRAM_MAX
 from .errors import TrendgramError
-from .table import RECORDS_HEADER, FrequencyTable, _rows
+from .table import RECORDS_HEADER, FrequencyTable
 
 _BATCH = 256  # sentences counted together; bounds the batch's token lists
 _BOUNDARY = object()  # follows each sentence of a batch; equals no token
@@ -72,24 +75,27 @@ class Stoplist:
         return cls.from_file(os.path.join(os.path.dirname(__file__), "data", "stopwords.txt"))
 
 
-class TokenRuns(list):
+class TokenRuns(tuple):
     """The `(year, tokens)` batches `token_runs` prepares, which
-    `count_ngrams` counts as they are."""
+    `count_ngrams` counts as they are. Neither the runs nor a batch's
+    tokens, a tuple, can change, so `_stops` can describe them: the
+    stop-word set they were last counted with, and each batch's
+    `_stop_sums` for it, in one tuple that is replaced whole."""
 
-    __slots__ = ()
+    _stops = (None, ())
 
 
 def token_runs(sentences):
     """The tokens of `sentences`, prepared once to be counted by
-    `count_ngrams` any number of times: up to _BATCH consecutive
-    sentences of one year at a time, as a `(year, tokens)` batch whose
-    tokens are the sentences' concatenated with `_BOUNDARY` after each
-    sentence. Equal tokens are one shared string, so the batches cost a
-    pointer per token over the corpus's vocabulary, and nothing else of
-    the sentences is kept."""
+    `count_ngrams` any number of times: a `TokenRuns` tuple of batches
+    of up to _BATCH consecutive sentences of one year, each a `(year,
+    tokens)` tuple whose tokens are the sentences' concatenated, with
+    `_BOUNDARY` after each sentence, in a tuple. Equal tokens are one
+    shared string, so the batches cost a pointer per token over the
+    corpus's vocabulary, and nothing else of the sentences is kept."""
     vocabulary: dict[str, str] = {}
     shared = vocabulary.setdefault
-    runs = TokenRuns()
+    runs = []
     for year, run in groupby(sentences, attrgetter("year")):
         while True:
             tokens = []
@@ -98,8 +104,8 @@ def token_runs(sentences):
                 tokens.append(_BOUNDARY)
             if not tokens:
                 break
-            runs.append((year, tokens))
-    return runs
+            runs.append((year, tuple(tokens)))
+    return TokenRuns(runs)
 
 
 def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
@@ -116,50 +122,69 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     `token_runs` made of them, which can be counted again, such as one
     length at a time, without being prepared again; sentences are
     prepared first, so all of their tokens are held until the table is
-    built. `_count_length` applies the rules.
+    built. Batches keep their stop-weight sums for the stop-word set
+    they were last counted with, 8 bytes per token, and count again
+    with an equal set without building them again. `_count_length`
+    applies the rules.
     """
     if not 1 <= n_min <= n_max <= NGRAM_MAX:
         raise ValueError(f"bad n-gram bounds {n_min}..{n_max}")
     runs = sentences if isinstance(sentences, TokenRuns) else token_runs(sentences)
-    weight = dict.fromkeys(getattr(stoplist, "words", stoplist), 1)
-    weight[_BOUNDARY] = NGRAM_MAX
+    words = frozenset(getattr(stoplist, "words", stoplist))
+    counted_with, sums = runs._stops
+    if counted_with != words:
+        weight = dict.fromkeys(words, 1)
+        weight[_BOUNDARY] = NGRAM_MAX
+        sums = tuple(_stop_sums(tokens, weight.get) for _, tokens in runs)
+        runs._stops = (words, sums)
     cells: dict[tuple[int, int], dict[str, int]] = {}
     for n in range(n_min, n_max + 1):
-        cells.update(_count_length(runs, weight.get, n))
+        cells.update(_count_length(runs, sums, n))
     return FrequencyTable(cells, lengths=range(n_min, n_max + 1))
 
 
-def _count_length(runs, weigh, n):
+def _stop_sums(tokens, weigh):
+    """The stop-weight prefix sums of a batch's `tokens`: item i is the
+    weight of its first i tokens, where a token weighs `weigh(token, 0)`,
+    a stopword 1 and `_BOUNDARY` NGRAM_MAX."""
+    return array("q", accumulate(map(weigh, tokens, repeat(0)), initial=0))
+
+
+def _count_length(runs, sums, n):
     """The non-empty `{ngram: count}` cells of length `n` in `runs`, by
-    `(n, year)` in ascending years. A token weighs `weigh(token, 0)`: a
-    stopword 1 and `_BOUNDARY` NGRAM_MAX. For each batch, `stops[i]` is
-    the weight of its first i tokens, so a window's stopword count is
-    one subtraction, and a window that crosses a sentence boundary
-    weighs too much to be kept. The n-gram text is built only for
-    windows that are kept, and each is counted in its year's dict, all
-    inside C iterators."""
+    `(n, year)` in ascending years. `sums` holds each batch's
+    `_stop_sums`, so a window's stopword count is one subtraction, and a
+    window that crosses a sentence boundary weighs too much to be kept.
+    A unigram is its kept token itself; a longer n-gram's text is built
+    only for windows that are kept. Each is counted in its year's dict,
+    all inside C iterators."""
     keep = ((n + 1) // 2).__gt__
     by_year: dict[int, dict[str, int]] = {}
-    for year, tokens in runs:
+    for (year, tokens), stops in zip(runs, sums):
         cell = by_year.get(year)
         if cell is None:
             cell = by_year[year] = {}
-        stops = list(accumulate(map(weigh, tokens, repeat(0)), initial=0))
         kept = map(keep, map(sub, islice(stops, n, None), stops))
-        windows = zip(*[islice(tokens, start, None) for start in range(n)])
-        _count_elements(cell, map(" ".join, compress(windows, kept)))
+        if n == 1:
+            _count_elements(cell, compress(tokens, kept))
+        else:
+            windows = zip(*[islice(tokens, start, None) for start in range(n)])
+            _count_elements(cell, map(" ".join, compress(windows, kept)))
     return {(n, year): by_year[year] for year in sorted(by_year) if by_year[year]}
 
 
 def write_records(tables, dest):
     """Write the rows of `tables`, a `FrequencyTable` or an iterable of
     them in ascending n-gram lengths, as `n,ngram,year,count` in key
-    order. An iterable is read one table at a time, and a table is let
-    go once its rows are written, before the next one is taken: tables
-    made lazily, such as one `count_ngrams` per length, are then never
-    alive together. Each table's lengths must all follow those of the
-    tables before it, or `ValueError` is raised and a file at `dest` is
-    left as it was.
+    order. An iterable is read one table at a time, and the writer lets
+    a table go as soon as it has taken a shallow copy of its `cells`,
+    before the next one is taken: tables made lazily, such as one
+    `count_ngrams` per length, are then never alive together. The copy
+    lets each cell go once its rows are listed, so a cell that only the
+    writer holds is freed before its length's rows are sorted; a table
+    the caller still holds is left unchanged. Each table's lengths must
+    all follow those of the tables before it, or `ValueError` is raised
+    and a file at `dest` is left as it was.
 
     The n-gram cell is quoted, with its quotes doubled, only if it
     contains a comma, a quote, `\n` or `\r` (token rules make all four
@@ -179,26 +204,35 @@ def write_records(tables, dest):
         write = fh.write
         write(",".join(RECORDS_HEADER) + "\n")
         for table in tables:
-            for n in sorted({n for n, _ in table.cells}):
+            cells = dict(table.cells)
+            del table  # before its cells are let go and the next one is taken
+            for n in sorted({n for n, _ in cells}):
                 if last is not None and n <= last:
                     raise ValueError(f"a table of n-gram length {n} follows one of length "
                                      f"{last}; tables must come in ascending lengths")
                 last = n
                 prefix = f"{n},"
-                lines = map("".join, _quoted_rows(table.cells, n))
+                lines = map("".join, _quoted_rows(cells, n))
                 while chunk := prefix.join(islice(lines, _WRITE_CHUNK)):
                     write(prefix + chunk)
-            del table  # before the next one is taken
 
 
 def _quoted_rows(cells, n):
     """The `(ngram, ",year,count\n")` rows of length `n` in (ngram, year)
     order, each suffix string shared by the rows of its cell with that
-    count. N-grams are quoted after the sort, since a quoted one sorts
+    count. Each cell of length `n` is popped from `cells` as its rows
+    are listed, a year at a time in ascending years, and the rows are
+    then stably sorted by n-gram alone, a sort that compares only
+    strings. N-grams are quoted after the sort, since a quoted one sorts
     elsewhere, and only for a length where some cell's n-grams, joined
     and searched once, hold a character that needs it."""
-    rows = _rows(cells, n, _suffixed)
-    if any(_needs_quotes(" ".join(cell)) for (length, _), cell in cells.items() if length == n):
+    years = sorted(year for length, year in cells if length == n)
+    quote = any(_needs_quotes(" ".join(cells[n, year])) for year in years)
+    rows = []
+    for year in years:
+        rows += _suffixed(year, cells.pop((n, year)))
+    rows.sort(key=itemgetter(0))
+    if quote:
         rows = [('"' + ngram.replace('"', '""') + '"' if _needs_quotes(ngram) else ngram, suffix)
                 for ngram, suffix in rows]
     return rows

@@ -174,28 +174,24 @@ def build_table(counts):
     return FrequencyTable(cells)
 
 
-def _rows(cells, n, rows_of):
-    """The rows `rows_of(year, cell)` gives for each cell of length `n`,
-    which start with the n-gram, in (ngram, year) order: listed a year
-    at a time in ascending years, then stably sorted by n-gram alone, a
-    sort that compares only strings, which is much cheaper than
-    comparing tuples."""
+def _rows(cells, n):
+    """The `(ngram, year, count)` rows of the cells of length `n` in
+    (ngram, year) order: listed a year at a time in ascending years,
+    then stably sorted by n-gram alone, a sort that compares only
+    strings, which is much cheaper than comparing tuples."""
     rows = []
     for year in sorted(year for length, year in cells if length == n):
-        rows += rows_of(year, cells[n, year])
+        cell = cells[n, year]
+        rows += zip(cell, repeat(year), cell.values())
     rows.sort(key=itemgetter(0))
     return rows
-
-
-def _counted(year, cell):
-    return zip(cell, repeat(year), cell.values())
 
 
 def _records(cells):
     """`(n, ngram, year, count)` for every count in `cells`, in (n,
     ngram, year) order; only one length's rows are alive at a time."""
     for n in sorted({n for n, _ in cells}):
-        for ngram, year, count in _rows(cells, n, _counted):
+        for ngram, year, count in _rows(cells, n):
             yield n, ngram, year, count
 
 

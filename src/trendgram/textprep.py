@@ -9,11 +9,12 @@ sentence boundary, which is the failure mode that matters.
 
 import re
 from collections import namedtuple
+from itertools import filterfalse
 
 _TERMINATOR_RE = re.compile(r"[.!?;:]\s+")
 # A run of word characters, apostrophes and hyphens, from its first word
 # character to its last.
-_TOKEN_RE = re.compile(r"\w(?:[\w'-]*\w)?")
+_TOKEN_RE = re.compile(r"\w+(?:['-]+\w+)*")
 
 ARTICLES = frozenset({"a", "an", "the"})
 
@@ -44,7 +45,7 @@ def tokenize(sentence):
 
 def remove_articles(tokens):
     """Drop every "a", "an", and "the", keeping the rest in order."""
-    return [token for token in tokens if token not in ARTICLES]
+    return list(filterfalse(ARTICLES.__contains__, tokens))
 
 
 def entry_sentences(entry):

@@ -7,14 +7,16 @@ real implementations against these.
 
 from __future__ import annotations
 
+import csv
 import html
+import io
 import math
 import re
 from fractions import Fraction
 
 from trendgram.ingest import (_AUTHOR_SEP_RE, _KEYWORD_SEP_RE, _SKIPPED_RECORD_TYPES,
-                              Diagnostic, Entry, _clean_value, _make_entry, _resync,
-                              _split_on)
+                              CORPUS_HEADER, Diagnostic, Entry, _clean_value, _make_entry,
+                              _resync, _split_on)
 from trendgram.plotting import (HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
                                 STROKE_PATTERNS, WIDTH)
 
@@ -56,6 +58,28 @@ def naive_records_text(counts):
             ngram = '"' + ngram.replace('"', '""') + '"'
         lines.append(f"{n},{ngram},{year},{counts[key]}\n")
     return "".join(lines)
+
+
+def naive_corpus_text(entries):
+    """The corpus CSV text of `entries` as `write_corpus` wrote it with
+    two `csv` writers: quoting only where needed, and every cell of a
+    row with a `\r` in any cell."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(CORPUS_HEADER)
+    for entry in entries:
+        row = [
+            entry.id,
+            entry.source,
+            str(entry.year),
+            entry.title,
+            entry.abstract,
+            ";".join(entry.keywords),
+            ";".join(entry.authors),
+        ]
+        (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
+    return fh.getvalue()
 
 
 def naive_freq(counts, phrase, year):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trendgram
-from oracle import naive_parse_bibtex
+from oracle import naive_corpus_text, naive_parse_bibtex
 from support import make_entry
 from trendgram.errors import IngestError
 from trendgram.ingest import (Diagnostic, filter_incomplete, merge_dedup,
@@ -495,6 +495,42 @@ def test_corpus_roundtrip_property(entries):
     buffer = io.StringIO()
     write_corpus(entries, buffer)
     assert read_corpus(io.StringIO(buffer.getvalue())) == entries
+
+
+# Cell text for the writer: its separators and quote, both line ends,
+# NUL and non-ASCII text among any other characters.
+_CORPUS_CHARACTERS = st.sampled_from(list(',";\n\r\x00 aé漢')) | st.characters(
+    exclude_categories=("Cs",))
+_CORPUS_TEXT = st.text(_CORPUS_CHARACTERS, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.builds(
+        make_entry,
+        id=_CORPUS_TEXT,
+        title=_CORPUS_TEXT,
+        abstract=_CORPUS_TEXT,
+        keywords=st.lists(_CORPUS_TEXT, max_size=3),
+        year=st.integers(-10, 10**5),
+        authors=st.lists(_CORPUS_TEXT, max_size=3),
+        source=st.sampled_from(["bibtex", "csv", "endnote"]),
+    ),
+    max_size=8,
+))
+@example([make_entry(title="a\rb", abstract="c\rd", keywords=["k\r1", "k2"],
+                     authors=["x\ry"])])
+@example([make_entry(id="bibtex:\r", title="t"), make_entry(title="no return, \"quoted\"")])
+@example([make_entry(title="nul\x00 naïve 漢字", abstract="", keywords=[], authors=[]),
+          make_entry(title="line\nfeed", abstract='"', keywords=["a,b", ""], authors=[""])])
+def test_write_corpus_matches_the_csv_module_writers(tmp_path_factory, entries):
+    expected = naive_corpus_text(entries)
+    buffer = io.StringIO()
+    write_corpus(entries, buffer)
+    assert buffer.getvalue() == expected
+    path = tmp_path_factory.mktemp("corpus") / "corpus.csv"
+    write_corpus(entries, path)
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_read_corpus_rejects_bad_header():

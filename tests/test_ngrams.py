@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import itertools
 import marshal
@@ -10,6 +11,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trendgram
+import trendgram.ngrams
 import trendgram.table
 from oracle import naive_ngram_counts, naive_records_text
 from support import STOPPY_WORDS, WORDS, random_counts, random_sentences
@@ -27,9 +30,9 @@ from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
 from trendgram.frequency import Query, QuerySeries, evaluate, parse_query, write_series_csv
 from trendgram.ngrams import Stoplist, count_ngrams, token_runs, write_records
-from trendgram.table import (_INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, NgramRecord, Prefix,
-                             _fingerprint, _most_frequent, _read_index, build_table, read_records,
-                             read_table, top_ngrams)
+from trendgram.table import (_INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, FrequencyTable,
+                             NgramRecord, Prefix, _fingerprint, _most_frequent, _read_index,
+                             build_table, read_records, read_table, top_ngrams)
 from trendgram.textprep import Sentence
 from trendgram.trends import build_catalog, rank_trends
 
@@ -263,6 +266,54 @@ def test_counting_prepared_runs_equals_counting_sentences(stoplist, runs):
                         for key, count in table.counts.items()}) == count_ngrams(sentences, stoplist)
 
 
+def test_stop_sums_are_built_once_per_batch_for_every_length(stoplist, monkeypatch):
+    sentences = year_runs(random.Random(3), [(2000, 600), (2001, 257)])
+    runs = token_runs(iter(sentences))
+    built = []
+    stop_sums = trendgram.ngrams._stop_sums
+
+    def counted(tokens, weigh):
+        built.append(tokens)
+        return stop_sums(tokens, weigh)
+
+    monkeypatch.setattr(trendgram.ngrams, "_stop_sums", counted)
+    for n in range(1, 5):
+        table = count_ngrams(runs, stoplist, n, n)
+        assert table.counts == naive_ngram_counts(sentences, stoplist, n, n)
+    assert len(runs) > 2 and built == [tokens for _, tokens in runs]
+
+
+def test_runs_counted_with_other_stopwords_are_counted_with_those(stoplist):
+    sentences = year_runs(random.Random(4), [(2001, 300), (2000, 2), (2001, 300)])
+    runs = token_runs(iter(sentences))
+    other = Stoplist(["code", " ", "of"])
+    for words in (stoplist, other, stoplist, other.words):
+        assert count_ngrams(runs, words, 1, 4).counts == naive_ngram_counts(sentences, words)
+    # A plain set changed between two counts is counted as it is at each.
+    words = set()
+    for word in ("code", "of"):
+        words.add(word)
+        assert count_ngrams(runs, words, 1, 4).counts == naive_ngram_counts(sentences, words)
+    words.clear()
+    assert count_ngrams(runs, words, 1, 4).counts == naive_ngram_counts(sentences, words)
+
+
+def test_token_runs_cannot_be_changed_in_place():
+    runs = token_runs([sentence(["program", "code"], 2000), sentence(["code"], 2001)])
+    year, tokens = runs[0]
+    assert isinstance(runs, tuple) and isinstance(runs[0], tuple) and isinstance(tokens, tuple)
+    assert (year, tokens[:2]) == (2000, ("program", "code"))
+    with pytest.raises(TypeError):
+        runs[0] = (2000, ())
+    with pytest.raises(TypeError):
+        del runs[0]
+    with pytest.raises(TypeError):
+        runs[0][1] = ()
+    with pytest.raises(TypeError):
+        tokens[0] = "x"
+    assert not hasattr(runs, "append") and not hasattr(runs, "extend")
+
+
 def assert_table_contract(table, expected):
     """What a table promises its readers, `bench/tracing.py` among them,
     for a table whose counts are the `(n, ngram, year) -> count` dict
@@ -447,6 +498,55 @@ def test_write_records_of_one_table_per_length_equals_the_whole_table(counts):
     per_length = io.StringIO()
     write_records(tables, per_length)
     assert per_length.getvalue() == whole.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.dictionaries(WRITER_KEYS, st.integers(1, 10**12), max_size=40))
+def test_write_records_leaves_the_callers_tables_unchanged(counts):
+    expected = naive_records_text(counts)
+    whole = build_table(counts)
+    per_length = [build_table({key: count for key, count in counts.items() if key[0] == n})
+                  for n in sorted({n for n, _, _ in counts})]
+    for tables, held in ((whole, [whole]), (per_length, per_length)):
+        before = [(copy.deepcopy(table.cells), len(table)) for table in held]
+        buffer = io.StringIO()
+        write_records(tables, buffer)
+        assert buffer.getvalue() == expected
+        assert [(table.cells, len(table)) for table in held] == before
+        assert all(table == FrequencyTable(cells) for table, (cells, _) in zip(held, before))
+
+
+class WeakCell(dict):
+    """A cell a `weakref` can follow."""
+
+
+def test_write_records_frees_a_lazy_tables_cells_before_its_sort(monkeypatch):
+    # `_quoted_rows` sorts each length's rows by `itemgetter(0)`; by then
+    # every cell of a table that only the writer held must be gone.
+    counts = random_counts(random.Random(8), max_records=200)
+    lengths = sorted({n for n, _, _ in counts})
+    refs = {}  # n -> weak references to the cells of its table
+
+    def cells_of(n):
+        cells = {}
+        for (length, ngram, year), count in counts.items():
+            if length == n:
+                cells.setdefault((n, year), WeakCell())[ngram] = count
+        refs[n] = [weakref.ref(cell) for cell in cells.values()]
+        return cells
+
+    freed = []
+    itemgetter = trendgram.ngrams.itemgetter
+
+    def itemgetter_at_sort(index):
+        freed.append(all(ref() is None for ref in refs[max(refs)]))
+        return itemgetter(index)
+
+    monkeypatch.setattr(trendgram.ngrams, "itemgetter", itemgetter_at_sort)
+    buffer = io.StringIO()
+    write_records((FrequencyTable(cells_of(n)) for n in lengths), buffer)
+    assert buffer.getvalue() == naive_records_text(counts)
+    assert len(lengths) == 4 and freed == [True] * 4
 
 
 @pytest.mark.parametrize("lengths", [[2, 1], [2, 2], [1, 3, 2]], ids=["descending", "repeated", "late"])

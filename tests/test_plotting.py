@@ -141,6 +141,7 @@ def test_headroom_scales_axis():
     assert re.search(r">1</text>", svg)
 
 
+@settings(deadline=None)
 @given(st.text())
 def test_escape_matches_html_escape(text):
     assert escape(text, quote=False) == html.escape(text, quote=False)
