@@ -24,12 +24,12 @@ import os
 from array import array
 from collections import _count_elements
 from itertools import accumulate, compress, groupby, islice, repeat
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, sub
 
 from ._io import open_for_write, read_text
 from ._limits import NGRAM_MAX
 from .errors import TrendgramError
-from .table import RECORDS_HEADER, FrequencyTable
+from .table import RECORDS_HEADER, FrequencyTable, _rows
 
 _BATCH = 256  # sentences counted together; bounds the batch's token lists
 _BOUNDARY = object()  # follows each sentence of a batch; equals no token
@@ -120,12 +120,12 @@ def count_ngrams(sentences, stoplist, n_min=1, n_max=NGRAM_MAX):
     `n_max` only; counts of separately counted shards sum to the counts
     of the whole corpus. `sentences` are `Sentence`s, or the batches
     `token_runs` made of them, which can be counted again, such as one
-    length at a time, without being prepared again; sentences are
-    prepared first, so all of their tokens are held until the table is
-    built. Batches keep their stop-weight sums for the stop-word set
-    they were last counted with, 8 bytes per token, and count again
-    with an equal set without building them again. `_count_length`
-    applies the rules.
+    length at a time, without being prepared again. Batches keep their
+    stop-weight sums for the stop-word set they were last counted with,
+    8 bytes per token, and count again with an equal set without
+    building them again. Sentences are prepared first, so all of their
+    tokens and these sums are held until the table is built.
+    `_count_length` applies the rules.
     """
     if not 1 <= n_min <= n_max <= NGRAM_MAX:
         raise ValueError(f"bad n-gram bounds {n_min}..{n_max}")
@@ -155,9 +155,8 @@ def _count_length(runs, sums, n):
     `(n, year)` in ascending years. `sums` holds each batch's
     `_stop_sums`, so a window's stopword count is one subtraction, and a
     window that crosses a sentence boundary weighs too much to be kept.
-    A unigram is its kept token itself; a longer n-gram's text is built
-    only for windows that are kept. Each is counted in its year's dict,
-    all inside C iterators."""
+    The n-gram text is built only for windows that are kept, and each is
+    counted in its year's dict, all inside C iterators."""
     keep = ((n + 1) // 2).__gt__
     by_year: dict[int, dict[str, int]] = {}
     for (year, tokens), stops in zip(runs, sums):
@@ -165,11 +164,8 @@ def _count_length(runs, sums, n):
         if cell is None:
             cell = by_year[year] = {}
         kept = map(keep, map(sub, islice(stops, n, None), stops))
-        if n == 1:
-            _count_elements(cell, compress(tokens, kept))
-        else:
-            windows = zip(*[islice(tokens, start, None) for start in range(n)])
-            _count_elements(cell, map(" ".join, compress(windows, kept)))
+        windows = zip(*[islice(tokens, start, None) for start in range(n)])
+        _count_elements(cell, map(" ".join, compress(windows, kept)))
     return {(n, year): by_year[year] for year in sorted(by_year) if by_year[year]}
 
 
@@ -221,17 +217,11 @@ def _quoted_rows(cells, n):
     """The `(ngram, ",year,count\n")` rows of length `n` in (ngram, year)
     order, each suffix string shared by the rows of its cell with that
     count. Each cell of length `n` is popped from `cells` as its rows
-    are listed, a year at a time in ascending years, and the rows are
-    then stably sorted by n-gram alone, a sort that compares only
-    strings. N-grams are quoted after the sort, since a quoted one sorts
-    elsewhere, and only for a length where some cell's n-grams, joined
-    and searched once, hold a character that needs it."""
-    years = sorted(year for length, year in cells if length == n)
-    quote = any(_needs_quotes(" ".join(cells[n, year])) for year in years)
-    rows = []
-    for year in years:
-        rows += _suffixed(year, cells.pop((n, year)))
-    rows.sort(key=itemgetter(0))
+    are listed (see `_rows`). N-grams are quoted after the sort, since a
+    quoted one sorts elsewhere, and only for a length where some cell's
+    n-grams, joined and searched once, hold a character that needs it."""
+    quote = any(_needs_quotes(" ".join(cell)) for (length, _), cell in cells.items() if length == n)
+    rows = _rows(cells, n, _suffixed)
     if quote:
         rows = [('"' + ngram.replace('"', '""') + '"' if _needs_quotes(ngram) else ngram, suffix)
                 for ngram, suffix in rows]

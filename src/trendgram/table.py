@@ -174,24 +174,31 @@ def build_table(counts):
     return FrequencyTable(cells)
 
 
-def _rows(cells, n):
-    """The `(ngram, year, count)` rows of the cells of length `n` in
-    (ngram, year) order: listed a year at a time in ascending years,
-    then stably sorted by n-gram alone, a sort that compares only
-    strings, which is much cheaper than comparing tuples."""
+def _rows(cells, n, rows_of):
+    """The rows `rows_of(year, cell)` gives for each cell of length `n`,
+    which start with the n-gram, in (ngram, year) order: each cell is
+    popped from `cells` and listed a year at a time in ascending years,
+    then the rows are stably sorted by n-gram alone, a sort that
+    compares only strings, which is much cheaper than comparing
+    tuples. A cell that only `cells` held is freed before the sort."""
     rows = []
     for year in sorted(year for length, year in cells if length == n):
-        cell = cells[n, year]
-        rows += zip(cell, repeat(year), cell.values())
+        rows += rows_of(year, cells.pop((n, year)))
     rows.sort(key=itemgetter(0))
     return rows
 
 
+def _counted(year, cell):
+    return zip(cell, repeat(year), cell.values())
+
+
 def _records(cells):
     """`(n, ngram, year, count)` for every count in `cells`, in (n,
-    ngram, year) order; only one length's rows are alive at a time."""
+    ngram, year) order; only one length's rows are alive at a time.
+    `cells` is left unchanged: the rows are listed from a copy."""
+    cells = dict(cells)
     for n in sorted({n for n, _ in cells}):
-        for ngram, year, count in _rows(cells, n):
+        for ngram, year, count in _rows(cells, n, _counted):
             yield n, ngram, year, count
 
 

@@ -9,12 +9,11 @@ sentence boundary, which is the failure mode that matters.
 
 import re
 from collections import namedtuple
-from itertools import filterfalse
 
 _TERMINATOR_RE = re.compile(r"[.!?;:]\s+")
 # A run of word characters, apostrophes and hyphens, from its first word
 # character to its last.
-_TOKEN_RE = re.compile(r"\w+(?:['-]+\w+)*")
+_TOKEN_RE = re.compile(r"\w(?:[\w'-]*\w)?")
 
 ARTICLES = frozenset({"a", "an", "the"})
 
@@ -45,7 +44,7 @@ def tokenize(sentence):
 
 def remove_articles(tokens):
     """Drop every "a", "an", and "the", keeping the rest in order."""
-    return list(filterfalse(ARTICLES.__contains__, tokens))
+    return [token for token in tokens if token not in ARTICLES]
 
 
 def entry_sentences(entry):

@@ -512,6 +512,8 @@ def test_write_records_leaves_the_callers_tables_unchanged(counts):
         buffer = io.StringIO()
         write_records(tables, buffer)
         assert buffer.getvalue() == expected
+        for table in held:
+            list(table)  # lists its records from a copy of its cells
         assert [(table.cells, len(table)) for table in held] == before
         assert all(table == FrequencyTable(cells) for table, (cells, _) in zip(held, before))
 
@@ -521,7 +523,7 @@ class WeakCell(dict):
 
 
 def test_write_records_frees_a_lazy_tables_cells_before_its_sort(monkeypatch):
-    # `_quoted_rows` sorts each length's rows by `itemgetter(0)`; by then
+    # `table._rows` sorts each length's rows by `itemgetter(0)`; by then
     # every cell of a table that only the writer held must be gone.
     counts = random_counts(random.Random(8), max_records=200)
     lengths = sorted({n for n, _, _ in counts})
@@ -536,13 +538,13 @@ def test_write_records_frees_a_lazy_tables_cells_before_its_sort(monkeypatch):
         return cells
 
     freed = []
-    itemgetter = trendgram.ngrams.itemgetter
+    itemgetter = trendgram.table.itemgetter
 
     def itemgetter_at_sort(index):
         freed.append(all(ref() is None for ref in refs[max(refs)]))
         return itemgetter(index)
 
-    monkeypatch.setattr(trendgram.ngrams, "itemgetter", itemgetter_at_sort)
+    monkeypatch.setattr(trendgram.table, "itemgetter", itemgetter_at_sort)
     buffer = io.StringIO()
     write_records((FrequencyTable(cells_of(n)) for n in lengths), buffer)
     assert buffer.getvalue() == naive_records_text(counts)
