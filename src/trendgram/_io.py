@@ -1,4 +1,5 @@
-"""Path-or-stream helpers for the file readers and writers."""
+"""Path-or-stream helpers for the file readers and writers, and the
+quoting rule of every CSV cell the writers write (`csv_cell`)."""
 
 import os
 import stat
@@ -51,6 +52,23 @@ def checked_csv(source, header, error, what):
             yield reader
         except (error, csv.Error) as exc:
             raise error(f"{location(source, reader.line_num)}{exc}") from None
+
+
+def needs_quotes(text):
+    """Whether a CSV cell holding `text` must be quoted."""
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
+def quoted(cell):
+    """`cell` quoted, with its quotes doubled."""
+    return '"' + cell.replace('"', '""') + '"'
+
+
+def csv_cell(cell):
+    """`cell` as written in a CSV row: `quoted` if it `needs_quotes`,
+    else as it is. Unlike `csv.writer` on Python 3.10 to 3.12, this
+    quotes a lone `\r`, which the reader would take for a line end."""
+    return quoted(cell) if needs_quotes(cell) else cell
 
 
 def location(source, line=None):

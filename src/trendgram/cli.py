@@ -13,7 +13,7 @@ import sys
 from types import SimpleNamespace
 
 from . import _bind, _module_getattr
-from ._io import location, open_for_write, read_text
+from ._io import csv_cell, location, open_for_write, read_text
 from ._limits import (DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
                       DEFAULT_YEAR_RANGE, NGRAM_MAX)
 from .errors import IngestError, TrendgramError
@@ -196,14 +196,13 @@ def main():
 # subcommands
 
 def cmd_ingest(args):
-    _load("ingest")
     if args.year_min > args.year_max:
         raise UsageError(f"year-min {args.year_min} is greater than year-max {args.year_max}")
     year_range = (args.year_min, args.year_max)
     mapping = _parse_csv_map(args.csv_map) if args.csv_map else None
-
     if not (args.bibtex or args.csv or args.endnote):
         raise UsageError("at least one input file is required (--bibtex/--csv/--endnote)")
+    _load("ingest")
 
     lists = []
     for paths, parse in (
@@ -278,7 +277,15 @@ def _year_range_for(args, table):
         hi = span[1] if span else None
     if lo is None or hi is None:
         raise TrendgramError("records file has no years; pass --from and --to")
-    if lo > hi:
+    return _ordered(lo, hi)
+
+
+def _ordered(lo, hi):
+    """`(lo, hi)`, refused as a usage error if both are given and `lo`
+    is the greater. A command checks its own `--from` and `--to` so
+    before it loads any stage, and `_year_range_for` again once a bound
+    missing from them has come from the table."""
+    if lo is not None and hi is not None and lo > hi:
         raise UsageError(f"--from {lo} is greater than --to {hi}")
     return lo, hi
 
@@ -289,6 +296,7 @@ def _write_svg(path, series, title):
 
 
 def cmd_query(args):
+    _ordered(args.year_from, args.year_to)
     # `table` first: its compile, the largest, then runs while the fewest
     # objects are resident, which lowers the command's peak memory.
     _load("table", "frequency")
@@ -321,6 +329,7 @@ def cmd_top(args):
 def cmd_catalog(args):
     if args.limit < 1:
         raise UsageError("--limit must be at least 1")
+    _ordered(args.year_from, args.year_to)
     # build_catalog would load `frequency` and `plotting` itself; loading
     # them before the table is read keeps what importing them briefly
     # allocates (compiling, without a bytecode cache) off the top of the table.
@@ -342,11 +351,12 @@ def cmd_trends(args):
                          min_support=args.min_support, min_years=args.min_years)
     print("rank,ngram,slope,total_count")
     for rank, entry in enumerate(ranked, 1):
-        print(f"{rank},{entry.ngram},{format(entry.slope, '.10g')},{entry.total_count}")
+        print(f"{rank},{csv_cell(entry.ngram)},{format(entry.slope, '.10g')},{entry.total_count}")
     return 0
 
 
 def cmd_demo(args):
+    _ordered(args.year_from, args.year_to)
     _load("table", "frequency", "plotting")  # `table` first, as in cmd_query
     queries = [parse_query(text) for text in DEMO_QUERIES]
     table = read_table(args.input, ngrams=set().union(*map(query_ngrams, queries)))

@@ -13,7 +13,7 @@ removal as extraction did, so a query matches exactly what was stored.
 
 from collections import namedtuple
 
-from ._io import open_for_write
+from ._io import csv_cell, open_for_write
 from ._limits import NGRAM_MAX
 from .errors import QueryError
 from .textprep import remove_articles, tokenize
@@ -140,22 +140,16 @@ def evaluate(table, query, year_range):
 
 
 def write_series_csv(series_list, dest):
-    """`label,year,frequency,has_data` rows, frequencies at 10
-    significant digits."""
-    import csv  # here, so that `catalog` and `demo`, which write no series file, do not load it
-
+    """`label,year,frequency,has_data` rows ending with `\n`, labels
+    quoted by `_io.csv_cell`, frequencies at 10 significant digits."""
     with open_for_write(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SERIES_HEADER)
+        fh.write(",".join(SERIES_HEADER) + "\n")
         for series in series_list:
+            label = csv_cell(series.label)
             for year in sorted(series.points):
                 point = series.points[year]
-                writer.writerow([
-                    series.label,
-                    year,
-                    format(point.frequency, ".10g"),
-                    "true" if point.has_data else "false",
-                ])
+                has_data = "true" if point.has_data else "false"
+                fh.write(f"{label},{year},{format(point.frequency, '.10g')},{has_data}\n")
 
 
 def write_series_json(series_list, dest):

@@ -18,7 +18,7 @@ import io
 import re
 from collections import namedtuple
 
-from ._io import checked_csv, open_for_write
+from ._io import checked_csv, csv_cell, open_for_write, quoted
 from .errors import IngestError
 
 SOURCES = ("bibtex", "csv", "endnote")
@@ -415,13 +415,11 @@ def write_corpus(entries, dest):
     items themselves must not contain semicolons; the parsers split
     both on `;`, so no entry they return holds one.
 
-    Rows end with `\n`. A cell that holds a comma, a quote or `\n` is
-    quoted, with its quotes doubled, and a row with a `\r` in any cell
-    has every cell quoted, since an unquoted `\r` would end the row for
-    the reader: the rules of the `csv` module's minimal and all-quoting
-    writers with `\n` line ends. A row is joined first and checked as
-    one string, and only a row that holds one of those characters is
-    quoted cell by cell.
+    Rows end with `\n`. Cells are quoted by `_io.csv_cell`, and a row
+    with a `\r` in any cell has every cell quoted: the rules of the
+    `csv` module's minimal and all-quoting writers with `\n` line ends.
+    A row is joined first and checked as one string, and only a row
+    that holds a character that needs quoting is quoted cell by cell.
     """
     with open_for_write(dest) as fh:
         write = fh.write
@@ -438,16 +436,8 @@ def write_corpus(entries, dest):
             )
             line = ",".join(row)
             if line.count(",") >= len(row) or '"' in line or "\n" in line or "\r" in line:
-                line = ",".join(map(_quoted if "\r" in line else _quoted_if_needed, row))
+                line = ",".join(map(quoted if "\r" in line else csv_cell, row))
             write(line + "\n")
-
-
-def _quoted(cell):
-    return '"' + cell.replace('"', '""') + '"'
-
-
-def _quoted_if_needed(cell):
-    return _quoted(cell) if "," in cell or '"' in cell or "\n" in cell else cell
 
 
 def read_corpus(source):

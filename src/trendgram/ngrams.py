@@ -26,7 +26,7 @@ from collections import _count_elements
 from itertools import accumulate, compress, groupby, islice, repeat
 from operator import attrgetter, sub
 
-from ._io import open_for_write, read_text
+from ._io import csv_cell, needs_quotes, open_for_write, read_text
 from ._limits import NGRAM_MAX
 from .errors import TrendgramError
 from .table import RECORDS_HEADER, FrequencyTable, _rows
@@ -182,9 +182,8 @@ def write_records(tables, dest):
     all follow those of the tables before it, or `ValueError` is raised
     and a file at `dest` is left as it was.
 
-    The n-gram cell is quoted, with its quotes doubled, only if it
-    contains a comma, a quote, `\n` or `\r` (token rules make all four
-    impossible, but readers must accept it).
+    The n-gram cell is quoted by `_io.csv_cell` (token rules make every
+    character it quotes impossible, but readers must accept it).
 
     Each length's rows (see `_quoted_rows`) are written in chunks of
     _WRITE_CHUNK lines. A line is its `(ngram, suffix)` row joined with
@@ -217,21 +216,17 @@ def _quoted_rows(cells, n):
     """The `(ngram, ",year,count\n")` rows of length `n` in (ngram, year)
     order, each suffix string shared by the rows of its cell with that
     count. Each cell of length `n` is popped from `cells` as its rows
-    are listed (see `_rows`). N-grams are quoted after the sort, since a
-    quoted one sorts elsewhere, and only for a length where some cell's
-    n-grams, joined and searched once, hold a character that needs it."""
-    quote = any(_needs_quotes(" ".join(cell)) for (length, _), cell in cells.items() if length == n)
+    are listed (see `_rows`). N-grams are quoted by `_io.csv_cell`
+    after the sort, since a quoted one sorts elsewhere, and only for a
+    length where some cell's n-grams, joined and searched once, hold a
+    character that needs it."""
+    quote = any(needs_quotes(" ".join(cell)) for (length, _), cell in cells.items() if length == n)
     rows = _rows(cells, n, _suffixed)
     if quote:
-        rows = [('"' + ngram.replace('"', '""') + '"' if _needs_quotes(ngram) else ngram, suffix)
-                for ngram, suffix in rows]
+        rows = [(csv_cell(ngram), suffix) for ngram, suffix in rows]
     return rows
 
 
 def _suffixed(year, cell):
     suffix = {count: f",{year},{count}\n" for count in set(cell.values())}
     return zip(cell, map(suffix.__getitem__, cell.values()))
-
-
-def _needs_quotes(text):
-    return "," in text or '"' in text or "\n" in text or "\r" in text

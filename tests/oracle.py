@@ -14,6 +14,7 @@ import math
 import re
 from fractions import Fraction
 
+from trendgram.frequency import SERIES_HEADER
 from trendgram.ingest import (_AUTHOR_SEP_RE, _KEYWORD_SEP_RE, _SKIPPED_RECORD_TYPES,
                               CORPUS_HEADER, Diagnostic, Entry, _clean_value, _make_entry,
                               _resync, _split_on)
@@ -79,6 +80,25 @@ def naive_corpus_text(entries):
             ";".join(entry.authors),
         ]
         (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
+    return fh.getvalue()
+
+
+def naive_series_text(series_list):
+    """The series CSV text of `series_list` as `write_series_csv` wrote it
+    with a `csv` writer, which on Python 3.10 to 3.12 leaves a label
+    holding a `\r` unquoted."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(SERIES_HEADER)
+    for series in series_list:
+        for year in sorted(series.points):
+            point = series.points[year]
+            writer.writerow([
+                series.label,
+                year,
+                format(point.frequency, ".10g"),
+                "true" if point.has_data else "false",
+            ])
     return fh.getvalue()
 
 

@@ -329,6 +329,23 @@ def test_counts_below_one_are_usage_errors(argv, message, records_csv, tmp_path)
     assert not (tmp_path / "catalog").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["query", "code", "--from", "2014", "--to", "2013"],
+    ["catalog", "-o", "{tmp}/catalog", "--from", "2014", "--to", "2013"],
+    ["demo", "-o", "{tmp}/catalog", "--from", "2014", "--to", "2013"],
+], ids=lambda argv: argv[0])
+def test_reversed_years_are_usage_errors_before_the_records_are_read(argv, tmp_path):
+    src = str(Path(trendgram.__file__).resolve().parent.parent)
+    command, *rest = argv
+    result = subprocess.run(
+        [sys.executable, "-m", "trendgram", command, "-i", str(tmp_path / "missing.csv"),
+         *(arg.format(tmp=tmp_path) for arg in rest)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == ["error: --from 2014 is greater than --to 2013"]
+    assert not (tmp_path / "catalog").exists()
+
+
 # A quoted field longer than the csv module's default limit of 131072 characters.
 BIG_FIELD = '"' + "x" * 140_000 + '"'
 
@@ -421,9 +438,9 @@ def _module_names(names):
     (["top", "-i", "records.csv", "-n", "2"],
      ["table"], ["ngrams", "ingest", "frequency", "plotting", "trends", "csv"]),
     (["query", "-i", "records.csv", "code", "-o", "series.csv"],
-     ["frequency", "table"], ["ngrams", "plotting", "json"]),
+     ["frequency", "table"], ["ngrams", "plotting", "json", "csv"]),
     (["query", "-i", "records.csv", "code", "--svg", "q.svg"],
-     ["frequency", "table", "plotting"], ["ngrams", "json"]),
+     ["frequency", "table", "plotting"], ["ngrams", "json", "csv"]),
     (["trends", "-i", "records.csv", "--min-support", "1", "--min-years", "1"],
      ["table", "trends"], ["ngrams", "ingest", "textprep", "frequency", "plotting", "csv"]),
     (["catalog", "-i", "records.csv", "-o", "catalog", "--limit", "3"],
@@ -530,6 +547,19 @@ def test_a_count_below_one_loads_no_stage(records_csv, argv):
                                      *argv, cwd=records_csv.parent)
     assert status == "1"
     assert modules.isdisjoint(f"trendgram.{stage}" for stage in STAGES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--bibtex", "missing.bib", "--year-min", "2010", "--year-max", "2000",
+     "-o", "c.csv"],
+    ["ingest", "-o", "c.csv"],
+], ids=["years", "no-input"])
+def test_an_ingest_usage_error_loads_no_stage(tmp_path, argv):
+    status, modules = _modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
+                                     *argv, cwd=tmp_path)
+    assert status == "1"
+    assert modules.isdisjoint(f"trendgram.{stage}" for stage in STAGES)
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.fixture()

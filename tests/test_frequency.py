@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_freq, naive_freq_list, naive_ngram_counts
+from oracle import naive_freq, naive_freq_list, naive_ngram_counts, naive_series_text
 from support import random_sentences
 from trendgram.errors import QueryError
-from trendgram.frequency import (Query, QuerySeries, SeriesPoint, evaluate, freq, freq_list,
-                                 parse_query, write_series_csv, write_series_json)
+from trendgram.frequency import (FrequencySeries, Query, QuerySeries, SeriesPoint, evaluate, freq,
+                                 freq_list, parse_query, write_series_csv, write_series_json)
 from trendgram.ngrams import count_ngrams, write_records
 from trendgram.table import build_table, read_table
 
@@ -323,6 +325,33 @@ def test_series_csv_ten_significant_digits():
     buffer = io.StringIO()
     write_series_csv(evaluate(table, parse_query("x"), (2000, 2000)), buffer)
     assert "0.1428571429" in buffer.getvalue()
+
+
+# Python 3.10's csv module can neither write nor read a NUL, so no label holds one there.
+_LABELS = st.text(st.sampled_from(',"\n\r\x00ab é漢') | st.characters(), max_size=8).filter(
+    lambda label: "\x00" not in label or sys.version_info >= (3, 11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(
+    FrequencySeries,
+    _LABELS,
+    st.dictionaries(st.integers(1900, 2100),
+                    st.builds(SeriesPoint, st.floats(0, 1), st.booleans()), max_size=3),
+), max_size=4))
+@example([FrequencySeries("source\rcode", {2000: SeriesPoint(0.5, True)}),
+          FrequencySeries('a,"b"\nc', {2001: SeriesPoint(0.0, False)})])
+def test_series_csv_labels_read_back_and_match_the_csv_module(series_list):
+    buffer = io.StringIO()
+    write_series_csv(series_list, buffer)
+    rows = list(csv.reader(io.StringIO(buffer.getvalue(), newline="")))
+    assert rows == [["label", "year", "frequency", "has_data"]] + [
+        [series.label, str(year), format(point.frequency, ".10g"), str(point.has_data).lower()]
+        for series in series_list for year, point in sorted(series.points.items())]
+    plain = [series for series in series_list if "\r" not in series.label]
+    buffer = io.StringIO()
+    write_series_csv(plain, buffer)
+    assert buffer.getvalue() == naive_series_text(plain)
 
 
 def test_series_json_shape():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import errno
+import io
 import os
 import random
 import stat
@@ -175,6 +177,20 @@ def test_rank_trends_rejects_bad_arguments():
         rank_trends(table, 2, "sideways", 1)
     with pytest.raises(ValueError):
         rank_trends(table, 2, "rising", 0)
+
+
+def test_trends_output_quotes_ngrams_so_that_they_read_back(tmp_path, capsys):
+    ngrams = ["a,b c", 'say "hi"', "line\nfeed x", "plain words"]
+    counts = {(2, ngram, year): 1 + rank * (year - 2000)
+              for rank, ngram in enumerate(ngrams) for year in range(2000, 2004)}
+    records = tmp_path / "records.csv"
+    write_records(build_table(counts), records)
+    assert run(["trends", "-i", str(records), "-n", "2", "-k", "10",
+                "--min-support", "1", "--min-years", "2"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+    assert header == ["rank", "ngram", "slope", "total_count"]
+    assert all(len(row) == 4 for row in rows)
+    assert sorted(row[1] for row in rows) == sorted(ngrams)
 
 
 # ---------------------------------------------------------------------------
