@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from . import _bind, _module_getattr
 from ._io import csv_cell, location, open_for_write, read_text
 from ._limits import (DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
-                      DEFAULT_YEAR_RANGE, NGRAM_MAX)
+                      DEFAULT_YEAR_RANGE, NGRAM_MAX, csv_mapping_problem)
 from .errors import IngestError, TrendgramError
 
 # The stage functions a command calls are bound as globals of this module
@@ -230,8 +230,6 @@ def cmd_ingest(args):
 
 
 def _parse_csv_map(pairs):
-    from .ingest import check_csv_mapping
-
     mapping = {}
     for pair in pairs:
         field, eq, column = pair.partition("=")
@@ -241,10 +239,8 @@ def _parse_csv_map(pairs):
         if field in mapping:
             raise UsageError(f"--csv-map: field '{field}' is mapped more than once")
         mapping[field] = column
-    try:
-        check_csv_mapping(mapping)
-    except IngestError as exc:
-        raise UsageError(f"--csv-map: {exc}") from None
+    if problem := csv_mapping_problem(mapping):
+        raise UsageError(f"--csv-map: {problem}")
     return mapping
 
 

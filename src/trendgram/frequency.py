@@ -12,6 +12,7 @@ removal as extraction did, so a query matches exactly what was stored.
 """
 
 from collections import namedtuple
+from math import fsum
 
 from ._io import csv_cell, open_for_write
 from ._limits import NGRAM_MAX
@@ -42,8 +43,9 @@ def freq(table, phrase, year):
 
 
 def freq_list(table, phrases, year):
-    """Sum of the members' frequencies; a phrase listed twice counts twice."""
-    return sum(freq(table, phrase, year) for phrase in phrases)
+    """Sum of the members' frequencies, correctly rounded by `math.fsum`
+    on every Python; a phrase listed twice counts twice."""
+    return fsum(freq(table, phrase, year) for phrase in phrases)
 
 
 def parse_query(text):
@@ -106,9 +108,8 @@ def evaluate(table, query, year_range):
     data when any phrase's length has data that year (`has_data`). A
     series of one phrase, such as every catalog page, inlines both in
     one comprehension over the years that looks up the phrase's count
-    and its length's total per year, with no `sum`: the sum of one float
-    is that float on every Python, 3.12's compensated `sum` included, so
-    the values are `freq_list`'s.
+    and its length's total per year: the `fsum` of one float is that
+    float, so the values are `freq_list`'s.
 
     Points are equal to `SeriesPoint(value, has_data)`; zero points are
     shared objects, and which object a point is belongs to no API."""

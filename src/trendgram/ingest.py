@@ -19,11 +19,18 @@ import re
 from collections import namedtuple
 
 from ._io import checked_csv, csv_cell, open_for_write, quoted
+from ._limits import csv_mapping_problem
 from .errors import IngestError
 
 SOURCES = ("bibtex", "csv", "endnote")
 
 CORPUS_HEADER = ("id", "source", "year", "title", "abstract", "keywords", "authors")
+
+# The most characters a corpus cell may hold: the csv module's default
+# `field_size_limit`, which the corpus and records readers keep. A cell
+# is measured casefolded, as tokens are cut from it, so no n-gram is
+# longer either.
+_CELL_MAX = 131_072
 
 # Column names used by IEEE Xplore CSV exports. The keywords column must
 # be the author-supplied one, not the automatically assigned keywords.
@@ -34,10 +41,6 @@ DEFAULT_CSV_MAPPING = {
     "year": "Publication Year",
     "authors": "Authors",
 }
-
-# The entry fields a CSV mapping may name; title and year are required.
-CSV_FIELDS = ("title", "abstract", "keywords", "year", "authors")
-_CSV_REQUIRED = ("title", "year")
 
 
 # `keywords` and `authors` are lists of strings.
@@ -71,6 +74,14 @@ def _make_entry(source, ordinal, title, abstract, keywords, authors, year_text,
         return None, f"year {year} outside range {year_range[0]}-{year_range[1]}"
     if not title:
         return None, "missing title"
+    # Each cell `write_corpus` would write for the entry must read back on
+    # every Python, and 3.10's csv module reads no NUL.
+    for name, cell in (("title", title), ("abstract", abstract),
+                       ("keywords", ";".join(keywords)), ("authors", ";".join(authors))):
+        if "\x00" in cell:
+            return None, f"{name} holds NUL"
+        if len(cell.casefold()) > _CELL_MAX:
+            return None, f"{name} longer than {_CELL_MAX} characters once casefolded"
     entry = Entry(
         id=f"{source}:{ordinal}",
         title=title,
@@ -245,7 +256,8 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
     on `;`. Rows with a bad year become diagnostics and are skipped.
     """
     mapping = DEFAULT_CSV_MAPPING if mapping is None else mapping
-    check_csv_mapping(mapping)
+    if problem := csv_mapping_problem(mapping):
+        raise IngestError(problem)
     reader = csv.reader(io.StringIO(text, newline=None))
     rows = _checked_rows(reader)
     try:
@@ -272,18 +284,6 @@ def parse_csv(text, mapping=None, year_range=None, start_ordinal=1):
         cell(row, "year"),
     )) for row in rows if any(c.strip() for c in row))
     return _collect("csv", records, year_range, start_ordinal)
-
-
-def check_csv_mapping(mapping):
-    """Raise `IngestError` unless `mapping` names only `CSV_FIELDS` and
-    includes title and year."""
-    unknown = sorted(set(mapping) - set(CSV_FIELDS))
-    if unknown:
-        raise IngestError(f"unknown field(s) in CSV mapping: {', '.join(unknown)}"
-                          f" (fields are {', '.join(CSV_FIELDS)})")
-    for field in _CSV_REQUIRED:
-        if field not in mapping:
-            raise IngestError(f"CSV mapping must include '{field}'")
 
 
 def _checked_rows(reader):

@@ -9,6 +9,7 @@ articles in a single year can otherwise look like a steep trend.
 
 import os
 from collections import namedtuple
+from math import fsum
 
 from . import _bind, _module_getattr
 from ._limits import DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS, NGRAM_MAX
@@ -33,10 +34,11 @@ TrendEntry.__doc__ = "One ranked n-gram with its fitted slope and total count."
 def _slope(years, values):
     """OLS slope of `values` against `years`, two or more distinct years
     in ascending order. Years are centered at their mean before fitting,
-    which keeps the sums small."""
-    mean_year = sum(years) / len(years)
-    numerator = sum((year - mean_year) * value for year, value in zip(years, values))
-    denominator = sum((year - mean_year) ** 2 for year in years)
+    which keeps the sums small; `math.fsum` rounds each sum correctly, so
+    the slope is the same on every Python."""
+    mean_year = fsum(years) / len(years)
+    numerator = fsum((year - mean_year) * value for year, value in zip(years, values))
+    denominator = fsum((year - mean_year) ** 2 for year in years)
     return numerator / denominator
 
 

@@ -61,14 +61,23 @@ def naive_records_text(counts):
     return "".join(lines)
 
 
+def _csv_row(row, quoting=csv.QUOTE_MINIMAL):
+    """`row` as a `csv` writer with `quoting` and `\n` line ends writes
+    it. Python 3.10's writer refuses a NUL, which later versions write
+    as it is: each NUL goes to the writer as a private-use character that
+    `row` does not hold, which no version quotes, and is put back."""
+    stand_in = next(chr(code) for code in range(0xE000, 0xF900) if chr(code) not in "".join(row))
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(
+        [cell.replace("\x00", stand_in) for cell in row])
+    return fh.getvalue().replace(stand_in, "\x00")
+
+
 def naive_corpus_text(entries):
     """The corpus CSV text of `entries` as `write_corpus` wrote it with
     two `csv` writers: quoting only where needed, and every cell of a
     row with a `\r` in any cell."""
-    fh = io.StringIO()
-    writer = csv.writer(fh, lineterminator="\n")
-    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(CORPUS_HEADER)
+    lines = [_csv_row(CORPUS_HEADER)]
     for entry in entries:
         row = [
             entry.id,
@@ -79,8 +88,9 @@ def naive_corpus_text(entries):
             ";".join(entry.keywords),
             ";".join(entry.authors),
         ]
-        (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
-    return fh.getvalue()
+        lines.append(_csv_row(row, csv.QUOTE_ALL if any("\r" in cell for cell in row)
+                              else csv.QUOTE_MINIMAL))
+    return "".join(lines)
 
 
 def naive_series_text(series_list):

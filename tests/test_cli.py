@@ -164,7 +164,9 @@ def test_ingest_rejects_bad_year_window(tmp_path, capsys):
 def test_ingest_rejects_bad_csv_map(tmp_path, capsys):
     assert run(["ingest", "--csv", "whatever.csv", "--csv-map", "nope=Header",
                 "-o", str(tmp_path / "c.csv")]) == 1
-    assert "nope" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --csv-map: unknown field(s) in CSV mapping: nope"
+        " (fields are title, abstract, keywords, year, authors)"]
 
 
 @pytest.mark.parametrize("pairs, missing", [
@@ -369,6 +371,36 @@ def test_csv_field_over_size_limit_is_data_error(argv, header, row, where, line,
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+# BibTeX fields whose corpus cell the corpus reader would refuse: NUL,
+# which Python 3.10's csv module reads nowhere, and a cell over the csv
+# module's limit, or one casefolding takes over it (each `ß` becomes `ss`).
+@pytest.mark.parametrize("fields, problem", [
+    ("title={nul\x00 title}, abstract={A.}", "title holds NUL"),
+    ("title={T}, abstract={" + "word " * 46_800 + "}",
+     "abstract longer than 131072 characters once casefolded"),
+    ("title={" + "\u00df" * 70_000 + "}, abstract={A.}",
+     "title longer than 131072 characters once casefolded"),
+], ids=["nul", "long", "casefolded"])
+def test_ingest_refuses_a_cell_the_corpus_could_not_hold(fields, problem, tmp_path, capsys):
+    bib = tmp_path / "big.bib"
+    bib.write_text(f"@article{{k, {fields}, author={{X}}, year={{2005}}}}\n", encoding="utf-8")
+    assert run(["ingest", "--bibtex", str(bib), "-o", str(tmp_path / "c.csv")]) == 0
+    assert capsys.readouterr().err.splitlines()[:2] == [f"{bib}:1: record 'k': {problem}",
+                                                        "total_in: 0"]
+    assert run(["extract", "-i", str(tmp_path / "c.csv"), "-o", str(tmp_path / "r.csv")]) == 0
+
+
+def test_a_cell_at_the_csv_limit_passes_every_stage(tmp_path, capsys):
+    bib = tmp_path / "big.bib"
+    bib.write_text(f"@article{{k, title={{Z}}, abstract={{{'x' * 131_072}}}, author={{X}},"
+                   " year={2005}}\n", encoding="utf-8")
+    assert run(["ingest", "--bibtex", str(bib), "-o", str(tmp_path / "c.csv")]) == 0
+    assert run(["extract", "-i", str(tmp_path / "c.csv"), "-o", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert run(["top", "-i", str(tmp_path / "r.csv"), "-n", "1", "-k", "1"]) == 0
+    assert capsys.readouterr().out == f"1. {'x' * 131_072} 1\n"
+
+
 def test_ingest_csv_header_error_names_the_file(demo_dir, tmp_path, capsys):
     bad = tmp_path / "second.csv"
     bad.write_text("Document Title,Abstract,Publication Year,Authors\nT,X,2005,A\n")
@@ -553,12 +585,19 @@ def test_a_count_below_one_loads_no_stage(records_csv, argv):
     ["ingest", "--bibtex", "missing.bib", "--year-min", "2010", "--year-max", "2000",
      "-o", "c.csv"],
     ["ingest", "-o", "c.csv"],
-], ids=["years", "no-input"])
+    ["ingest", "--csv", "x.csv", "--csv-map", "nope=H", "-o", "c.csv"],
+    ["ingest", "--csv", "x.csv", "--csv-map", "year=Y", "-o", "c.csv"],
+    ["ingest", "--csv", "x.csv", "--csv-map", "title=T", "-o", "c.csv"],
+    ["ingest", "--csv", "x.csv", "--csv-map", "title", "-o", "c.csv"],
+    ["ingest", "--csv", "x.csv", "--csv-map", "title=T", "--csv-map", "title=U", "-o", "c.csv"],
+], ids=["years", "no-input", "map-unknown", "map-no-title", "map-no-year", "map-no-column",
+        "map-twice"])
 def test_an_ingest_usage_error_loads_no_stage(tmp_path, argv):
     status, modules = _modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
                                      *argv, cwd=tmp_path)
     assert status == "1"
     assert modules.isdisjoint(f"trendgram.{stage}" for stage in STAGES)
+    assert "csv" not in modules
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import sys
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracle import naive_freq, naive_freq_list, naive_ngram_counts, naive_series_text
 from support import random_sentences
+from trendgram.cli import run
 from trendgram.errors import QueryError
 from trendgram.frequency import (FrequencySeries, Query, QuerySeries, SeriesPoint, evaluate, freq,
                                  freq_list, parse_query, write_series_csv, write_series_json)
@@ -84,9 +86,21 @@ def test_freq_list_sums_members():
     table = table_of((1, "slice", 2001, 1), (1, "slices", 2001, 2),
                      (1, "slicing", 2001, 3), (1, "code", 2001, 4))
     phrases = [("slice",), ("slices",), ("slicing",)]
-    expected = sum(freq(table, p, 2001) for p in phrases)
+    expected = math.fsum(freq(table, p, 2001) for p in phrases)
     assert freq_list(table, phrases, 2001) == expected
     assert freq_list(table, [("slice",)], 2001) == freq(table, ("slice",), 2001)
+
+
+def test_query_writes_a_correctly_rounded_union(tmp_path):
+    # 1/10 + 2/10 + 3/10: 0.6 correctly rounded, where `sum` on Python
+    # 3.10 and 3.11 gives 0.6000000000000001.
+    records = tmp_path / "records.csv"
+    write_records(table_of((1, "slice", 2001, 1), (1, "slices", 2001, 2),
+                           (1, "slicing", 2001, 3), (1, "code", 2001, 4)), records)
+    series = tmp_path / "x.json"
+    assert run(["query", "-i", str(records), "slice+slices+slicing", "-o", str(series)]) == 0
+    (payload,) = json.loads(series.read_text(encoding="utf-8"))
+    assert payload["points"] == [{"year": 2001, "frequency": 0.6, "has_data": True}]
 
 
 def test_freq_list_duplicate_phrase_double_counts():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import random
-import sys
 import time
 
 import pytest
@@ -251,13 +250,18 @@ def test_parse_csv_missing_mapped_column():
 
 
 def test_parse_csv_unknown_mapping_field():
-    with pytest.raises(IngestError, match="titel"):
+    with pytest.raises(IngestError) as raised:
         parse_csv(CSV_HEADER, mapping={"titel": "Document Title", "year": "Publication Year"})
+    assert str(raised.value) == ("unknown field(s) in CSV mapping: titel"
+                                 " (fields are title, abstract, keywords, year, authors)")
 
 
 def test_parse_csv_mapping_requires_title_and_year():
-    with pytest.raises(IngestError, match="must include 'year'"):
-        parse_csv(CSV_HEADER, mapping={"title": "Document Title"})
+    for mapping, missing in (({"year": "Publication Year"}, "title"),
+                             ({"title": "Document Title"}, "year")):
+        with pytest.raises(IngestError) as raised:
+            parse_csv(CSV_HEADER, mapping=mapping)
+        assert str(raised.value) == f"CSV mapping must include '{missing}'"
 
 
 def test_parse_csv_custom_mapping():
@@ -595,12 +599,7 @@ def test_parsers_survive_any_text(parse, prefix, body):
     assert all(1 <= diagnostic.line <= lines for diagnostic in diagnostics)
     buffer = io.StringIO()
     write_corpus(entries, buffer)
-    written = buffer.getvalue()
-    if "\x00" in written and sys.version_info < (3, 11):  # its csv module cannot read NUL
-        with pytest.raises(IngestError):
-            read_corpus(io.StringIO(written))
-    else:
-        assert read_corpus(io.StringIO(written)) == entries
+    assert read_corpus(io.StringIO(buffer.getvalue())) == entries
 
 
 def test_random_entry_lists_report_invariant():

@@ -6,6 +6,8 @@ import io
 import os
 import random
 import stat
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
@@ -153,11 +155,36 @@ def test_rank_trends_prefix_containment():
     assert longer[:2] == shorter
 
 
+def _ties(ranking):
+    """The n-grams of `ranking` as sets of equal slope, in rank order."""
+    return [{entry.ngram for entry in group} for _, group in groupby(ranking, attrgetter("slope"))]
+
+
 def test_rank_trends_rising_reversed_equals_falling():
     table = planted_table()
     rising = rank_trends(table, 2, "rising", 10, min_support=1)
     falling = rank_trends(table, 2, "falling", 10, min_support=1)
-    assert [e.ngram for e in reversed(rising)] == [e.ngram for e in falling]
+    # Up to ties: the two steady bigrams tie at a slope of 0.0, and a tie
+    # goes to the higher total in both directions.
+    assert _ties(reversed(rising)) == _ties(falling)
+    assert {"source code", "case study"} in _ties(falling)
+    for ranking in (rising, falling):
+        for entry, after in zip(ranking, ranking[1:]):
+            if entry.slope == after.slope:
+                assert entry.total_count > after.total_count
+
+
+def test_rank_trends_flat_series_has_slope_zero(tmp_path, capsys):
+    table = planted_table()
+    slopes = {entry.ngram: entry.slope for entry in rank_trends(table, 2, "falling", 10,
+                                                                 min_support=1)}
+    assert slopes["source code"] == slopes["case study"] == 0.0
+    records = tmp_path / "records.csv"
+    write_records(table, records)
+    assert run(["trends", "-i", str(records), "-n", "2", "--direction", "falling", "-k", "10",
+                "--min-support", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:4] == ["2,source code,0,500",
+                                                         "3,case study,0,400"]
 
 
 def test_rank_trends_min_support_filters():
