@@ -18,22 +18,26 @@ from ._limits import NGRAM_MAX
 from .errors import RecordsError
 from .table import (_ALL_LENGTHS, _INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, _KEYED_CHUNK,
                     _RANKED_CHUNK, RECORDS_HEADER, FrequencyTable, _by_total, _fingerprint,
-                    _ngram_totals, _ranked, _read_chunk, _read_directory, _read_heads, _read_index)
+                    _ngram_totals, _ranked, _read_chunk, _read_directory, _read_heads, _read_index,
+                    _stamp)
 
 
 def read_parsed(source, fingerprint, lengths, prefix=None, ngrams=None):
     """`read_table(source, lengths, prefix, ngrams)` by parsing the CSV,
     with the arguments checked and `lengths` those of `ngrams`, if
-    given. `fingerprint` is that of the file `source` names, or None
-    for a stream: if the file did not change while it was parsed, the
-    index is (re)written, and heads are read back from it. Otherwise
-    heads are ranked in memory."""
+    given. `fingerprint` is `(crc32, *stamp)` of the file `source`
+    names, the stamp (see `table._stamp`) taken before the crc32, or
+    None for a stream. If the crc32 and then the stamp are the same once
+    the file is parsed, the index is (re)written for that fingerprint,
+    and heads are read back from it. Otherwise heads are ranked in
+    memory."""
     table = FrequencyTable(_parse_records(source))
-    if fingerprint is not None and _fingerprint(source) == fingerprint:
+    if fingerprint is not None and (_fingerprint(source), _stamp(source)) == (
+            fingerprint[0], fingerprint[1:]):
         write_index(f"{source}.idx", fingerprint, table)
         # reading heads back from the index costs less than ranking again
-        head = None if prefix is None else _read_index(f"{source}.idx", fingerprint, lengths,
-                                                       prefix)
+        head = None if prefix is None else _read_index(
+            f"{source}.idx", fingerprint[1:], lambda: fingerprint[0], lengths, prefix)
         if head is not None:
             return head
     if prefix is not None:
@@ -122,12 +126,13 @@ def read_lengths(fh, end, lengths, bounds, sizes):
 
 def write_index(path, fingerprint, table):
     """Store the full `table` as the index at `path` for a records file
-    with this fingerprint, replacing it atomically; an `OSError` (such
-    as a read-only directory) leaves things as they were. Each length's
-    keyed and ranked sections are built from that length's cells alone,
-    one length at a time, from one lexicographic sort of its n-grams;
-    the totals chunk and then the header, which gives the offsets, are
-    written last."""
+    with this fingerprint, `(crc32, *stamp)` (see `read_parsed`),
+    replacing it atomically; an `OSError` (such as a read-only
+    directory) leaves things as they were. Each length's keyed and
+    ranked sections are built from that length's cells alone, one length
+    at a time, from one lexicographic sort of its n-grams; the totals
+    chunk and then the header, which gives the offsets and ends with its
+    own crc32, are written last."""
     cells = table.cells
     keyed, ranked, sizes = [], [], []
     try:
@@ -147,8 +152,9 @@ def write_index(path, fingerprint, table):
             totals_at = fh.tell()
             _write_chunk(fh, (table.totals, tuple(sizes)))
             fh.seek(0)
-            fh.write(_INDEX_HEADER.pack(_INDEX_MAGIC, *fingerprint, sum(sizes), totals_at,
-                                        *keyed, *ranked))
+            header = _INDEX_HEADER.pack(_INDEX_MAGIC, *fingerprint, sum(sizes), totals_at,
+                                        *keyed, *ranked, 0)[:-4]
+            fh.write(header + zlib.crc32(header).to_bytes(4, "little"))
     except OSError:
         pass
 

@@ -13,7 +13,6 @@ import sys
 from types import SimpleNamespace
 
 from . import _bind, _module_getattr
-from ._io import csv_cell, location, open_for_write, read_text
 from ._limits import (DEFAULT_CATALOG_LIMIT, DEFAULT_MIN_SUPPORT, DEFAULT_MIN_YEARS,
                       DEFAULT_YEAR_RANGE, NGRAM_MAX, csv_mapping_problem)
 from .errors import IngestError, TrendgramError
@@ -162,12 +161,14 @@ def main():
     subprocess hook) do not run. Started with standard error closed or
     not writable, it drops the diagnostics and ends with the command's
     own status. In-process callers use `run`."""
-    import signal  # here, so that importing this module or calling `run` does not load it
+    # `_signal`, the C module that `signal` wraps, is loaded before any user
+    # code runs; importing `signal` itself would build its enum classes
+    from _signal import SIGTERM, signal
 
     def terminated(signum, frame):
         raise _Terminated
 
-    signal.signal(signal.SIGTERM, terminated)
+    signal(SIGTERM, terminated)
     try:
         os.write(2, b"")  # fails if standard error is closed or cannot be written
     except OSError:  # then diagnostics are dropped, and descriptor 2 is held on the
@@ -203,6 +204,7 @@ def cmd_ingest(args):
     if not (args.bibtex or args.csv or args.endnote):
         raise UsageError("at least one input file is required (--bibtex/--csv/--endnote)")
     _load("ingest")
+    from ._io import location, read_text  # here, so that `top` does not load `_io`
 
     lists = []
     for paths, parse in (
@@ -287,6 +289,8 @@ def _ordered(lo, hi):
 
 
 def _write_svg(path, series, title):
+    from ._io import open_for_write  # here, so that `top` does not load `_io`
+
     with open_for_write(path) as fh:
         fh.write(render_plot(series, title))
 
@@ -345,6 +349,8 @@ def cmd_trends(args):
     table = read_table(args.input, (args.n,), Prefix(min_total=args.min_support))
     ranked = rank_trends(table, args.n, args.direction, args.k,
                          min_support=args.min_support, min_years=args.min_years)
+    from ._io import csv_cell  # here, so that `top` does not load `_io`
+
     print("rank,ngram,slope,total_count")
     for rank, entry in enumerate(ranked, 1):
         print(f"{rank},{csv_cell(entry.ngram)},{format(entry.slope, '.10g')},{entry.total_count}")

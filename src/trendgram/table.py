@@ -11,11 +11,13 @@ not that one.
 path, `RECORDS.idx`, holding the table it built the last time it fully
 validated that exact file, each length's n-grams once in key order and
 once in ranking order, and loads again the lengths it is asked for, the
-heads of their rankings, or only some n-grams, while the file's size
-and crc32 still match (see `_read_index`). A missing, stale or damaged
-index only means the CSV is parsed and checked again, after which the
-index is rewritten; failing to write it is not an error. Streams never
-use an index, and `write_records` does not write one.
+heads of their rankings, or only some n-grams, while the file still has
+the same inode, size, mtime and ctime, changed before the index was
+written, or else the same size and crc32 (see `_read_index`). A
+missing, stale or damaged index only means the CSV is parsed and checked
+again, after which the index is rewritten; failing to write it is not
+an error. Streams never use an index, and `write_records` does not write
+one.
 """
 
 import marshal
@@ -25,7 +27,7 @@ import struct
 import zlib
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import repeat
 from operator import itemgetter, neg
 from types import MappingProxyType
@@ -221,13 +223,14 @@ def read_table(source, lengths=None, prefix=None, ngrams=None):
     and the offending line.
 
     For a path to a regular file, the table comes from the sidecar index
-    `f"{source}.idx"` when that index was written for a file of the
-    same size and crc32; only the sections of `lengths`, the heads of
-    their rankings, or the chunks that can hold `ngrams` are loaded.
-    Otherwise the CSV is parsed, and if the file did not change while
-    it was parsed, the index is (re)written, and the heads are read from
-    it. A stream, or a file whose index was not written, has its heads
-    ranked in memory.
+    `f"{source}.idx"` when that index was written for this file: one
+    `os.stat` tells when it is unchanged since before the index was
+    written, and a crc32 of the whole file otherwise (see `_read_index`).
+    Only the sections of `lengths`, the heads of their rankings, or the
+    chunks that can hold `ngrams` are loaded. Otherwise the CSV is
+    parsed, and if the file did not change while it was parsed, the
+    index is (re)written, and the heads are read from it. A stream, or a
+    file whose index was not written, has its heads ranked in memory.
     """
     wanted = _ALL_LENGTHS if lengths is None else frozenset(lengths)
     if not wanted or not wanted <= _ALL_LENGTHS:
@@ -244,13 +247,15 @@ def read_table(source, lengths=None, prefix=None, ngrams=None):
             raise ValueError(f"lengths {sorted(wanted)} are not those of the n-grams, "
                              f"{sorted(asked)}")
         wanted = asked
-    fingerprint = None if hasattr(source, "read") else _fingerprint(source)
-    if fingerprint is not None:
-        table = _read_index(f"{source}.idx", fingerprint, wanted, prefix, ngrams)
+    stamp = None if hasattr(source, "read") else _stamp(source)
+    if stamp is not None:
+        crc = cache(partial(_fingerprint, source))  # only if the stamp cannot tell, and once
+        table = _read_index(f"{source}.idx", stamp, crc, wanted, prefix, ngrams)
         if table is not None:
             return table
     from ._whole import read_parsed  # only a miss loads the parser and the writer
 
+    fingerprint = None if stamp is None else (crc(), *stamp)
     return read_parsed(source, fingerprint, wanted, prefix, ngrams)
 
 
@@ -305,51 +310,72 @@ def read_records(source):
 # Each length's sections are built from its own cells, and the totals
 # chunk and the header are written last. `trendgram._whole` writes
 # it.
-_INDEX_MAGIC = b"trendgram records index 5\n"
-# magic, crc32, size, entries, the offset of the totals chunk, then of each
-# length's keyed section, then of each length's ranked section
-_INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQQ{2 * NGRAM_MAX}Q")
+_INDEX_MAGIC = b"trendgram records index 6\n"
+# magic; the records file's crc32, then its stamp (see `_stamp`); entries;
+# the offset of the totals chunk, then of each length's keyed section, then
+# of each length's ranked section; and the crc32 of the header before it
+_INDEX_HEADER = struct.Struct(f"<{len(_INDEX_MAGIC)}sIQQqqQQ{2 * NGRAM_MAX}QI")
 _INDEX_CHUNK_HEADER = struct.Struct("<II")  # length, crc32
 _KEYED_CHUNK = 256  # n-grams per keyed chunk
 _RANKED_CHUNK = 256  # n-grams per ranked chunk, so that a place in one fits a byte
 _BLOCK = 1 << 16
 
 
-def _fingerprint(path):
-    """(crc32, size) of the file at `path`, read in 64 KB blocks, or None
-    when it is not a regular file (a pipe cannot be read twice)."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
+def _stamp(path):
+    """(size, inode, mtime, ctime) of the file at `path`, the times in
+    nanoseconds, or None when it is not a regular file (a pipe cannot be
+    read twice)."""
+    status = os.stat(path)
+    if not stat.S_ISREG(status.st_mode):
         return None
-    crc = size = 0
+    return status.st_size, status.st_ino, status.st_mtime_ns, status.st_ctime_ns
+
+
+def _fingerprint(path):
+    """The crc32 of the file at `path`, read in 64 KB blocks."""
+    crc = 0
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK):
             crc = zlib.crc32(block, crc)
-            size += len(block)
-    return crc, size
+    return crc
 
 
-def _read_index(path, fingerprint, lengths, prefix=None, ngrams=None):
+def _read_index(path, stamp, crc, lengths, prefix=None, ngrams=None):
     """The table stored in the index at `path` for a records file with
-    this fingerprint, holding `lengths` only, the head `prefix` of each
-    one's ranking, or the sorted `ngrams` only, or None if the index is
-    missing, was written for other content, or is damaged where it was
-    read: a wrong magic, a damaged chunk (see `_read_chunk`), one
-    `marshal` rejects or that does not hold what it should, a totals
-    chunk that is not the last or whose sizes disagree with the header,
-    chunks or sections that are not where the header and directories
-    say (see `_whole.read_lengths`), or loaded cells other than those the
-    totals name. A head is read from the start of its length's ranked
-    section (see `_read_head`), and n-grams from the chunks of the keyed
-    sections that can hold them (see `_read_keyed`)."""
+    this `stamp` (see `_stamp`) and the crc32 `crc()` gives, holding
+    `lengths` only, the head `prefix` of each one's ranking, or the
+    sorted `ngrams` only, or None if the index is missing, was written
+    for other content, or is damaged where it was read: a wrong magic or
+    header crc32, a damaged chunk (see `_read_chunk`), one `marshal`
+    rejects or that does not hold what it should, a totals chunk that is
+    not the last or whose sizes disagree with the header, chunks or
+    sections that are not where the header and directories say (see
+    `_whole.read_lengths`), or loaded cells other than those the totals
+    name. A head is read from the start of its length's ranked section
+    (see `_read_head`), and n-grams from the chunks of the keyed
+    sections that can hold them (see `_read_keyed`).
+
+    The index was written for this content, without calling `crc`, when
+    its stamp is `stamp` and that mtime and ctime are older than the
+    index's own mtime: git's racy-timestamp rule. A change made to the
+    file after the index was written gives it an mtime and ctime no
+    older than the index's, so the stamp either differs or is not older.
+    Otherwise `crc()` and the size must be those the index was written
+    for."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(_INDEX_HEADER.size)
             if len(header) != _INDEX_HEADER.size:
                 return None
-            magic, crc, size, entries, totals_at, *offsets = _INDEX_HEADER.unpack(header)
-            if magic != _INDEX_MAGIC or (crc, size) != fingerprint:
+            (magic, records_crc, size, inode, mtime, ctime, entries, totals_at, *offsets,
+             header_crc) = _INDEX_HEADER.unpack(header)
+            if magic != _INDEX_MAGIC or zlib.crc32(header[:-4]) != header_crc:
                 return None
-            end = os.fstat(fh.fileno()).st_size
+            status = os.fstat(fh.fileno())
+            end = status.st_size
+            if (((size, inode, mtime, ctime) != stamp or max(mtime, ctime) >= status.st_mtime_ns)
+                    and (records_crc, size) != (crc(), stamp[0])):
+                return None
             fh.seek(totals_at)
             totals, sizes = marshal.loads(_read_chunk(fh, end))
             if type(totals) is not dict or sum(sizes) != entries or fh.tell() != end:

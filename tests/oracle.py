@@ -129,10 +129,8 @@ def naive_freq(counts, phrase, year):
 
 
 def naive_freq_list(counts, phrases, year):
-    total = 0.0
-    for phrase in phrases:
-        total += naive_freq(counts, phrase, year)
-    return total
+    """The sum of the phrases' frequencies, taken exactly and rounded once."""
+    return float(sum(Fraction(naive_freq(counts, phrase, year)) for phrase in phrases))
 
 
 def exact_ols_slope(points):

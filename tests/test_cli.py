@@ -468,7 +468,7 @@ def _module_names(names):
     (["extract", "-i", "corpus.csv", "-o", "r.csv"],
      ["ingest", "textprep", "ngrams", "table"], ["frequency", "plotting", "trends"]),
     (["top", "-i", "records.csv", "-n", "2"],
-     ["table"], ["ngrams", "ingest", "frequency", "plotting", "trends", "csv"]),
+     ["table"], ["ngrams", "ingest", "frequency", "plotting", "trends", "_io", "csv"]),
     (["query", "-i", "records.csv", "code", "-o", "series.csv"],
      ["frequency", "table"], ["ngrams", "plotting", "json", "csv"]),
     (["query", "-i", "records.csv", "code", "--svg", "q.svg"],
@@ -482,14 +482,15 @@ def _module_names(names):
 ])
 def test_each_command_loads_only_its_stages(records_csv, demo_dir, argv, loaded, unloaded):
     argv = [arg.format(demo=demo_dir) for arg in argv]
-    # The first read of records.csv parses it, which loads `csv`, and writes
-    # its index; the second run reads the index, as every later command does.
+    # The first read of records.csv parses it, which loads `csv` and `_io`,
+    # and writes its index; the second run reads the index, as every later
+    # command does.
     first, indexed = (_modules_after("from trendgram.cli import run; status = run(sys.argv[1:])",
                                      *argv, cwd=records_csv.parent) for _ in range(2))
     for status, modules in first, indexed:
         assert status == "0"
         assert _module_names(loaded) <= modules
-        assert modules.isdisjoint(_module_names(set(unloaded) - {"csv"}))
+        assert modules.isdisjoint(_module_names(set(unloaded) - {"csv", "_io"}))
     assert indexed[1].isdisjoint(_module_names(unloaded))
 
 
@@ -1257,6 +1258,25 @@ def test_sigterm_ends_main_with_143_and_keeps_the_old_output(records_csv, tmp_pa
     assert "Traceback" not in err
     assert records_csv.read_bytes() == old
     assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_main_loads_no_signal_module(records_csv):
+    # `signal` builds enum classes on import; `main` needs only `_signal`.
+    child = "\n".join([
+        "import os, sys",
+        "exit = os._exit",
+        "def exiting(status):",
+        "    print(status, 'signal' in sys.modules, flush=True)",
+        "    exit(0)",
+        "os._exit = exiting",
+        "from trendgram.cli import main",
+        "main()",
+    ])
+    result = subprocess.run([sys.executable, "-S", "-c", child, "top", "-i", "records.csv"],
+                            capture_output=True, text=True, env=_main_env(),
+                            cwd=records_csv.parent, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("argv", [

@@ -91,6 +91,15 @@ def test_freq_list_sums_members():
     assert freq_list(table, [("slice",)], 2001) == freq(table, ("slice",), 2001)
 
 
+def test_naive_freq_list_rounds_the_sum_once():
+    # 1/10 + 2/10 + 3/10, added left to right, gives 0.6000000000000001
+    counts = {(1, "slice", 2001): 1, (1, "slices", 2001): 2, (1, "slicing", 2001): 3,
+              (1, "code", 2001): 4}
+    phrases = [("slice",), ("slices",), ("slicing",)]
+    assert naive_freq_list(counts, phrases, 2001) == 0.6
+    assert freq_list(build_table(counts), phrases, 2001) == 0.6
+
+
 def test_query_writes_a_correctly_rounded_union(tmp_path):
     # 1/10 + 2/10 + 3/10: 0.6 correctly rounded, where `sum` on Python
     # 3.10 and 3.11 gives 0.6000000000000001.

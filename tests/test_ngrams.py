@@ -11,9 +11,11 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import weakref
 import zlib
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,7 @@ from trendgram.frequency import Query, QuerySeries, evaluate, parse_query, write
 from trendgram.ngrams import Stoplist, count_ngrams, token_runs, write_records
 from trendgram.table import (_INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, FrequencyTable,
                              NgramRecord, Prefix, _fingerprint, _most_frequent, _read_index,
-                             build_table, read_records, read_table, top_ngrams)
+                             _stamp, build_table, read_records, read_table, top_ngrams)
 from trendgram.textprep import Sentence
 from trendgram.trends import build_catalog, rank_trends
 
@@ -749,7 +751,7 @@ def assert_index_layout(data, counts):
     assert totals_at == starts[chunk] and len(starts) == chunk + 1
     sizes = tuple(sum(1 for key in counts if key[0] == n) for n in range(1, 5))
     assert index_chunk(data, chunk) == (build_table(counts).totals, sizes)
-    assert _INDEX_HEADER.unpack_from(data)[3] == len(counts)
+    assert _INDEX_HEADER.unpack_from(data)[6] == len(counts)
 
 
 def keyed_section(counts, n, size=256):
@@ -825,7 +827,7 @@ def header_offsets(data):
     """The offsets that the header of the index `data` gives: of the
     totals chunk, of each length's keyed section and of each length's
     ranked section."""
-    fields = _INDEX_HEADER.unpack_from(data)[4:]
+    fields = _INDEX_HEADER.unpack_from(data)[7:-1]
     return fields[0], fields[1:5], fields[5:9]
 
 
@@ -877,9 +879,130 @@ def test_rewritten_records_are_read_anew(tmp_path, count):
     assert read_records(path) == {(1, "code", 2000): int(count), (2, "code tools", 2001): 4}
 
 
+def wait_for_the_clock(path):
+    """Return once a file made beside `path` gets an mtime past `path`'s
+    mtime and ctime: an index written from then on is not racy, and a
+    change to `path` moves its ctime."""
+    status = path.stat()
+    probe = path.parent / "clock-probe"
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        probe.unlink(missing_ok=True)
+        probe.touch()
+        if probe.stat().st_mtime_ns > max(status.st_mtime_ns, status.st_ctime_ns):
+            probe.unlink()
+            return
+        time.sleep(0.001)
+    raise AssertionError("the filesystem clock did not move in 10 s")
+
+
+def read_counting_crcs(path):
+    """`read_table(path)`, the number of crc32s of the records file it
+    computed and the number of times it parsed the CSV."""
+    crcs = []
+    fingerprint = trendgram.table._fingerprint
+
+    def counting(source):
+        crcs.append(source)
+        return fingerprint(source)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trendgram.table, "_fingerprint", counting)
+        patch.setattr(_whole, "_fingerprint", counting)
+        table, parses = read_counting_parses(path)
+    return table, len(crcs), parses
+
+
+STAMPED = {(1, "code", 2000): 3, (2, "code tools", 2001): 4}
+
+
+def test_an_index_written_after_the_last_change_is_read_without_a_crc32(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(build_table(STAMPED), path)
+    wait_for_the_clock(path)
+    # the first read computes a crc32 before the parse and one after it
+    assert read_counting_crcs(path) == (build_table(STAMPED), 2, 1)
+    fields = _INDEX_HEADER.unpack_from(index_of(path).read_bytes())
+    status = path.stat()
+    assert fields[1:6] == (zlib.crc32(path.read_bytes()), status.st_size, status.st_ino,
+                           status.st_mtime_ns, status.st_ctime_ns)
+    for _ in range(2):
+        assert read_counting_crcs(path) == (build_table(STAMPED), 0, 0)
+
+
+def test_a_racy_index_is_read_with_one_crc32_and_left_as_it_is(tmp_path):
+    path = tmp_path / "records.csv"
+    write_indexed(path, STAMPED)
+    status = path.stat()
+    # the index's mtime is not past the records file's times: a change in the
+    # same clock tick as the index write would have left them as they are
+    os.utime(index_of(path), ns=(status.st_atime_ns, max(status.st_mtime_ns, status.st_ctime_ns)))
+    written = index_of(path).read_bytes(), index_of(path).stat().st_mtime_ns
+    for _ in range(2):
+        assert read_counting_crcs(path) == (build_table(STAMPED), 1, 0)
+    assert (index_of(path).read_bytes(), index_of(path).stat().st_mtime_ns) == written
+
+
+def test_a_same_size_rewrite_with_its_mtime_put_back_is_read_anew(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(build_table(STAMPED), path)
+    wait_for_the_clock(path)
+    read_records(path)
+    assert read_counting_crcs(path)[1:] == (0, 0)
+    before = path.stat()
+    wait_for_the_clock(path)
+    path.write_text("n,ngram,year,count\n1,code,2000,5\n2,code tools,2001,4\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns)
+    # only the ctime tells: then the crc32, which differs, and the parse;
+    # and the crc32 once more after it, before the index is rewritten
+    assert read_counting_crcs(path) == (
+        build_table({(1, "code", 2000): 5, (2, "code tools", 2001): 4}), 2, 1)
+
+
+@pytest.mark.parametrize("change", [
+    lambda path: path.write_text("n,ngram,year,count\n1,code,2000,5\n2,code tools,2001,4\n"),
+    lambda path: os.utime(path, ns=(0, path.stat().st_mtime_ns + 10**9)),
+    lambda path: path.chmod(0o600),
+], ids=["rewritten", "touched", "chmod"])
+def test_a_file_that_changes_while_it_is_parsed_gets_no_index(tmp_path, change):
+    # The crc32 and the stat taken before the parse must both hold after it.
+    path = tmp_path / "records.csv"
+    write_records(build_table(STAMPED), path)
+    wait_for_the_clock(path)
+    parse = _whole._parse_records
+
+    def changing(source):
+        change(path)
+        return parse(source)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_whole, "_parse_records", changing)
+        assert read_records(path) == read_stream(path)
+    assert not index_of(path).exists()
+
+
+def test_a_byte_identical_copy_put_in_its_place_keeps_the_index(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(build_table(STAMPED), path)
+    wait_for_the_clock(path)
+    read_records(path)
+    good = index_of(path).read_bytes()
+    inode = path.stat().st_ino
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(path.read_bytes())
+    os.replace(copy, path)
+    assert path.stat().st_ino != inode
+    assert read_counting_crcs(path) == (build_table(STAMPED), 1, 0)
+    assert index_of(path).read_bytes() == good
+
+
 HEADER_SIZE = _INDEX_HEADER.size
-CRC_AT = len(_INDEX_MAGIC)  # the records file's crc32, then its size and the entry count
-TOTALS_AT = CRC_AT + 20  # the offset of the totals chunk, then those of the sections
+CRC_AT = len(_INDEX_MAGIC)  # the records file's crc32, then its size
+STAMP_AT = CRC_AT + 12  # the records file's inode, mtime and ctime
+ENTRIES_AT = STAMP_AT + 24  # the entry count
+TOTALS_AT = ENTRIES_AT + 8  # the offset of the totals chunk, then those of the sections
+HEADER_CRC_AT = HEADER_SIZE - 4  # the crc32 of the header before it
 
 
 def keyed_field(n):
@@ -894,6 +1017,26 @@ def ranked_field(n):
 
 def flip(at):
     return lambda data: data[:at] + bytes([data[at] ^ 0x40]) + data[at + 1:]
+
+
+def resealed(data):
+    """The index `data` with its header's crc32 made to match the header."""
+    return (data[:HEADER_CRC_AT] + zlib.crc32(data[:HEADER_CRC_AT]).to_bytes(4, "little")
+            + data[HEADER_SIZE:])
+
+
+def sealed(damage):
+    """`damage` to the header under a matching header crc32, so that only
+    the checks of what the header says can notice it."""
+    return lambda data: resealed(damage(data))
+
+
+def unstamped(data):
+    """The index `data` with the records file's inode, mtime and ctime and
+    the header's crc32 zeroed: all that may differ between the indexes
+    of two byte-identical records files."""
+    return (data[:STAMP_AT] + bytes(ENTRIES_AT - STAMP_AT) + data[ENTRIES_AT:HEADER_CRC_AT]
+            + bytes(4) + data[HEADER_SIZE:])
 
 
 def crc_valid_chunk(payload):
@@ -968,8 +1111,8 @@ def junk_after_header(data):
     its header, and every offset moved past them: only a read that
     checks that the sections follow the header notices."""
     fields = list(_INDEX_HEADER.unpack_from(data))
-    fields[4:] = [at + 8 for at in fields[4:]]
-    data = _INDEX_HEADER.pack(*fields) + bytes(8) + data[HEADER_SIZE:]
+    fields[7:-1] = [at + 8 for at in fields[7:-1]]
+    data = resealed(_INDEX_HEADER.pack(*fields) + bytes(8) + data[HEADER_SIZE:])
     for at in header_offsets(data)[1]:
         data = with_chunk(chunk_starts(data).index(at), moved_chunks(8))(data)
     return data
@@ -992,9 +1135,17 @@ DAMAGE = {
     "flipped-magic": flip(0),
     "flipped-crc": flip(CRC_AT),
     "flipped-size": flip(CRC_AT + 4),
-    "flipped-entries": flip(CRC_AT + 12),
+    "flipped-inode": flip(STAMP_AT),
+    "flipped-mtime": flip(STAMP_AT + 8),
+    "flipped-ctime": flip(STAMP_AT + 16),
+    "flipped-entries": flip(ENTRIES_AT),
     "flipped-totals-offset": flip(TOTALS_AT),
     "flipped-section-offset": flip(keyed_field(1)),
+    "flipped-header-crc": flip(HEADER_CRC_AT),
+    "sealed-size": sealed(flip(CRC_AT + 4)),
+    "sealed-entries": sealed(flip(ENTRIES_AT)),
+    "sealed-totals-offset": sealed(flip(TOTALS_AT)),
+    "sealed-section-offset": sealed(flip(keyed_field(1))),
     "flipped-chunk-length": flip(HEADER_SIZE),
     "huge-chunk-length": lambda data: (data[:HEADER_SIZE] + b"\xff\xff\xff\xff"
                                        + data[HEADER_SIZE + 4:]),
@@ -1263,14 +1414,14 @@ def cut_before_end(data, start):
 # Damage that a load of length 2 alone must notice: it falls back to the CSV.
 # The totals chunk is the last, so any change at the end of the file is seen.
 SEEN_BY_A_BIGRAM_LOAD = {
-    "flipped-entries": flip(CRC_AT + 12),
+    "flipped-entries": sealed(flip(ENTRIES_AT)),
     "totals-chunk-payload": in_chunk(TOTALS_CHUNK, flip_payload),
     "totals-chunk-length": in_chunk(TOTALS_CHUNK, flip_length),
-    "totals-offset": flip(TOTALS_AT),
+    "totals-offset": sealed(flip(TOTALS_AT)),
     "loaded-section-payload": in_chunk(keyed_chunk(2), flip_payload),
     "loaded-section-cut-short": in_chunk(keyed_chunk(2), cut_before_end),
     "loaded-directory-length": in_chunk(directory_chunk(2), flip_length),
-    "loaded-section-offset": flip(keyed_field(2)),
+    "loaded-section-offset": sealed(flip(keyed_field(2))),
     "loaded-chunk-out-of-place": with_chunk(directory_chunk(2), moved_chunk),
     "loaded-cell-size-moved": with_totals_chunk(moved_size(1, 0)),
     "truncated-payload": lambda data: data[:-1],
@@ -1280,7 +1431,7 @@ SEEN_BY_A_BIGRAM_LOAD = {
 # Damage only in sections a load of length 2 does not read.
 UNSEEN_BY_A_BIGRAM_LOAD = {
     "skipped-section-payload": in_chunk(keyed_chunk(1), flip_payload),
-    "skipped-section-offset": flip(keyed_field(1)),
+    "skipped-section-offset": sealed(flip(keyed_field(1))),
     "skipped-section-length": in_chunk(keyed_chunk(1), flip_length),
     "later-section-payload": in_chunk(keyed_chunk(3), flip_payload),
     "later-section-length": in_chunk(keyed_chunk(4), flip_length),
@@ -1462,6 +1613,12 @@ def cells_index(path, version):
     return header + struct.pack("<4Q", *offsets) + out
 
 
+def read_index_of(path, lengths, prefix=None, ngrams=None):
+    """`_read_index` of the index of the records file at `path`."""
+    return _read_index(f"{path}.idx", _stamp(path), partial(_fingerprint, path), lengths, prefix,
+                       ngrams)
+
+
 def framed(chunk):
     """`chunk` as an index chunk: its length, crc32 and `marshal` payload."""
     payload = marshal.dumps(chunk, 2)
@@ -1496,8 +1653,8 @@ def test_version_2_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
     assert read_counting_parses(old / "records.csv")[1] == 0
     assert command_outputs(old / "records.csv", old / "out") == command_outputs(
         fresh / "records.csv", fresh / "out")
-    assert (index_of(old / "records.csv").read_bytes()
-            == index_of(fresh / "records.csv").read_bytes())
+    assert (unstamped(index_of(old / "records.csv").read_bytes())
+            == unstamped(index_of(fresh / "records.csv").read_bytes()))
 
 
 def test_version_3_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
@@ -1507,15 +1664,14 @@ def test_version_3_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
         where.mkdir()
         write_records(table, where / "records.csv")
     index_of(old / "records.csv").write_bytes(version_3_index(old / "records.csv"))
-    assert _read_index(f"{old / 'records.csv'}.idx", _fingerprint(
-        old / "records.csv"), frozenset({2}), None) is None
+    assert read_index_of(old / "records.csv", frozenset({2})) is None
     assert read_counting_parses(old / "records.csv", {2})[1] == 1
     assert index_of(old / "records.csv").read_bytes().startswith(_INDEX_MAGIC)
     assert read_counting_parses(old / "records.csv")[1] == 0
     assert command_outputs(old / "records.csv", old / "out") == command_outputs(
         fresh / "records.csv", fresh / "out")
-    assert (index_of(old / "records.csv").read_bytes()
-            == index_of(fresh / "records.csv").read_bytes())
+    assert (unstamped(index_of(old / "records.csv").read_bytes())
+            == unstamped(index_of(fresh / "records.csv").read_bytes()))
 
 
 def test_version_4_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
@@ -1527,15 +1683,52 @@ def test_version_4_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
     index_of(old / "records.csv").write_bytes(version_4_index(old / "records.csv"))
     for lengths, prefix, asked in (({2}, None, None), ({2}, Prefix(first=5), None),
                                    (None, None, ["code"])):
-        assert _read_index(f"{old / 'records.csv'}.idx", _fingerprint(
-            old / "records.csv"), frozenset(lengths or {1}), prefix, asked) is None
+        assert read_index_of(old / "records.csv", frozenset(lengths or {1}), prefix,
+                             asked) is None
     assert read_counting_parses(old / "records.csv", {2})[1] == 1
     assert index_of(old / "records.csv").read_bytes().startswith(_INDEX_MAGIC)
     assert read_counting_parses(old / "records.csv")[1] == 0
     assert command_outputs(old / "records.csv", old / "out") == command_outputs(
         fresh / "records.csv", fresh / "out")
-    assert (index_of(old / "records.csv").read_bytes()
-            == index_of(fresh / "records.csv").read_bytes())
+    assert (unstamped(index_of(old / "records.csv").read_bytes())
+            == unstamped(index_of(fresh / "records.csv").read_bytes()))
+
+
+def version_5_index(path):
+    """The index version 5 wrote for the records file at `path`: the
+    current version's chunks after a header without the records file's
+    inode, mtime and ctime or a crc32 of its own, so that every offset is
+    that much less."""
+    read_records(path)  # writes the current index
+    data = index_of(path).read_bytes()
+    magic = b"trendgram records index 5\n"
+    header = struct.Struct(f"<{len(magic)}sIQQQ8Q")  # crc32, size, entries, then the offsets
+    shift = HEADER_SIZE - header.size
+    for at in header_offsets(data)[1]:
+        data = with_chunk(chunk_starts(data).index(at), moved_chunks(-shift))(data)
+    fields = _INDEX_HEADER.unpack_from(data)
+    return header.pack(magic, *fields[1:3], fields[6],
+                       *(at - shift for at in fields[7:-1])) + data[HEADER_SIZE:]
+
+
+def test_version_5_index_is_ignored_and_rewritten_once(stoplist, tmp_path):
+    table = count_ngrams(random_sentences(random.Random(41), 300), stoplist)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    for where in (fresh, old):
+        where.mkdir()
+        write_records(table, where / "records.csv")
+    index_of(old / "records.csv").write_bytes(version_5_index(old / "records.csv"))
+    for lengths, prefix, asked in (({2}, None, None), ({2}, Prefix(first=5), None),
+                                   (None, None, ["code"])):
+        assert read_index_of(old / "records.csv", frozenset(lengths or {1}), prefix,
+                             asked) is None
+    assert read_counting_parses(old / "records.csv", {2})[1] == 1
+    assert index_of(old / "records.csv").read_bytes().startswith(_INDEX_MAGIC)
+    assert read_counting_parses(old / "records.csv")[1] == 0
+    assert command_outputs(old / "records.csv", old / "out") == command_outputs(
+        fresh / "records.csv", fresh / "out")
+    assert (unstamped(index_of(old / "records.csv").read_bytes())
+            == unstamped(index_of(fresh / "records.csv").read_bytes()))
 
 
 def test_version_1_index_is_replaced_on_first_read(tmp_path):
@@ -1565,7 +1758,7 @@ SEEN_BY_A_BIGRAM_TOP = {
     "ranked-section-payload": in_chunk(ranked_chunk(2), flip_payload),
     "ranked-section-length": in_chunk(ranked_chunk(2), flip_length),
     "ranked-section-cut-short": in_chunk(ranked_chunk(2), cut_before_end),
-    "ranked-section-offset": flip(ranked_field(2)),
+    "ranked-section-offset": sealed(flip(ranked_field(2))),
     "totals-chunk-payload": in_chunk(TOTALS_CHUNK, flip_payload),
     "truncated-payload": lambda data: data[:-1],
     "appended": lambda data: data + b"\0",
@@ -1578,8 +1771,8 @@ UNSEEN_BY_A_BIGRAM_TOP = {
     "directory-payload": in_chunk(directory_chunk(2), flip_payload),
     "unigram-ranked-payload": in_chunk(ranked_chunk(1), flip_payload),
     "trigram-ranked-length": in_chunk(ranked_chunk(3), flip_length),
-    "unigram-section-offset": flip(ranked_field(1)),
-    "keyed-section-offset": flip(keyed_field(2)),
+    "unigram-section-offset": sealed(flip(ranked_field(1))),
+    "keyed-section-offset": sealed(flip(keyed_field(2))),
 }
 
 
@@ -1739,7 +1932,7 @@ SEEN_BY_A_KEYED_LOAD = {
     "keyed-chunk-out-of-place": with_chunk(directory_chunk(2), moved_chunk),
     "directory-payload": in_chunk(directory_chunk(2), flip_payload),
     "directory-not-a-directory": with_chunk(directory_chunk(2), lambda value: value[0]),
-    "keyed-section-offset": flip(keyed_field(2)),
+    "keyed-section-offset": sealed(flip(keyed_field(2))),
     "totals-chunk-payload": in_chunk(TOTALS_CHUNK, flip_payload),
     "appended": lambda data: data + b"\0",
 }
