@@ -14,10 +14,8 @@ removal as extraction did, so a query matches exactly what was stored.
 from collections import namedtuple
 from math import fsum
 
-from ._io import csv_cell, open_for_write
 from ._limits import NGRAM_MAX
 from .errors import QueryError
-from .textprep import remove_articles, tokenize
 
 SERIES_HEADER = ("label", "year", "frequency", "has_data")
 
@@ -57,6 +55,8 @@ def parse_query(text):
     errors, as is text that is not UTF-8: a lone surrogate, from an
     undecodable argv byte or not.
     """
+    from .textprep import remove_articles, tokenize  # here, so that `catalog` does not load it
+
     try:
         text.encode("utf-8", "surrogateescape").decode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate that stands for no byte
@@ -98,6 +98,21 @@ def query_ngrams(query):
 _ZERO_POINTS = {True: SeriesPoint(0.0, True), False: SeriesPoint(0.0, False)}
 
 
+def _data_cells(table, n):
+    """The `(year, total, cell)` of each year in which length `n` has
+    data in `table`, in ascending years, `cell` empty where the table
+    holds none of its counts. Built from `totals` and `cells` the first
+    time length `n` is asked for, kept in the table's `_views`, and not
+    updated afterwards; here, so that the commands that never evaluate
+    do not compile it."""
+    view = table._views.get(n)
+    if view is None:
+        cell_of, totals = table.cells.get, table.totals
+        view = table._views[n] = [(year, total, cell_of((n, year), {})) for year in table.years
+                                  if (total := totals.get((n, year)))]
+    return view
+
+
 def evaluate(table, query, year_range):
     """One FrequencySeries per query series over every year in the
     inclusive range, in query order. A table that did not load one of
@@ -106,10 +121,12 @@ def evaluate(table, query, year_range):
 
     A year's point is `freq_list` of the series' phrases, flagged as
     data when any phrase's length has data that year (`has_data`). A
-    series of one phrase, such as every catalog page, inlines both in
-    one comprehension over the years that looks up the phrase's count
-    and its length's total per year: the `fsum` of one float is that
-    float, so the values are `freq_list`'s.
+    series of one phrase, such as every catalog page, inlines both: its
+    points start as no-data points, and then each year in range of the
+    table's view of the phrase's length (see `_data_cells`), built on the
+    first call for that length, gets the phrase's count over that year's
+    total. The `fsum` of one float is that float, so the values are
+    `freq_list`'s.
 
     Points are equal to `SeriesPoint(value, has_data)`; zero points are
     shared objects, and which object a point is belongs to no API."""
@@ -119,17 +136,17 @@ def evaluate(table, query, year_range):
     phrases = [phrase for qs in query.series for phrase in qs.phrases]
     table.require({len(phrase) for phrase in phrases}, ngrams=map(" ".join, phrases))
     years = range(lo, hi + 1)
-    cell_of, totals, no_counts = table.cells.get, table.totals, {}
     no_data, zero = _ZERO_POINTS[False], _ZERO_POINTS[True]
     result = []
     for qs in query.series:
         if len(qs.phrases) == 1:
             (phrase,) = qs.phrases
-            n, ngram = len(phrase), " ".join(phrase)
-            points = {year: (SeriesPoint(count / total, True)
-                             if (count := cell_of((n, year), no_counts).get(ngram, 0)) else zero)
-                      if (total := totals.get((n, year))) else no_data
-                      for year in years}
+            ngram = " ".join(phrase)
+            points = {year: no_data for year in years}
+            for year, total, cell in _data_cells(table, len(phrase)):
+                if lo <= year <= hi:
+                    count = cell.get(ngram)
+                    points[year] = SeriesPoint(count / total, True) if count else zero
         else:
             points = {}
             for year in years:
@@ -143,6 +160,8 @@ def evaluate(table, query, year_range):
 def write_series_csv(series_list, dest):
     """`label,year,frequency,has_data` rows ending with `\n`, labels
     quoted by `_io.csv_cell`, frequencies at 10 significant digits."""
+    from ._io import csv_cell, open_for_write  # here, so that `catalog` does not load it
+
     with open_for_write(dest) as fh:
         fh.write(",".join(SERIES_HEADER) + "\n")
         for series in series_list:
@@ -156,6 +175,8 @@ def write_series_csv(series_list, dest):
 def write_series_json(series_list, dest):
     """Same content as the CSV form, as a JSON array of series."""
     import json  # here, so that no other command loads it
+
+    from ._io import open_for_write
 
     payload = [
         {

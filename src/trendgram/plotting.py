@@ -14,12 +14,15 @@ y gridlines and tick labels only on the top of its scale. Each is built
 once per distinct value and shared by every plot with that value (see
 `_x_axis` and `_y_axis`), so a catalog of thousands of pages over a few
 hundred scales formats each scale's axis once.
+
+The rest of a plot is laid out in one pass over each series' sorted
+years, which writes each data point as its "x y" text and ends a run at
+each no-data point (see `_data_runs`). The legend heads of the first
+four series, one per stroke pattern, are formatted once, at import.
 """
 
 import math
-from functools import lru_cache, partial
-from itertools import groupby
-from operator import is_not
+from functools import lru_cache
 from types import MappingProxyType
 
 WIDTH, HEIGHT = 640, 400
@@ -33,10 +36,10 @@ _PLOT_BOTTOM = HEIGHT - MARGIN_BOTTOM
 
 # stroke-dasharray per series index: solid, dashed, dotted, dash-dot
 STROKE_PATTERNS = ("", "8 4", "2 3", "8 3 2 3")
+# the stroke-dasharray attribute of each pattern, none for solid
+_DASHES = tuple(f' stroke-dasharray="{pattern}"' if pattern else "" for pattern in STROKE_PATTERNS)
 
 _HEADROOM = 1.1
-
-_is_point = partial(is_not, None)  # in `_data_runs`, a point that has data
 
 # Every plot starts with these lines, up to its escaped title.
 _HEAD = "\n".join([
@@ -135,6 +138,19 @@ def _y_axis(top):
     return "\n".join(parts)
 
 
+def _legend_head(index):
+    """The legend line of the series at `index`, top right, and the
+    start of the text element of its label."""
+    x, y = _PLOT_RIGHT - 196, _PLOT_TOP + 10 + 16 * index
+    return (f'<line x1="{x}" y1="{y}" x2="{x + 26}" y2="{y}" stroke="black" '
+            f'stroke-width="1.5"{_DASHES[index % len(_DASHES)]}/>\n'
+            f'<text x="{x + 32}" y="{y + 4}" font-family="sans-serif" font-size="11">')
+
+
+# the legend heads of the first series, one per stroke pattern
+_LEGEND_HEADS = tuple(map(_legend_head, range(len(STROKE_PATTERNS))))
+
+
 def render_plot(series_list, title):
     """Render FrequencySeries as a standalone 640x400 SVG string.
 
@@ -143,6 +159,12 @@ def render_plot(series_list, title):
     covers the union of the series' years. When every point of every
     series is flagged no-data, the axes render with a "no data" placard
     instead of lines.
+
+    Each distinct value's y is formatted once per plot, and each
+    series' runs come from one pass over its sorted years. A legend
+    entry is its head (see `_legend_head`), formatted at import for the
+    first four series and per plot for the others, and its escaped
+    label.
     """
     if not series_list:
         raise ValueError("render_plot needs at least one series")
@@ -153,7 +175,8 @@ def render_plot(series_list, title):
               for series in series_list
               for point in series.points.values()
               if point.has_data}
-    top = max(values) * _HEADROOM if values and max(values) > 0 else 1.0
+    peak = max(values, default=0.0)
+    top = peak * _HEADROOM if peak > 0 else 1.0
 
     parts = [f"{_HEAD}{escape(title, quote=False)}</text>", _y_axis(top), x_axis]
 
@@ -161,42 +184,41 @@ def render_plot(series_list, title):
         # each distinct value's formatted y, once per plot
         y_of = {value: _num(_y_at(value, top)) for value in values}
         for index, series in enumerate(series_list):
-            pattern = STROKE_PATTERNS[index % len(STROKE_PATTERNS)]
-            dash = f' stroke-dasharray="{pattern}"' if pattern else ""
-            for run in _data_runs(series, x_of, y_of):
+            dash = _DASHES[index % len(_DASHES)]
+            for run in _data_runs(series.points, x_of, y_of):
                 if len(run) == 1:
-                    ((x, y),) = run
+                    x, y = run[0].split(" ")
                     parts.append(f'<circle cx="{x}" cy="{y}" r="2.5" fill="black"/>')
                 else:
-                    parts.append(
-                        f'<path d="M {" L ".join(map(" ".join, run))}" fill="none" '
-                        f'stroke="black" stroke-width="1.5"{dash}/>')
+                    parts.append(f'<path d="M {" L ".join(run)}" fill="none" '
+                                 f'stroke="black" stroke-width="1.5"{dash}/>')
     else:
         parts.append(
             f'<text x="{(_PLOT_LEFT + _PLOT_RIGHT) / 2:g}" '
             f'y="{(_PLOT_TOP + _PLOT_BOTTOM) / 2:g}" font-family="sans-serif" '
             f'font-size="16" text-anchor="middle" fill="#888888">no data</text>')
 
-    # legend, top right
-    legend_x = _PLOT_RIGHT - 196
     for index, series in enumerate(series_list):
-        pattern = STROKE_PATTERNS[index % len(STROKE_PATTERNS)]
-        dash = f' stroke-dasharray="{pattern}"' if pattern else ""
-        y = _PLOT_TOP + 10 + 16 * index
-        parts.append(
-            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 26}" y2="{y}" '
-            f'stroke="black" stroke-width="1.5"{dash}/>')
-        parts.append(
-            f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{escape(series.label, quote=False)}</text>')
+        head = _LEGEND_HEADS[index] if index < len(_LEGEND_HEADS) else _legend_head(index)
+        parts.append(f"{head}{escape(series.label, quote=False)}</text>")
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _data_runs(series, x_of, y_of):
-    """The runs of consecutive has-data points as lists of formatted
-    (x, y) pairs; a no-data point ends a run."""
-    coords = [(x_of[year], y_of[point.frequency]) if point.has_data else None
-              for year, point in sorted(series.points.items())]
-    return [list(run) for has_data, run in groupby(coords, _is_point) if has_data]
+def _data_runs(points, x_of, y_of):
+    """The runs of consecutive has-data points of `points`, in one pass
+    over its sorted years, as lists of formatted "x y" strings; a
+    no-data point ends a run."""
+    runs, run = [], []
+    for year in sorted(points):
+        point = points[year]
+        if point.has_data:
+            run.append(f"{x_of[year]} {y_of[point.frequency]}")
+        elif run:
+            runs.append(run)
+            run = []
+    if run:
+        runs.append(run)
+    return runs
+

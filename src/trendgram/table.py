@@ -53,8 +53,9 @@ class FrequencyTable:
     """N-gram counts as `cells`, one `{ngram: count}` dict per (n, year)
     that has any, plus the per-(n, year) totals used as frequency
     denominators and the sorted years with data. Unless `totals` is
-    given, both are derived from `cells` the first time they are read.
-    No cell is empty, so tables are equal when their cells are; they are
+    given, both are derived from `cells` the first time they are read,
+    and so is each length's view in `_views` (see `evaluate`). No cell
+    is empty, so tables are equal when their cells are; they are
     unhashable.
 
     `lengths` are the n-gram lengths the table answers for: every length
@@ -87,6 +88,7 @@ class FrequencyTable:
         self.lengths = frozenset(lengths)
         self.cuts = cuts or {}
         self.ngrams = None if ngrams is None else frozenset(ngrams)
+        self._views = {}
         if totals is not None:
             self.totals = totals
 

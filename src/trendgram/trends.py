@@ -107,7 +107,7 @@ def build_catalog(table, limit, out_dir, year_range=None):
         _write_page(prefix + filename, render_plot(series, ngram).encode("utf-8"))
         index.append((ngram, total, filename))
 
-    _write_page(prefix + "index.html", _index_html(index).encode("utf-8"))
+    _write_page(prefix + "index.html", _index_html(index))
     return index
 
 
@@ -134,16 +134,20 @@ def _write_page(path, data):
 
 
 def _index_html(index):
+    """The index page as UTF-8 bytes, each row encoded into one buffer
+    as it is formatted. Held whole as a string, then as its encoding,
+    the page would be the largest thing a catalog allocates, and set
+    the command's peak memory."""
     from .plotting import escape
 
-    rows = "\n".join(
-        f'<tr><td>{escape(ngram)}</td><td>{total}</td>'
-        f'<td><a href="{filename}">{filename}</a></td></tr>'
-        for ngram, total, filename in index)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html><head><meta charset="utf-8"><title>Trend catalog</title></head>\n'
-        "<body>\n<h1>Trend catalog</h1>\n"
-        "<table>\n<tr><th>ngram</th><th>total</th><th>plot</th></tr>\n"
-        f"{rows}\n</table>\n</body></html>\n"
-    )
+    page = bytearray(b"<!DOCTYPE html>\n"
+                     b'<html><head><meta charset="utf-8"><title>Trend catalog</title></head>\n'
+                     b"<body>\n<h1>Trend catalog</h1>\n"
+                     b"<table>\n<tr><th>ngram</th><th>total</th><th>plot</th></tr>\n")
+    for ngram, total, filename in index:
+        page += (f'<tr><td>{escape(ngram)}</td><td>{total}</td>'
+                 f'<td><a href="{filename}">{filename}</a></td></tr>\n').encode("utf-8")
+    if not index:
+        page += b"\n"
+    page += b"</table>\n</body></html>\n"
+    return page

@@ -267,6 +267,22 @@ def _split_top_level(text):
     return [c for c in ("".join(chunk).strip() for chunk in chunks) if c]
 
 
+def naive_index_html(index):
+    """The catalog's index page of `index`, `(ngram, total, filename)`
+    rows, formatted whole as one string and encoded at the end."""
+    rows = "\n".join(
+        f'<tr><td>{html.escape(ngram)}</td><td>{total}</td>'
+        f'<td><a href="{filename}">{filename}</a></td></tr>'
+        for ngram, total, filename in index)
+    return (
+        "<!DOCTYPE html>\n"
+        '<html><head><meta charset="utf-8"><title>Trend catalog</title></head>\n'
+        "<body>\n<h1>Trend catalog</h1>\n"
+        "<table>\n<tr><th>ngram</th><th>total</th><th>plot</th></tr>\n"
+        f"{rows}\n</table>\n</body></html>\n"
+    ).encode("utf-8")
+
+
 def naive_render_plot(series_list, title):
     """`render_plot` as it was before its per-plot caches: every
     coordinate goes through `_num` where it is written, and the x axis

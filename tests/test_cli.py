@@ -476,7 +476,8 @@ def _module_names(names):
     (["trends", "-i", "records.csv", "--min-support", "1", "--min-years", "1"],
      ["table", "trends"], ["ngrams", "ingest", "textprep", "frequency", "plotting", "csv"]),
     (["catalog", "-i", "records.csv", "-o", "catalog", "--limit", "3"],
-     ["table", "trends", "frequency", "plotting"], ["ngrams", "ingest", "csv"]),
+     ["table", "trends", "frequency", "plotting"],
+     ["ngrams", "ingest", "textprep", "_io", "csv"]),
     (["demo", "-i", "records.csv", "-o", "plots"],
      ["frequency", "table", "plotting"], ["ngrams", "ingest", "trends", "json", "csv"]),
 ])

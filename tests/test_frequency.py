@@ -16,9 +16,10 @@ from support import random_sentences
 from trendgram.cli import run
 from trendgram.errors import QueryError
 from trendgram.frequency import (FrequencySeries, Query, QuerySeries, SeriesPoint, evaluate, freq,
-                                 freq_list, parse_query, write_series_csv, write_series_json)
+                                 freq_list, parse_query, query_ngrams, write_series_csv,
+                                 write_series_json)
 from trendgram.ngrams import count_ngrams, write_records
-from trendgram.table import build_table, read_table
+from trendgram.table import Prefix, build_table, read_table
 
 
 def table_of(*records):
@@ -299,32 +300,65 @@ COUNTS = st.dictionaries(
 @settings(max_examples=150, deadline=None)
 @given(counts=COUNTS, series=st.lists(st.lists(PHRASES, min_size=1, max_size=4),
                                       min_size=1, max_size=3),
-       lo=st.integers(1998, 2006), width=st.integers(0, 8))
+       lo=st.integers(1998, 2006), width=st.integers(0, 8), first=st.integers(1, 4))
 @example(counts={(1, "code", 2000): 3, (1, "test", 2000): 1, (2, "code test", 2001): 5,
                  (2, "model test", 2001): 2, (3, "code test model", 2002): 7},
          series=[[("code",), ("code", "test"), ("code",)], [("test",), ("model", "test")]],
-         lo=1999, width=4)
+         lo=1999, width=4, first=1)
 @example(counts={(1, "code", 2001): 3, (1, "test", 2001): 1, (1, "model", 2002): 4,
                  (1, "code", 2003): 2, (2, "code test", 2002): 5},
-         series=[[("code",)]], lo=2000, width=4)
+         series=[[("code",)]], lo=2000, width=4, first=1)
 def test_evaluate_is_freq_list_and_has_data_per_year(tmp_path_factory, counts, series, lo,
-                                                     width):
+                                                     width, first):
     # Mixed lengths, repeated phrases, years where one length has no
-    # data, ranges past the table's years, full and partial tables.
+    # data, ranges past the table's years, full and partial tables: of
+    # some lengths, of the head of each ranking, as `catalog` reads one,
+    # and of the query's n-grams, as `query` and `demo` do. A partial
+    # table's totals cover more than its cells; it is asked only what it
+    # holds, and answers as the full table does.
     query = Query([QuerySeries(f"s{i}", phrases) for i, phrases in enumerate(series)])
     full = build_table(counts)
     path = tmp_path_factory.mktemp("evaluate") / "records.csv"
     write_records(full, path)
     lengths = {len(phrase) for qs in query.series for phrase in qs.phrases}
-    for table in (full, read_table(path, lengths)):
-        got = evaluate(table, query, (lo, lo + width))
-        assert [s.label for s in got] == [qs.label for qs in query.series]
-        for result, qs in zip(got, query.series):
+    head = read_table(path, prefix=Prefix(first=first))
+    for table, asked in ((full, query), (read_table(path, lengths), query),
+                         (read_table(path, ngrams=query_ngrams(query)), query),
+                         (head, _held_only(head, query))):
+        got = evaluate(table, asked, (lo, lo + width))
+        assert [s.label for s in got] == [qs.label for qs in asked.series]
+        for result, qs in zip(got, asked.series):
             assert result.points == {
-                year: SeriesPoint(freq_list(table, qs.phrases, year),
-                                  any(table.has_data(len(p), year) for p in qs.phrases))
+                year: SeriesPoint(freq_list(full, qs.phrases, year),
+                                  any(full.has_data(len(p), year) for p in qs.phrases))
                 for year in range(lo, lo + width + 1)}
             assert all(type(point.frequency) is float for point in result.points.values())
+
+
+def _held_only(table, query):
+    """`query` less the phrases `table` cannot answer for, and less the
+    series left with none."""
+    def held(phrase):
+        try:
+            table.require((len(phrase),), ngrams=(" ".join(phrase),))
+        except ValueError:
+            return False
+        return True
+
+    kept = (QuerySeries(qs.label, [p for p in qs.phrases if held(p)]) for qs in query.series)
+    return Query([qs for qs in kept if qs.phrases])
+
+
+def test_evaluate_builds_each_lengths_view_once():
+    table = table_of((1, "code", 2000, 3), (1, "test", 2001, 1), (2, "code test", 2001, 2),
+                     (2, "test code", 2003, 4))
+    query = parse_query("code, code test, test, tools+code")
+    first = evaluate(table, query, (1999, 2004))
+    views = dict(table._views)
+    assert views.keys() == {1, 2}
+    assert evaluate(table, query, (1999, 2004)) == first
+    assert table._views.keys() == views.keys()
+    assert all(table._views[n] is views[n] for n in views)
 
 
 # ---------------------------------------------------------------------------

@@ -157,11 +157,13 @@ _VALUE = st.one_of(st.sampled_from((0.0, 0.0, 0.25, 1e-4, 0.3333333333333333)),
 
 @st.composite
 def _plot_inputs(draw):
-    """1-4 series over years drawn from 1995-2014, with gaps (no-data
-    points), isolated points, and the all-no-data and all-zero cases."""
+    """1-6 series over years drawn from 1995-2014, with gaps (no-data
+    points), isolated points, and the all-no-data and all-zero cases.
+    Past four series, stroke patterns wrap around and legend rows go on
+    below the fourth."""
     shape = draw(st.sampled_from(("mixed", "no data", "all zero")))
     series_list = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 6))):
         years = draw(st.lists(st.integers(1995, 2014), min_size=1, max_size=12, unique=True))
         points = {}
         for year in years:

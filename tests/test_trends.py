@@ -11,13 +11,13 @@ from operator import attrgetter
 
 import pytest
 
-from oracle import exact_ols_slope
+from oracle import exact_ols_slope, naive_index_html
 from trendgram.cli import run
 from trendgram.frequency import Query, QuerySeries, evaluate
 from trendgram.ngrams import write_records
 from trendgram.table import build_table, read_table
 from trendgram.plotting import render_plot
-from trendgram.trends import _slope, build_catalog, rank_trends
+from trendgram.trends import _index_html, _slope, build_catalog, rank_trends
 
 
 def slope_of(points):
@@ -265,6 +265,15 @@ def test_build_catalog_index_html_escapes_ngrams(tmp_path):
     html_text = (tmp_path / "index.html").read_text()
     assert "<td>o&#x27;brien</td>" in html_text
     assert "o'brien" not in html_text
+
+
+@pytest.mark.parametrize("index", [
+    [],
+    [("only", 7, "0001.svg")],
+    [("café", 6, "0001.svg"), ("o'brien & <co>", 2, "0002.svg"), ('"naïve" code', 1, "0003.svg")],
+], ids=("empty", "one", "escaped"))
+def test_index_html_is_the_page_formatted_whole(index):
+    assert _index_html(index) == naive_index_html(index)
 
 
 def test_build_catalog_deterministic(tmp_path):
