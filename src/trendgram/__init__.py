@@ -6,7 +6,8 @@ The public names below load their module on first use (PEP 562), so
 `cli` and `trends` bind their stage names from `_MODULES` the same way.
 The count table and the records reader are the `table` stage, which
 the commands that read records load; only `extract` loads `ngrams`,
-which counts n-grams and writes records.
+which counts n-grams, writes records and lists a table's records in
+their row order (`NgramRecord`, `build_table` and `read_records`).
 """
 
 from importlib import import_module
@@ -21,10 +22,10 @@ _MODULES = {
     "ingest": ("Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
                "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
                "write_corpus"),
-    "ngrams": ("Stoplist", "count_ngrams", "token_runs", "write_records"),
+    "ngrams": ("NgramRecord", "Stoplist", "build_table", "count_ngrams", "read_records",
+               "token_runs", "write_records"),
     "plotting": ("render_plot",),
-    "table": ("FrequencyTable", "NgramRecord", "Prefix", "build_table", "read_records",
-              "read_table", "top_ngrams"),
+    "table": ("FrequencyTable", "Prefix", "read_table", "top_ngrams"),
     "textprep": ("Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize"),
     "trends": ("TrendEntry", "build_catalog", "rank_trends"),
 }

@@ -1,5 +1,5 @@
-"""N-gram extraction, stopword filtering and the records writer: what
-`extract` runs.
+"""N-gram extraction, stopword filtering, the records writer and the
+records' row order: what `extract` runs.
 
 A sentence of t tokens has max(t - n + 1, 0) n-grams of length n, its
 windows of n consecutive tokens, so none crosses a sentence boundary. An
@@ -17,23 +17,27 @@ tests hold both against the naive oracles of `tests/oracle.py`.
 
 The table they count into and the records reader are in
 `trendgram.table`, which the commands that only read records load
-without this module.
+without this module. A table's records, one `NgramRecord` per count in
+(n, ngram, year) order, are listed here (see `_records`), and
+`build_table` and `read_records` live here too: no command runs them.
 """
 
 import os
 from array import array
-from collections import _count_elements
+from collections import _count_elements, namedtuple
 from itertools import accumulate, compress, groupby, islice, repeat
-from operator import attrgetter, sub
+from operator import attrgetter, itemgetter, sub
 
 from ._io import csv_cell, needs_quotes, open_for_write, read_text
 from ._limits import NGRAM_MAX
 from .errors import TrendgramError
-from .table import RECORDS_HEADER, FrequencyTable, _rows
+from .table import RECORDS_HEADER, FrequencyTable, read_table
 
 _BATCH = 256  # sentences counted together; bounds the batch's token lists
 _BOUNDARY = object()  # follows each sentence of a batch; equals no token
 _WRITE_CHUNK = 1024  # records lines joined into one write
+
+NgramRecord = namedtuple("NgramRecord", "n ngram year count")
 
 
 class Stoplist:
@@ -230,3 +234,48 @@ def _quoted_rows(cells, n):
 def _suffixed(year, cell):
     suffix = {count: f",{year},{count}\n" for count in set(cell.values())}
     return zip(cell, map(suffix.__getitem__, cell.values()))
+
+
+def build_table(counts):
+    """The table over a `(n, ngram, year) -> count` dict."""
+    cells: dict[tuple[int, int], dict[str, int]] = {}
+    for (n, ngram, year), count in counts.items():
+        cell = cells.get((n, year))
+        if cell is None:
+            cell = cells[n, year] = {}
+        cell[ngram] = count
+    return FrequencyTable(cells)
+
+
+def read_records(source):
+    """`read_table(source).counts`: every record of a records CSV as a
+    read-only `(n, ngram, year) -> count` mapping."""
+    return read_table(source).counts
+
+
+def _rows(cells, n, rows_of):
+    """The rows `rows_of(year, cell)` gives for each cell of length `n`,
+    which start with the n-gram, in (ngram, year) order: each cell is
+    popped from `cells` and listed a year at a time in ascending years,
+    then the rows are stably sorted by n-gram alone, a sort that
+    compares only strings, which is much cheaper than comparing
+    tuples. A cell that only `cells` held is freed before the sort."""
+    rows = []
+    for year in sorted(year for length, year in cells if length == n):
+        rows += rows_of(year, cells.pop((n, year)))
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
+def _counted(year, cell):
+    return zip(cell, repeat(year), cell.values())
+
+
+def _records(cells):
+    """`(n, ngram, year, count)` for every count in `cells`, in (n,
+    ngram, year) order; only one length's rows are alive at a time.
+    `cells` is left unchanged: the rows are listed from a copy."""
+    cells = dict(cells)
+    for n in sorted({n for n, _ in cells}):
+        for ngram, year, count in _rows(cells, n, _counted):
+            yield n, ngram, year, count

@@ -3,9 +3,9 @@
 The tabular model is one record per (n, ngram, year) with an occurrence
 count. A `FrequencyTable` holds them as one `{ngram: count}` dict per
 (n, year), the unit every frequency is taken over. `trendgram.ngrams`
-counts them and writes records files; the commands that read one back
-(`query`, `top`, `trends`, `catalog` and `demo`) load this module and
-not that one.
+counts them, writes records files and lists a table's records in their
+row order; the commands that read one back (`query`, `top`, `trends`,
+`catalog` and `demo`) load this module and not that one.
 
 `read_table` keeps a sidecar index beside a records file it reads by
 path, `RECORDS.idx`, holding the table it built the last time it fully
@@ -28,8 +28,8 @@ import zlib
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cache, cached_property, partial
-from itertools import repeat
-from operator import itemgetter, neg
+from itertools import chain, repeat
+from operator import neg
 from types import MappingProxyType
 
 from ._limits import NGRAM_MAX
@@ -38,15 +38,15 @@ RECORDS_HEADER = ("n", "ngram", "year", "count")
 
 _ALL_LENGTHS = frozenset(range(1, NGRAM_MAX + 1))
 
-
-NgramRecord = namedtuple("NgramRecord", "n ngram year count")
-
 Prefix = namedtuple("Prefix", "first min_total", defaults=(None, 1))
-Prefix.__doc__ = """The head of each n-gram length's ranking, by total descending,
-ties broken lexicographically (the order of `top_ngrams`) that
-`read_table` loads, or that a question needs (see
+Prefix.__doc__ = """The head of a ranking of n-grams by total descending, ties
+broken lexicographically (the order of `top_ngrams` and `build_catalog`),
+that `read_table` loads, or that a question needs (see
 `FrequencyTable.require`): the first `first` n-grams (with no limit when
-None) of those whose total is at least `min_total`."""
+None) of those whose total is at least `min_total`. Over several n-gram
+lengths the ranking is their combined one, so `Prefix(first=k)` is the
+k most frequent n-grams of all of those lengths together, not k of
+each."""
 
 
 class FrequencyTable:
@@ -65,12 +65,13 @@ class FrequencyTable:
     `evaluate`, `top_ngrams` and `rank_trends` refuse it any other
     length, and `build_catalog` refuses it (see `require`).
 
-    `cuts` maps each length of which the table holds only the head of
-    the ranking (see `Prefix`) to `(loaded, next_total)`: it holds that
-    length's first `loaded` n-grams in ranking order, each with all of
-    its counts, and the next one has a total of `next_total`. It then
-    refuses any question about that length that the head cannot answer
-    exactly, so that an n-gram it did not load never reads as zero.
+    `cuts` maps each length of which the table holds only part to
+    `(loaded, next_total)`: it holds that length's first `loaded`
+    n-grams in ranking order (see `Prefix`), each with all of its
+    counts, and the next one has a total of `next_total`. It then
+    refuses any question about that length that what it holds cannot
+    answer exactly, so that an n-gram it did not load never reads as
+    zero.
 
     `ngrams`, unless None, is the set of n-grams the table was loaded
     for (see `read_table`): it holds each of them with all of its
@@ -79,11 +80,10 @@ class FrequencyTable:
 
     Iterating yields one `NgramRecord` per count in (n, ngram, year)
     order; `len` is the number of such rows. Build one from a flat
-    `(n, ngram, year) -> count` dict with `build_table`.
+    `(n, ngram, year) -> count` dict with `trendgram.ngrams.build_table`.
     """
 
-    def __init__(self, cells: dict[tuple[int, int], dict[str, int]], totals=None,
-                 lengths=_ALL_LENGTHS, cuts=None, ngrams=None):
+    def __init__(self, cells, totals=None, lengths=_ALL_LENGTHS, cuts=None, ngrams=None):
         self.cells = cells
         self.lengths = frozenset(lengths)
         self.cuts = cuts or {}
@@ -112,21 +112,35 @@ class FrequencyTable:
     def counts(self):
         """A read-only snapshot of the counts as an `(n, ngram, year) ->
         count` mapping, in (n, ngram, year) order, the records file's."""
+        from .ngrams import _records  # which owns the row order; no read command asks
+
         return MappingProxyType({record[:3]: record[3] for record in _records(self.cells)})
 
     def __len__(self):
         return sum(map(len, self.cells.values()))
 
     def __iter__(self):
+        from .ngrams import NgramRecord, _records
+
         return map(NgramRecord._make, _records(self.cells))
 
     def require(self, lengths, prefix=None, ngrams=()):
         """Raise `ValueError` unless the table can answer exactly about
         the n-gram `lengths`: it loaded each of them, holds the whole
-        `prefix` (a `Prefix`) of each one's ranking, if one is given,
-        and holds each n-gram of `ngrams`, strings of those lengths.
-        Counts it did not load would read as zeros over a non-zero
-        total."""
+        `prefix` (a `Prefix`) of their combined ranking, if one is
+        given, and holds each n-gram of `ngrams`, strings of those
+        lengths. Counts it did not load would read as zeros over a
+        non-zero total.
+
+        The head is proved from what the table holds: it is the head
+        of the ranking of the n-grams it holds of `lengths`, unless an
+        n-gram it did not load could rank in it. Call the first-th of
+        those it holds, if it holds as many, the head's last. For each
+        length of `cuts`, either the table holds an n-gram of that
+        length that ranks at or after the head's last, which every
+        n-gram of that length it did not load then ranks after, or the
+        next n-gram's total is below `min_total` and below the head's
+        last total."""
         if not self.lengths.issuperset(lengths):
             raise ValueError(f"n-gram length {min(set(lengths) - self.lengths)} was not loaded; "
                              f"the table holds {', '.join(map(str, sorted(self.lengths)))}")
@@ -138,12 +152,19 @@ class FrequencyTable:
                 if ngram not in self.ngrams:
                     raise ValueError(f"n-gram {ngram!r} was not loaded: {asked}")
             return
-        if not self.cuts:
-            return
-        for n in sorted(self.cuts.keys() & lengths) if prefix is not None else ():
-            loaded, next_total = self.cuts[n]
-            if (prefix.first is None or prefix.first > loaded) and prefix.min_total <= next_total:
-                raise ValueError(f"{_head(n, loaded, next_total)}: too few for {prefix}")
+        if prefix is not None and (cut := sorted(self.cuts.keys() & lengths)):
+            # the n-grams it holds from the head's last on, if it holds that many:
+            # their lengths, and the total no n-gram it did not load may reach
+            first, floor = prefix
+            tail = () if first is None else _most_frequent(
+                (cell for (n, _), cell in self.cells.items() if n in lengths), None)[first - 1:]
+            past = {_length(ngram) for ngram, _ in tail}
+            if tail:
+                floor = max(floor, tail[0][1])
+            for n in cut:
+                loaded, next_total = self.cuts[n]
+                if n not in past and next_total >= floor:
+                    raise ValueError(f"{_head(n, loaded, next_total)}: too few for {prefix}")
         for ngram in ngrams:
             if ngram not in self._held and (n := _length(ngram)) in self.cuts:
                 raise ValueError(f"n-gram {ngram!r} was not loaded: {_head(n, *self.cuts[n])}")
@@ -157,9 +178,7 @@ class FrequencyTable:
         return self.totals.get((n, year), 0) > 0
 
     def year_span(self):
-        if not self.years:
-            return None
-        return self.years[0], self.years[-1]
+        return (self.years[0], self.years[-1]) if self.years else None
 
 
 def _head(n, loaded, next_total):
@@ -167,52 +186,15 @@ def _head(n, loaded, next_total):
             f"and the next has a total of {next_total}")
 
 
-def build_table(counts):
-    """The table over a `(n, ngram, year) -> count` dict."""
-    cells: dict[tuple[int, int], dict[str, int]] = {}
-    for (n, ngram, year), count in counts.items():
-        cell = cells.get((n, year))
-        if cell is None:
-            cell = cells[n, year] = {}
-        cell[ngram] = count
-    return FrequencyTable(cells)
-
-
-def _rows(cells, n, rows_of):
-    """The rows `rows_of(year, cell)` gives for each cell of length `n`,
-    which start with the n-gram, in (ngram, year) order: each cell is
-    popped from `cells` and listed a year at a time in ascending years,
-    then the rows are stably sorted by n-gram alone, a sort that
-    compares only strings, which is much cheaper than comparing
-    tuples. A cell that only `cells` held is freed before the sort."""
-    rows = []
-    for year in sorted(year for length, year in cells if length == n):
-        rows += rows_of(year, cells.pop((n, year)))
-    rows.sort(key=itemgetter(0))
-    return rows
-
-
-def _counted(year, cell):
-    return zip(cell, repeat(year), cell.values())
-
-
-def _records(cells):
-    """`(n, ngram, year, count)` for every count in `cells`, in (n,
-    ngram, year) order; only one length's rows are alive at a time.
-    `cells` is left unchanged: the rows are listed from a copy."""
-    cells = dict(cells)
-    for n in sorted({n for n, _ in cells}):
-        for ngram, year, count in _rows(cells, n, _counted):
-            yield n, ngram, year, count
-
-
 def read_table(source, lengths=None, prefix=None, ngrams=None):
     """Read a records CSV into a `FrequencyTable` holding the cells of
     the n-gram `lengths` only (default: all), enforcing every record
     invariant on the whole file. With a `prefix` (a `Prefix`), it holds
-    of each of those lengths only the n-grams of that head of the
-    length's ranking, each with all of its counts, and notes in its
-    `cuts` where it stopped. With `ngrams`, a non-empty collection of
+    only the n-grams of that head of the combined ranking of those
+    lengths, each with all of its counts, and of a length whose next
+    n-gram ties the head's last total and ranks after it, that one too,
+    and notes in its `cuts` where each length stopped. For one length,
+    that is the head of its ranking. With `ngrams`, a non-empty collection of
     n-gram strings (1 to NGRAM_MAX non-empty tokens joined by single
     spaces), it holds those n-grams only, each with all of its counts,
     and answers for nothing else (see `FrequencyTable.ngrams`); the
@@ -228,11 +210,12 @@ def read_table(source, lengths=None, prefix=None, ngrams=None):
     `f"{source}.idx"` when that index was written for this file: one
     `os.stat` tells when it is unchanged since before the index was
     written, and a crc32 of the whole file otherwise (see `_read_index`).
-    Only the sections of `lengths`, the heads of their rankings, or the
-    chunks that can hold `ngrams` are loaded. Otherwise the CSV is
-    parsed, and if the file did not change while it was parsed, the
-    index is (re)written, and the heads are read from it. A stream, or a
-    file whose index was not written, has its heads ranked in memory.
+    Only the sections of `lengths`, the ranked chunks the head reaches
+    (see `_read_heads`), or the chunks that can hold `ngrams` are
+    loaded. Otherwise the CSV is parsed, and if the file did not change
+    while it was parsed, the index is (re)written, and the head is read
+    from it. A stream, or a file whose index was not written, has its
+    lengths ranked in memory.
     """
     wanted = _ALL_LENGTHS if lengths is None else frozenset(lengths)
     if not wanted or not wanted <= _ALL_LENGTHS:
@@ -280,20 +263,6 @@ def _checked_ngrams(ngrams):
 def _length(ngram):
     """The number of tokens of an n-gram string."""
     return ngram.count(" ") + 1
-
-
-def _taken(totals, prefix, taken):
-    """How many n-grams of the `totals` that follow the first `taken`
-    of a ranking, a sequence in descending order, the head `prefix`
-    takes."""
-    size = bisect_right(totals, -prefix.min_total, key=neg)
-    return size if prefix.first is None else min(size, prefix.first - taken)
-
-
-def read_records(source):
-    """`read_table(source).counts`: every record of a records CSV as a
-    read-only `(n, ngram, year) -> count` mapping."""
-    return read_table(source).counts
 
 
 # The sidecar index: a header; then for each length from 1 to NGRAM_MAX
@@ -353,8 +322,8 @@ def _read_index(path, stamp, crc, lengths, prefix=None, ngrams=None):
     not the last or whose sizes disagree with the header, chunks or
     sections that are not where the header and directories say (see
     `_whole.read_lengths`), or loaded cells other than those the totals
-    name. A head is read from the start of its length's ranked section
-    (see `_read_head`), and n-grams from the chunks of the keyed
+    name. A head is read from the start of its lengths' ranked sections
+    (see `_read_heads`), and n-grams from the chunks of the keyed
     sections that can hold them (see `_read_keyed`).
 
     The index was written for this content, without calling `crc`, when
@@ -430,43 +399,68 @@ def _read_keyed(fh, end, keyed, ngrams):
 
 
 def _chunks_at(fh, end, offset):
-    """The values of the chunks of `fh` from `offset` on, read as they
-    are taken."""
-    fh.seek(offset)
-    return iter(lambda: marshal.loads(_read_chunk(fh, end)), None)
+    """The values of the chunks of `fh` from `offset` on, each read as
+    it is taken, also when chunks of other sections are read between."""
+    while True:
+        fh.seek(offset)
+        value = marshal.loads(_read_chunk(fh, end))
+        offset = fh.tell()
+        yield value
 
 
 def _read_heads(lengths, prefix, sections):
     """The cells and cuts of a table that holds the head `prefix` of
-    the ranking of each of `lengths`, read from `sections(n)`, the
-    chunks of length n's ranked section."""
+    the combined ranking of `lengths` (see `Prefix`), read from
+    `sections(n)`, the chunks of length n's ranked section.
+
+    Each length keeps the places `(-total, ngram, n)` of the n-grams it
+    read, in ranking order, and, while it has more of total at least
+    `min_total`, a place in `unread` that each of them ranks after: at
+    first one before every n-gram, then the total of the next one, with
+    the last n-gram read if it has that total too, else "", which every
+    n-gram follows. The length whose place ranks first in `unread` reads
+    its next chunk until as many n-grams read as the head holds rank at
+    or before that place, and so in the order of the whole ranking; for
+    one length, those are the first chunks that hold the head. Each
+    length holds its n-grams in the head; and when the head is full, a
+    length whose next n-gram has the total of the head's last, and so
+    ranks after it, holds that one too, so that the table can prove its
+    head (see `FrequencyTable.require`). That n-gram was read: its place
+    in `unread` ranked before the head's last."""
+    first, floor = prefix
+    streams = {n: sections(n) for n in sorted(lengths)}
+    read, places = {}, {}  # each length's chunks read, and the places of their n-grams
+    unread = {n: (float("-inf"), "", n) for n in streams}
+    while True:  # of each length, how many n-grams rank at or before `bound`
+        bound = min(unread.values(), default=(1 - floor,))
+        known = [bisect_right(mine, bound) for mine in places.values()]
+        if first is not None and sum(known) >= first:
+            last = sorted(chain.from_iterable(
+                mine[:size] for mine, size in zip(places.values(), known)))[first - 1]
+            # up to the head's last, and one more of another length at its total
+            known = [min(bisect_right(mine, last) + (n != last[2]),
+                         bisect_left(mine, (last[0] + 1,))) for n, mine in places.items()]
+            break
+        if not unread:
+            break
+        n = bound[2]
+        ngrams, totals, _, next_total = chunk = next(streams[n])
+        read.setdefault(n, []).append(chunk)
+        places.setdefault(n, []).extend(zip(map(neg, totals), ngrams, repeat(n)))
+        del unread[n]
+        if next_total >= max(floor, 1):
+            unread[n] = -next_total, ngrams[-1] if totals[-1] == next_total else "", n
     cells, cuts = {}, {}
-    for n in sorted(lengths):
-        loaded, next_total = _read_head(sections(n), n, prefix, cells)
-        if next_total:
-            cuts[n] = loaded, next_total
+    for (n, mine), size in zip(places.items(), known):
+        if next_total := -mine[size][0] if size < len(mine) else read[n][-1][3]:
+            cuts[n] = size, next_total
+        for ngrams, _, by_year, _ in read[n]:
+            for year, (at, counts) in by_year.items():
+                if kept := bisect_left(at, size):
+                    cells.setdefault((n, year), {}).update(
+                        zip(map(ngrams.__getitem__, at[:kept]), counts[:kept]))
+            size -= len(ngrams)
     return cells, cuts
-
-
-def _read_head(chunks, n, prefix, cells):
-    """Load into `cells` the head `prefix` of length `n`'s ranking from
-    `chunks`, the chunks of its ranked section, taking only those that
-    hold some of it, and return `(loaded, next_total)`: how many n-grams
-    it holds, and the total of the next one, 0 if there is none."""
-    loaded = 0
-    for ngrams, totals, by_year, next_total in chunks:
-        size = _taken(totals, prefix, loaded)
-        for year, (places, counts) in by_year.items():
-            kept = bisect_left(places, size)
-            if kept:
-                cells.setdefault((n, year), {}).update(
-                    zip(map(ngrams.__getitem__, places[:kept]), counts[:kept]))
-        if size < len(ngrams):
-            next_total = totals[size]
-        loaded += size
-        if (size < len(ngrams) or not next_total or loaded == prefix.first
-                or next_total < prefix.min_total):
-            return loaded, next_total
 
 
 def _read_chunk(fh, end):
@@ -488,7 +482,7 @@ def _read_chunk(fh, end):
 
 def _ngram_totals(cells):
     """Each n-gram's count summed over `cells`, `{ngram: count}` dicts."""
-    totals: dict[str, int] = {}
+    totals = {}
     get = totals.get
     for cell in cells:
         for ngram, count in cell.items():

@@ -81,9 +81,16 @@ def build_catalog(table, limit, out_dir, year_range=None):
     The `limit` most frequent n-grams across all lengths are selected by
     total count, ties broken lexicographically; pages are numbered in
     that order. Plots span `year_range`, by default the table's own
-    years. Returns the index as a list of (ngram, total, filename). The
-    table must hold every length, and of a length it holds only a head
-    of, the `limit` most frequent n-grams at least.
+    years. Returns the index as a list of (ngram, total, filename).
+
+    The table must hold every length and prove that it holds the
+    `limit` most frequent n-grams of all of them together, as
+    `read_table(path, prefix=Prefix(first=limit))` loads them (see
+    `FrequencyTable.require`): `ValueError` is raised when it holds
+    fewer, or when, of a length it holds only part of, the next n-gram
+    could rank among them, its total being at least that of the
+    limit-th and the table holding no n-gram of that length ranked
+    after the limit-th.
     """
     if limit < 1:
         raise ValueError("catalog limit must be at least 1")

@@ -28,9 +28,8 @@ from oracle import naive_ngram_counts  # noqa: E402
 
 from trendgram.cli import DEMO_QUERIES, run  # noqa: E402
 from trendgram.ingest import read_corpus  # noqa: E402
-from trendgram.ngrams import Stoplist  # noqa: E402
+from trendgram.ngrams import Stoplist, read_records  # noqa: E402
 from trendgram.plotting import render_plot  # noqa: E402
-from trendgram.table import read_records  # noqa: E402
 from trendgram.textprep import entry_sentences  # noqa: E402
 
 # Golden file -> the command whose standard output it holds, run on the

@@ -34,8 +34,8 @@ from trendgram.cli import COMMANDS, DEMO_QUERIES, UsageError, _parse_plainly, bu
 from trendgram.frequency import evaluate, parse_query, write_series_csv
 from trendgram.ingest import (DEFAULT_CSV_MAPPING, merge_dedup, parse_bibtex, parse_csv,
                               parse_endnote, read_corpus, write_corpus)
-from trendgram.ngrams import _BATCH, Stoplist, count_ngrams, write_records
-from trendgram.table import build_table, read_records
+from trendgram.ngrams import (_BATCH, Stoplist, build_table, count_ngrams, read_records,
+                              write_records)
 from trendgram.textprep import entry_sentences
 
 BIB = (
@@ -693,9 +693,9 @@ PACKAGE_EXPORTS = {
     "ingest": ("Diagnostic", "Entry", "MergeReport", "filter_incomplete", "merge_dedup",
                "normalized_title", "parse_bibtex", "parse_csv", "parse_endnote", "read_corpus",
                "write_corpus"),
-    "ngrams": ("Stoplist", "count_ngrams", "token_runs", "write_records"),
-    "table": ("FrequencyTable", "NgramRecord", "Prefix", "build_table", "read_records",
-              "read_table", "top_ngrams"),
+    "ngrams": ("NgramRecord", "Stoplist", "build_table", "count_ngrams", "read_records",
+               "token_runs", "write_records"),
+    "table": ("FrequencyTable", "Prefix", "read_table", "top_ngrams"),
     "plotting": ("render_plot",),
     "textprep": ("Sentence", "entry_sentences", "remove_articles", "split_sentences", "tokenize"),
     "trends": ("TrendEntry", "build_catalog", "rank_trends"),

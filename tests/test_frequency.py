@@ -18,8 +18,8 @@ from trendgram.errors import QueryError
 from trendgram.frequency import (FrequencySeries, Query, QuerySeries, SeriesPoint, evaluate, freq,
                                  freq_list, parse_query, query_ngrams, write_series_csv,
                                  write_series_json)
-from trendgram.ngrams import count_ngrams, write_records
-from trendgram.table import Prefix, build_table, read_table
+from trendgram.ngrams import build_table, count_ngrams, write_records
+from trendgram.table import Prefix, read_table
 
 
 def table_of(*records):

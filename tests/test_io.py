@@ -9,8 +9,7 @@ import pytest
 from support import make_entry
 from trendgram._io import open_for_write
 from trendgram.ingest import write_corpus
-from trendgram.ngrams import write_records
-from trendgram.table import build_table
+from trendgram.ngrams import build_table, write_records
 
 
 def names(directory):

@@ -31,10 +31,11 @@ from trendgram import _whole
 from trendgram.cli import run
 from trendgram.errors import RecordsError, TrendgramError
 from trendgram.frequency import Query, QuerySeries, evaluate, parse_query, write_series_csv
-from trendgram.ngrams import Stoplist, count_ngrams, token_runs, write_records
+from trendgram.ngrams import (NgramRecord, Stoplist, build_table, count_ngrams, read_records,
+                              token_runs, write_records)
 from trendgram.table import (_INDEX_CHUNK_HEADER, _INDEX_HEADER, _INDEX_MAGIC, FrequencyTable,
-                             NgramRecord, Prefix, _fingerprint, _most_frequent, _read_index,
-                             _stamp, build_table, read_records, read_table, top_ngrams)
+                             Prefix, _fingerprint, _most_frequent, _read_index, _stamp, read_table,
+                             top_ngrams)
 from trendgram.textprep import Sentence
 from trendgram.trends import build_catalog, rank_trends
 
@@ -540,13 +541,13 @@ def test_write_records_frees_a_lazy_tables_cells_before_its_sort(monkeypatch):
         return cells
 
     freed = []
-    itemgetter = trendgram.table.itemgetter
+    itemgetter = trendgram.ngrams.itemgetter
 
     def itemgetter_at_sort(index):
         freed.append(all(ref() is None for ref in refs[max(refs)]))
         return itemgetter(index)
 
-    monkeypatch.setattr(trendgram.table, "itemgetter", itemgetter_at_sort)
+    monkeypatch.setattr(trendgram.ngrams, "itemgetter", itemgetter_at_sort)
     buffer = io.StringIO()
     write_records((FrequencyTable(cells_of(n)) for n in lengths), buffer)
     assert buffer.getvalue() == naive_records_text(counts)
@@ -1243,7 +1244,7 @@ def test_index_bytes_do_not_depend_on_hash_seed(tmp_path):
         written, loaded = [], []
         for seed in ("1", "2"):
             index_of(path).unlink(missing_ok=True)
-            subprocess.run([sys.executable, "-c", f"from trendgram.table import read_records; "
+            subprocess.run([sys.executable, "-c", f"from trendgram.ngrams import read_records; "
                             f"read_records({str(path)!r})"], check=True,
                            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
             written.append(index_of(path).read_bytes())
@@ -1275,8 +1276,8 @@ def table_from_index(path, lengths, prefix=None, ngrams=None):
         return read_table(path, lengths, prefix, ngrams)
 
 
-def read_counting_parses(path, lengths=None, ngrams=None):
-    """`read_table(path, lengths, ngrams=ngrams)` and the number of times
+def read_counting_parses(path, lengths=None, ngrams=None, prefix=None):
+    """`read_table(path, lengths, prefix, ngrams)` and the number of times
     it parsed the CSV."""
     parses = []
     parse = _whole._parse_records
@@ -1286,7 +1287,7 @@ def read_counting_parses(path, lengths=None, ngrams=None):
         return parse(source)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_whole, "_parse_records", counting)
-        return read_table(path, lengths, ngrams=ngrams), len(parses)
+        return read_table(path, lengths, prefix, ngrams), len(parses)
 
 
 def restrict(counts, lengths):
@@ -1502,6 +1503,29 @@ def test_a_unigram_top_reads_no_chunk_past_length_1(tmp_path, capsys):
     ({2}, Prefix(min_total=3), 1, (0, 2)),
     ({2}, Prefix(first=4097, min_total=2), 17, (4097, 1)),
     ({2}, Prefix(min_total=1), 33, None),
+    # Several lengths: the head of their combined ranking, and the chunks
+    # read, in order, as (n, i), the i-th chunk of length n's ranked
+    # section. MANY's unigram totals run from 10,000 down to 1, one each;
+    # its bigrams have totals 2 and 1. The run of total 2 starts "w0 y",
+    # "w1", "w1 y", "w10 y", and that of total 1 "w0", "w0 x".
+    ({1, 2}, Prefix(first=257), [(1, 0), (2, 0), (1, 1)], {1: (257, 9743), 2: (0, 2)}),
+    ({1, 2, 3, 4}, Prefix(first=1), [(1, 0), (2, 0), (3, 0), (4, 0)],
+     {1: (1, 9999), 2: (0, 2)}),
+    # the head ends at "w1", and the bigrams hold "w1 y" too
+    ({1, 2}, Prefix(first=10_000), [(1, 0), (2, 0), *((1, i) for i in range(1, 40))],
+     {1: (9999, 1), 2: (2, 2)}),
+    # it ends at the last n-gram of the first bigram chunk, then past it
+    ({1, 2}, Prefix(first=10_255), [(1, 0), (2, 0), *((1, i) for i in range(1, 40))],
+     {1: (9999, 1), 2: (256, 2)}),
+    ({1, 2}, Prefix(first=10_256), [(1, 0), (2, 0), *((1, i) for i in range(1, 40)), (2, 1)],
+     {1: (9999, 1), 2: (257, 2)}),
+    # it ends at "w0", and the bigrams hold "w0 x" too
+    ({1, 2}, Prefix(first=14_097),
+     [(1, 0), (2, 0), *((1, i) for i in range(1, 40)), *((2, i) for i in range(1, 17))],
+     {2: (4098, 1)}),
+    ({1, 2}, Prefix(min_total=2),
+     [(1, 0), (2, 0), *((1, i) for i in range(1, 40)), *((2, i) for i in range(1, 17))],
+     {1: (9999, 1), 2: (4097, 1)}),
 ])
 def test_a_prefix_reads_only_the_ranked_chunks_that_hold_it(tmp_path, lengths, prefix, chunks,
                                                             cut):
@@ -1509,13 +1533,16 @@ def test_a_prefix_reads_only_the_ranked_chunks_that_hold_it(tmp_path, lengths, p
     write_indexed(path, MANY)
     data = index_of(path).read_bytes()
     starts = chunk_starts(data)
-    first = starts.index(ranked_offsets(data)[min(lengths) - 1])
+    ranked = [starts.index(at) for at in ranked_offsets(data)]
+    if isinstance(chunks, int):  # one length: its first chunks
+        chunks = [(min(lengths), i) for i in range(chunks)]
+        cut = {} if cut is None else {min(lengths): cut}
     read = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trendgram.table, "_read_chunk", recording_reads(read))
         table = table_from_index(path, lengths, prefix)
-    assert read == [starts[-1], *starts[first:first + chunks]]
-    assert table.cuts == ({} if cut is None else {min(lengths): cut})
+    assert read == [starts[-1], *(starts[ranked[n - 1] + i] for n, i in chunks)]
+    assert table.cuts == cut
 
 
 @pytest.mark.parametrize("damage", SEEN_BY_A_BIGRAM_LOAD.values(),
@@ -1815,6 +1842,53 @@ def test_damage_outside_a_bigram_top_waits_for_a_read_of_it(tmp_path, capsys, da
     assert index_of(path).read_bytes() == good
 
 
+# Damage to one ranked chunk of MANY, and the chunks, as (n, i), the i-th of
+# length n's ranked section, that the 257 most frequent n-grams of every
+# length reach: each length's first chunk and the second unigram chunk.
+RANKED_DAMAGE = {"payload": flip_payload, "length": flip_length}
+REACHED_BY_A_COMBINED_HEAD = [(1, 0), (1, 1), (2, 0), (3, 0), (4, 0)]
+PAST_A_COMBINED_HEAD = [(1, 2), (1, 39), (2, 1)]
+
+
+def damaged_many(path, n, i, damage):
+    """Write MANY and its index at `path`, then `damage` the i-th chunk of
+    length n's ranked section. Returns the index as it was written."""
+    write_indexed(path, MANY)
+    good = index_of(path).read_bytes()
+    chunk = chunk_starts(good).index(ranked_offsets(good)[n - 1]) + i
+    index_of(path).write_bytes(in_chunk(chunk, damage)(good))
+    return good
+
+
+@pytest.mark.parametrize("damage", RANKED_DAMAGE.values(), ids=RANKED_DAMAGE.keys())
+@pytest.mark.parametrize("n, i", REACHED_BY_A_COMBINED_HEAD)
+def test_damage_a_combined_head_reaches_falls_back_to_the_csv(tmp_path, n, i, damage):
+    path = tmp_path / "records.csv"
+    good = damaged_many(path, n, i, damage)
+    table, parses = read_counting_parses(path, prefix=Prefix(first=257))
+    assert parses == 1
+    assert table.cuts == {1: (257, 9743), 2: (0, 2)}
+    assert table == build_table({key: count for key, count in MANY.items()
+                                 if key[0] == 1 and int(key[1][1:]) >= 10_000 - 257})
+    assert index_of(path).read_bytes() == good
+
+
+@pytest.mark.parametrize("damage", RANKED_DAMAGE.values(), ids=RANKED_DAMAGE.keys())
+@pytest.mark.parametrize("n, i", PAST_A_COMBINED_HEAD)
+def test_damage_past_a_combined_head_waits_for_a_read_of_it(tmp_path, n, i, damage):
+    path = tmp_path / "records.csv"
+    good = damaged_many(path, n, i, damage)
+    damaged = index_of(path).read_bytes()
+    table, parses = read_counting_parses(path, prefix=Prefix(first=257))
+    assert parses == 0
+    assert table.cuts == {1: (257, 9743), 2: (0, 2)}
+    assert index_of(path).read_bytes() == damaged
+    table, parses = read_counting_parses(path)
+    assert parses == 1
+    assert table == build_table(MANY)
+    assert index_of(path).read_bytes() == good
+
+
 def heads(counts):
     """Each length's `(ngram, total)` pairs, in ranking order."""
     full = build_table(counts)
@@ -1884,19 +1958,46 @@ def test_prefix_tables_answer_as_the_full_table_or_refuse(tmp_path_factory, coun
                         rank_trends(table, n, "rising", 50, cut[n][1], 1)
                     with pytest.raises(ValueError, match="was not loaded"):
                         evaluate(table, single(ranked[size][0]), span)
-    # A catalog's page i does not depend on its limit, so each catalog of a
+    # A prefix over every length is the head of their combined ranking. A
+    # catalog's page i does not depend on its limit, so each catalog of a
     # prefix table is compared with the pages of one catalog of the full table.
     out = tmp_path_factory.mktemp("catalog")
-    most = max(map(len, heads(counts).values())) + 1
+    most = len({ngram for _, ngram, _ in counts}) + 1
     index = build_catalog(full, most, out / "full")
     for k in range(1, most + 1):
-        table = table_from_index(path, None, Prefix(first=k))
-        assert build_catalog(table, k, out / f"{k}") == index[:k]
-        for _, _, page in index[:k]:
-            assert (out / f"{k}" / page).read_bytes() == (out / "full" / page).read_bytes()
-        if table.cuts:
+        with io.StringIO(text) as stream:
+            tables = (table_from_index(path, None, Prefix(first=k)),
+                      read_table(stream, None, Prefix(first=k)))
+        for table in tables:
+            # the head, and of each other length at most its next n-gram
+            assert len(set().union(*table.cells.values())) <= k + 4
+            assert build_catalog(table, k, out / f"{k}") == index[:k]
+            for _, _, page in index[:k]:
+                assert (out / f"{k}" / page).read_bytes() == (out / "full" / page).read_bytes()
+            if not table.cuts:
+                assert table == full
+                continue
+            # every longer head the table proves is the full ranking's; the
+            # first it cannot prove is refused
+            limit = k + 1
+            while refusal(table, limit) is None:
+                assert _most_frequent(table.cells.values(), limit) == [
+                    (ngram, total) for ngram, total, _ in index[:limit]]
+                limit += 1
+            assert "most frequent" in refusal(table, limit)
             with pytest.raises(ValueError, match="most frequent"):
-                build_catalog(table, k + 1, out / "refused")
+                build_catalog(table, limit, out / "refused")
+            assert not (out / "refused").exists()
+
+
+def refusal(table, limit):
+    """The message of the `ValueError` `table` raises when asked for the
+    `limit` most frequent n-grams of every length, or None."""
+    try:
+        table.require(range(1, 5), Prefix(first=limit))
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def test_read_table_rejects_an_empty_prefix(tmp_path):
@@ -1911,6 +2012,48 @@ def test_build_catalog_refuses_a_table_without_every_length(tmp_path):
     write_indexed(path, {(1, "code", 2000): 5, (2, "source code", 2000): 3})
     with pytest.raises(ValueError, match="length 1 was not loaded; the table holds 2"):
         build_catalog(table_from_index(path, {2}), 5, tmp_path / "catalog")
+
+
+# "a" has a total of 3, and the run of total 2 spans three lengths: "a a",
+# "a a a", "b", "c c", "d". The head of three ends inside it, at "a a a".
+TIED_ACROSS = {(1, "a", 2000): 2, (1, "a", 2001): 1, (1, "b", 2001): 2, (1, "d", 2000): 2,
+               (2, "a a", 2000): 2, (2, "c c", 2001): 2, (3, "a a a", 2000): 1,
+               (3, "a a a", 2001): 1}
+
+
+def without(table, ngram, cut):
+    """`table` without `ngram`, holding one n-gram fewer of its length, as
+    `cut` says."""
+    cells = {key: {other: count for other, count in cell.items() if other != ngram}
+             for key, cell in table.cells.items()}
+    return FrequencyTable({key: cell for key, cell in cells.items() if cell}, table.totals,
+                          cuts={**table.cuts, **cut})
+
+
+def test_a_head_that_ends_in_a_tie_across_lengths_holds_the_next_of_each(tmp_path):
+    path = tmp_path / "records.csv"
+    write_indexed(path, TIED_ACROSS)
+    index = build_catalog(build_table(TIED_ACROSS), 5, tmp_path / "full")
+    with io.StringIO(path.read_text(encoding="utf-8")) as stream:
+        tables = (table_from_index(path, None, Prefix(first=3)),
+                  read_table(stream, None, Prefix(first=3)))
+    for table in tables:
+        # the head, then "b" and "c c", which follow it at its last total; of
+        # the unigrams "d" is left, and of the trigrams there is no other
+        assert set().union(*table.cells.values()) == {"a", "a a", "a a a", "b", "c c"}
+        assert table.cuts == {1: (2, 2)}
+        assert build_catalog(table, 3, tmp_path / "head") == index[:3]
+        assert build_catalog(table, 4, tmp_path / "head") == index[:4]
+        with pytest.raises(ValueError, match="the 2 most frequent length-1 n-grams, and the "
+                                             "next has a total of 2: too few for"):
+            build_catalog(table, 5, tmp_path / "refused")
+        # Without a length's next n-gram, one of that length the table did
+        # not load could rank before "a a a": it is refused.
+        for ngram, n in (("b", 1), ("c c", 2)):
+            with pytest.raises(ValueError, match=f"the 1 most frequent length-{n} n-grams, and "
+                                                 f"the next has a total of 2: too few for"):
+                build_catalog(without(table, ngram, {n: (1, 2)}), 3, tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import pytest
 from oracle import exact_ols_slope, naive_index_html
 from trendgram.cli import run
 from trendgram.frequency import Query, QuerySeries, evaluate
-from trendgram.ngrams import write_records
-from trendgram.table import build_table, read_table
+from trendgram.ngrams import build_table, write_records
+from trendgram.table import read_table
 from trendgram.plotting import render_plot
 from trendgram.trends import _index_html, _slope, build_catalog, rank_trends
 
